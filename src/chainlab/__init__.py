@@ -8,21 +8,15 @@ from .errors import (
     UsageError,
 )
 from .model import (
-    AugChainInstance,
     BalancedString,
     BitString,
     ChainInstance,
-    Transcript,
-    bit_at,
     enumerate_balanced,
     instance_from_json,
     instance_to_json,
-    prefix,
     validate_instance,
 )
 from .distributions import (
-    BiasedIndexSample,
-    BiasParam,
     SupportTable,
     bias_grid,
     enumerate_support,
@@ -32,7 +26,6 @@ from .distributions import (
     sample_chain,
 )
 from .info_theory import (
-    ENTROPY_TOLERANCE,
     FiniteDistribution,
     JointTable,
     binary_entropy,
@@ -45,14 +38,11 @@ from .info_theory import (
 )
 from .protocols import (
     ProtocolSpec,
-    RunResult,
     SharedRandomness,
     build_protocol,
     chained_majority_protocol,
     index_majority_decode,
     index_majority_encode,
-    index_majority_protocol,
-    run_aug_chain_protocol,
     run_chain_protocol,
     sampled_bits_protocol,
     trivial_forward_protocol,
@@ -71,32 +61,5 @@ from .oracle import (
     verify_distribution_identity,
     verify_entropy_given_pool,
 )
-from .report import VerificationReport
-from .montecarlo import MonteCarloEstimate, montecarlo_success
+from .montecarlo import montecarlo_success
 from .experiments import ExperimentConfig, emit_report, run_config, run_suite
-
-__all__ = [
-    "__version__",
-    "AugChainInstance", "BalancedString", "BitString", "ChainInstance", "Transcript",
-    "bit_at", "enumerate_balanced", "instance_from_json", "instance_to_json",
-    "prefix", "validate_instance",
-    "BiasedIndexSample", "BiasParam", "SupportTable", "bias_grid",
-    "enumerate_support", "pmf_biased_index", "sample_biased_direct",
-    "sample_biased_structured", "sample_chain",
-    "ENTROPY_TOLERANCE", "FiniteDistribution", "JointTable", "binary_entropy",
-    "binomial_anticoncentration", "check_binomial_entropy_bounds",
-    "conditional_entropy", "entropy", "fano_bound", "log_binomial",
-    "ProtocolSpec", "RunResult", "SharedRandomness", "build_protocol",
-    "chained_majority_protocol", "index_majority_decode", "index_majority_encode",
-    "index_majority_protocol", "run_aug_chain_protocol", "run_chain_protocol",
-    "sampled_bits_protocol", "trivial_forward_protocol", "truncation_protocol",
-    "enumerate_joint", "exact_majority_success", "exact_protocol_success",
-    "majority_vote_success", "posterior_answer_entropy",
-    "verify_aug_biased_index_bound", "verify_biased_index_bound",
-    "verify_chain_entropy_bound", "verify_conditional_independence",
-    "verify_distribution_identity", "verify_entropy_given_pool",
-    "VerificationReport",
-    "MonteCarloEstimate", "montecarlo_success",
-    "ExperimentConfig", "emit_report", "run_config", "run_suite",
-    "InvalidParameterError", "ProtocolContractError", "ResourceLimitError", "UsageError",
-]

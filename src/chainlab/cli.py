@@ -1,8 +1,9 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 check failure, 2 usage error, 3 enumeration budget
-exceeded. Reports go to --out or stdout; wall time goes to stderr so report
-bytes depend only on (config, seed).
+exceeded, 4 internal error (an unexpected exception, i.e. a bug). Reports go
+to --out or stdout; wall time goes to stderr so report bytes depend only on
+(config, seed).
 """
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
+import traceback
 
 from .errors import InvalidParameterError, ResourceLimitError, UsageError
 from .experiments import ExperimentConfig, emit_report, run_config
@@ -33,9 +34,12 @@ def _parse_params(pairs: list[str]) -> dict:
 def _load_config_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise UsageError(f"config {path} must hold a JSON object, got {type(data).__name__}")
+    return data
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -107,11 +111,6 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             data["theta"] = args.theta
     data.setdefault("format", "json")
     data.setdefault("seed", 0)
-    try:
-        if data.get("theta") is not None:
-            data["theta"] = Fraction(str(data["theta"]))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"bad theta {data.get('theta')!r}: {exc}") from exc
     return ExperimentConfig.from_dict(data)
 
 
@@ -138,6 +137,10 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceLimitError as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return 3
+    except Exception:
+        traceback.print_exc()
+        print("internal error: this is a bug in chainlab, not a failed check", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

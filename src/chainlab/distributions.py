@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import InvalidParameterError, ResourceLimitError
-from .model import AugChainInstance, BalancedString, ChainInstance, enumerate_balanced
+from .model import BalancedString, ChainInstance, enumerate_balanced
 
 DEFAULT_ENUMERATION_BUDGET = 10_000_000
 
@@ -71,9 +71,6 @@ class SupportTable:
     def as_dict(self) -> dict[tuple[BalancedString, int], Fraction]:
         return dict(self.entries)
 
-    def probability(self, string: BalancedString, index: int) -> Fraction:
-        return self.as_dict().get((string, index), Fraction(0))
-
     def tv_distance(self, other: "SupportTable") -> Fraction:
         mine, theirs = self.as_dict(), other.as_dict()
         keys = set(mine) | set(theirs)
@@ -120,6 +117,14 @@ def structured_pool_size(n: int, theta) -> int:
     return int(b)
 
 
+def structured_bits(n: int, chosen: set[int], theta: Fraction) -> tuple[int, ...]:
+    """Bits of the structured string: positions in the chosen half-set take
+    the biased value (1 for theta >= 0, 0 for theta < 0), all others the
+    opposite one."""
+    inside = 1 if theta >= 0 else 0
+    return tuple(inside if i in chosen else 1 - inside for i in range(1, n + 1))
+
+
 def _sample_conditioned(n: int, pos: int, value: int, rng: random.Random) -> BalancedString:
     """Uniform balanced string with the given bit at 1-based `pos`, without rejection.
 
@@ -135,13 +140,11 @@ def _sample_conditioned(n: int, pos: int, value: int, rng: random.Random) -> Bal
     return BalancedString(tuple(bits))
 
 
-def sample_chain(n: int, k: int, rng: random.Random, aug: bool = False) -> ChainInstance:
+def sample_chain(n: int, k: int, rng: random.Random) -> ChainInstance:
     """Draw one chained-index instance: uniform answer bit, then independent
     conditioned (string, index) pairs."""
     if n < 2 or n % 2 != 0:
         raise InvalidParameterError(f"n must be even and >= 2, got {n}")
-    if k < 1:
-        raise InvalidParameterError(f"k must be >= 1, got {k}")
     z = rng.randrange(2)
     strings = []
     indices = []
@@ -149,8 +152,7 @@ def sample_chain(n: int, k: int, rng: random.Random, aug: bool = False) -> Chain
         sigma = rng.randrange(1, n + 1)
         strings.append(_sample_conditioned(n, sigma, z, rng))
         indices.append(sigma)
-    cls = AugChainInstance if aug else ChainInstance
-    return cls(n=n, k=k, strings=tuple(strings), indices=tuple(indices), answer=z)
+    return ChainInstance(n=n, k=k, strings=tuple(strings), indices=tuple(indices), answer=z)
 
 
 def _bernoulli(p: Fraction, rng: random.Random) -> int:
@@ -180,12 +182,7 @@ def sample_biased_structured(n: int, theta, rng: random.Random) -> BiasedIndexSa
     b = structured_pool_size(n, theta)
     pool = sorted(rng.sample(range(1, n + 1), b))
     chosen = sorted(rng.sample(pool, n // 2))
-    chosen_set = set(chosen)
-    if theta >= 0:
-        bits = tuple(1 if i in chosen_set else 0 for i in range(1, n + 1))
-    else:
-        bits = tuple(0 if i in chosen_set else 1 for i in range(1, n + 1))
-    y = BalancedString(bits)
+    y = BalancedString(structured_bits(n, set(chosen), theta))
     rho = pool[rng.randrange(b)]
     return BiasedIndexSample(
         answer=y.bit(rho),
@@ -229,12 +226,7 @@ def _structured_table(n: int, theta: Fraction) -> dict[tuple[BalancedString, int
     weights: dict[tuple[BalancedString, int], int] = {}
     for pool in combinations(range(1, n + 1), b):
         for chosen in combinations(pool, half):
-            chosen_set = set(chosen)
-            if theta >= 0:
-                bits = tuple(1 if i in chosen_set else 0 for i in range(1, n + 1))
-            else:
-                bits = tuple(0 if i in chosen_set else 1 for i in range(1, n + 1))
-            y = BalancedString(bits)
+            y = BalancedString(structured_bits(n, set(chosen), theta))
             for rho in pool:
                 key = (y, rho)
                 weights[key] = weights.get(key, 0) + 1

@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from typing import Any, Callable, Mapping, Sequence
 
 from ._version import __version__
@@ -38,6 +39,14 @@ from .oracle import (
 from .montecarlo import montecarlo_success_by_name
 from .protocols import truncation_protocol
 from .report import VerificationReport, to_jsonable
+
+
+# the type each config field must have when it is set; fields whose default
+# is None may also be null
+_CONFIG_TYPES: dict[str, type | tuple[type, ...]] = {
+    "mode": str, "n": int, "k": int, "theta": (int, float, str, Fraction), "protocol": Mapping,
+    "trials": int, "seed": int, "suite": str, "sweep": str, "out": str, "format": str,
+}
 
 
 @dataclass(frozen=True)
@@ -96,27 +105,24 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentConfig":
-        known = {
-            "mode", "n", "k", "theta", "protocol", "trials", "seed", "suite",
-            "sweep", "out", "format",
-        }
-        unknown = set(data) - known
+        unknown = set(data) - set(_CONFIG_TYPES)
         if unknown:
             raise UsageError(f"unknown config fields: {sorted(unknown)}")
-        theta = data.get("theta")
-        return cls(
-            mode=data.get("mode", ""),
-            n=data.get("n"),
-            k=data.get("k"),
-            theta=Fraction(theta) if theta is not None else None,
-            protocol=data.get("protocol"),
-            trials=data.get("trials"),
-            seed=int(data.get("seed", 0)),
-            suite=data.get("suite"),
-            sweep=data.get("sweep"),
-            out=data.get("out"),
-            format=data.get("format", "json"),
-        )
+        values = {"mode": "", **data}
+        for key, value in values.items():
+            if value is None and cls.__dataclass_fields__[key].default is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[key]):
+                raise UsageError(f"config field {key!r} has the wrong type: {value!r}")
+        if values.get("theta") is not None:
+            try:
+                values["theta"] = Fraction(str(values["theta"]))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise UsageError(f"bad theta {values['theta']!r}: {exc}") from exc
+        protocol = values.get("protocol")
+        if protocol is not None and not isinstance(protocol.get("params", {}), Mapping):
+            raise UsageError(f"config field 'protocol.params' must be an object, got {protocol['params']!r}")
+        return cls(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -410,68 +416,59 @@ def suite_conditional_independence(
 
 SuiteFn = Callable[..., list[VerificationReport]]
 
-SUITES: dict[str, SuiteFn] = {
-    "distribution-identity": suite_distribution_identity,
-    "pmf": suite_pmf,
-    "biased-index-bound": suite_biased_index,
-    "aug-biased-index-bound": lambda **kw: suite_biased_index(aug=True, **kw),
-    "chain-entropy": suite_chain_entropy,
-    "entropy-given-pool": suite_entropy_pool,
-    "majority": suite_majority,
-    "anticoncentration": suite_anticoncentration,
-    "binomial-bounds": suite_binomial_bounds,
-    "conditional-independence": suite_conditional_independence,
-}
 
-# small presets so the default suite touches every check quickly
-_DEFAULT_SUITE_CALLS: list[tuple[str, dict]] = [
-    ("distribution-identity", {"ns": (2, 4, 6)}),
-    ("pmf", {"ns": (2, 4, 6)}),
-    ("biased-index-bound", {"ns": (4,), "lengths": (1, 2), "functions": 5}),
-    ("aug-biased-index-bound", {"ns": (4,), "lengths": (1, 2), "functions": 5}),
-    ("chain-entropy", {"ns": (4,), "ks": (1, 2), "random_protocols": 5}),
-    ("entropy-given-pool", {"ns": (4, 8, 16, 32, 64), "sweep_to": 256}),
-    ("majority", {"block_sizes": (1, 2, 4), "enum_n": 8, "mc_trials": 20000}),
+@dataclass(frozen=True)
+class Suite:
+    """A named suite: its function, which run options (`ns`, `theta`, `seed`)
+    it takes, and its arguments in the default suite, which also passes on
+    the seed and, where `preset_theta` is set, the theta."""
+
+    fn: SuiteFn
+    takes: tuple[str, ...]
+    preset: Mapping[str, Any]
+    preset_theta: bool = False
+
+    def run(self, preset: Mapping[str, Any], **options) -> list[VerificationReport]:
+        """Call the suite with `preset` plus those of `options` it takes and that are set."""
+        return self.fn(**preset, **{k: v for k, v in options.items() if k in self.takes and v is not None})
+
+
+# the presets keep the default suite fast while touching every check
+SUITES: dict[str, Suite] = {
+    "distribution-identity": Suite(
+        suite_distribution_identity, ("ns", "theta"), {"ns": (2, 4, 6)}, preset_theta=True),
+    "pmf": Suite(suite_pmf, ("ns", "theta"), {"ns": (2, 4, 6)}, preset_theta=True),
+    "biased-index-bound": Suite(
+        suite_biased_index, ("ns", "theta", "seed"), {"ns": (4,), "lengths": (1, 2), "functions": 5}),
+    "aug-biased-index-bound": Suite(
+        partial(suite_biased_index, aug=True), ("ns", "theta", "seed"),
+        {"ns": (4,), "lengths": (1, 2), "functions": 5}),
+    "chain-entropy": Suite(
+        suite_chain_entropy, ("ns", "seed"), {"ns": (4,), "ks": (1, 2), "random_protocols": 5}),
+    "entropy-given-pool": Suite(
+        suite_entropy_pool, ("ns", "theta"), {"ns": (4, 8, 16, 32, 64), "sweep_to": 256}),
+    "majority": Suite(suite_majority, ("seed",), {"block_sizes": (1, 2, 4), "enum_n": 8, "mc_trials": 20000}),
     # t=16 is excluded here: the central binomial term genuinely exceeds the
     # 2c bound at (t=16, c=1/16); the full suite reports that cell honestly
-    ("anticoncentration", {"ts": (64, 256)}),
-    ("binomial-bounds", {"max_p": 64, "points": 16}),
-    ("conditional-independence", {"ns": (4,), "trials": 20000}),
-]
+    "anticoncentration": Suite(suite_anticoncentration, (), {"ts": (64, 256)}),
+    "binomial-bounds": Suite(suite_binomial_bounds, (), {"max_p": 64, "points": 16}),
+    "conditional-independence": Suite(
+        suite_conditional_independence, ("ns", "theta", "seed"), {"ns": (4,), "trials": 20000},
+        preset_theta=True),
+}
 
 
 def run_suite(name: str, n: int | None = None, theta: Fraction | None = None, seed: int = 0) -> list[VerificationReport]:
     """Run a named suite, optionally restricted to one n / one theta."""
     if name == "default":
-        reports = []
-        for sub, kwargs in _DEFAULT_SUITE_CALLS:
-            call = dict(kwargs)
-            if sub in ("distribution-identity", "pmf", "conditional-independence") and theta is not None:
-                call["theta"] = theta
-            if "seed" in _suite_kwargs(sub):
-                call.setdefault("seed", seed)
-            reports.extend(SUITES[sub](**call))
-        return reports
+        return [
+            report
+            for suite in SUITES.values()
+            for report in suite.run(suite.preset, theta=theta if suite.preset_theta else None, seed=seed)
+        ]
     if name not in SUITES:
         raise UsageError(f"unknown suite {name!r}; available: {sorted(SUITES) + ['default']}")
-    kwargs: dict[str, Any] = {}
-    accepted = _suite_kwargs(name)
-    if n is not None and "ns" in accepted:
-        kwargs["ns"] = (n,)
-    if theta is not None and "theta" in accepted:
-        kwargs["theta"] = theta
-    if "seed" in accepted:
-        kwargs["seed"] = seed
-    return SUITES[name](**kwargs)
-
-
-def _suite_kwargs(name: str) -> set[str]:
-    import inspect
-
-    fn = SUITES[name]
-    if name == "aug-biased-index-bound":
-        fn = suite_biased_index
-    return set(inspect.signature(fn).parameters)
+    return SUITES[name].run({}, ns=(n,) if n is not None else None, theta=theta, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -514,14 +511,11 @@ def table_rows(suite: str, sweep: str, theta: Fraction | None = None) -> tuple[l
         if var != "n":
             raise UsageError("entropy-given-pool sweeps over n")
         columns = ["check", "n", "theta", "pool_size", "lhs", "rhs", "pass"]
-        rows = []
-        for n in values:
-            if n % 2 != 0:
-                continue
-            for t in _grid_for(n, theta, below_half=True):
-                r = verify_entropy_given_pool(n, t)
-                rows.append([r.check, n, str(t), r.params["pool_size"], r.lhs, r.rhs, r.passed])
-        return columns, rows
+        reports = suite_entropy_pool(ns=[n for n in values if n % 2 == 0], theta=theta)
+        return columns, [
+            [r.check, r.params["n"], str(r.params["theta"]), r.params["pool_size"], r.lhs, r.rhs, r.passed]
+            for r in reports
+        ]
     if suite == "majority":
         if var != "B":
             raise UsageError("majority sweeps over B")
@@ -535,16 +529,11 @@ def table_rows(suite: str, sweep: str, theta: Fraction | None = None) -> tuple[l
         if var != "t":
             raise UsageError("anticoncentration sweeps over t")
         columns = ["check", "t", "c", "probability", "bound", "pass"]
-        rows = []
-        for t in values:
-            for c in (Fraction(1, 16), Fraction(1, 8), Fraction(1, 4), Fraction(1, 2)):
-                result = binomial_anticoncentration(t, c)
-                rows.append([
-                    "binomial-anticoncentration", t, str(c),
-                    f"{result.probability.numerator}/{result.probability.denominator}",
-                    str(result.bound), result.passed,
-                ])
-        return columns, rows
+        return columns, [
+            [r.check, r.params["t"], str(r.params["c"]), f"{r.lhs.numerator}/{r.lhs.denominator}",
+             str(r.rhs), r.passed]
+            for r in suite_anticoncentration(ts=values)
+        ]
     raise UsageError(f"suite {suite!r} does not support table mode")
 
 

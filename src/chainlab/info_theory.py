@@ -99,18 +99,6 @@ class JointTable:
             out[key] = out.get(key, 0) + p
         return JointTable(tuple(names), out)
 
-    def to_distribution(self) -> FiniteDistribution:
-        return FiniteDistribution(tuple(self.entries.values()))
-
-    def group_by(self, names: Sequence[str]) -> dict[tuple, dict[tuple, Any]]:
-        """Entries grouped by the values of `names`; inner keys keep all labels."""
-        pos = self._positions(names)
-        groups: dict[tuple, dict[tuple, Any]] = {}
-        for values, p in self.entries.items():
-            key = tuple(values[i] for i in pos)
-            groups.setdefault(key, {})[values] = p
-        return groups
-
 
 def binary_entropy(x) -> float:
     """-x log2 x - (1-x) log2 (1-x), with the 0 log 0 = 0 convention."""
@@ -123,23 +111,24 @@ def binary_entropy(x) -> float:
 
 def entropy(dist: FiniteDistribution | JointTable) -> float:
     """Shannon entropy in bits."""
-    if isinstance(dist, JointTable):
-        dist = dist.to_distribution()
-    return math.fsum(_term_bits(p) for p in dist.probabilities)
+    probabilities = dist.entries.values() if isinstance(dist, JointTable) else dist.probabilities
+    return math.fsum(_term_bits(p) for p in probabilities)
 
 
 def conditional_entropy(table: JointTable, target: str, given: Sequence[str]) -> float:
     """H(target | given) in bits: conditional-slice entropies weighted by slice mass."""
     target_pos = table._positions([target])[0]
+    given_pos = table._positions(given)
+    slices: dict[tuple, dict] = {}  # given values -> {target value: mass}
+    for values, p in table.entries.items():
+        cond = slices.setdefault(tuple(values[i] for i in given_pos), {})
+        v = values[target_pos]
+        cond[v] = cond[v] + p if v in cond else p
     terms = []
-    for _, slice_entries in table.group_by(given).items():
-        weight = sum(slice_entries.values())
+    for cond in slices.values():
+        weight = sum(cond.values())
         if weight == 0:
             continue
-        cond: dict[Any, Any] = {}
-        for values, p in slice_entries.items():
-            v = values[target_pos]
-            cond[v] = cond.get(v, 0) + p
         w = float(weight)
         for p in cond.values():
             terms.append(w * _term_bits(p / weight))

@@ -1,4 +1,4 @@
-"""Ground types: bit strings, problem instances, and blackboard transcripts.
+"""Ground types: bit strings, problem instances, and the JSON instance format.
 
 Positions are 1-based everywhere in the public API; the leftmost character of
 a string literal like "0110" is position 1.
@@ -33,14 +33,6 @@ class BitString:
     @classmethod
     def from_text(cls, text: str) -> "BitString":
         return cls(tuple(int(c) for c in text))
-
-    @classmethod
-    def zeros(cls, n: int) -> "BitString":
-        return cls((0,) * n)
-
-    @classmethod
-    def ones_string(cls, n: int) -> "BitString":
-        return cls((1,) * n)
 
     @property
     def text(self) -> str:
@@ -89,16 +81,6 @@ class BalancedString(BitString):
             raise InvalidParameterError(
                 f"'{self.text}' has {sum(self.bits)} ones, expected {n // 2}"
             )
-
-
-def bit_at(string: BitString, pos: int) -> int:
-    """Bit of `string` at 1-based position `pos`."""
-    return string.bit(pos)
-
-
-def prefix(string: BitString, pos: int) -> BitString:
-    """The bits of `string` strictly before 1-based position `pos`."""
-    return string.prefix(pos)
 
 
 def enumerate_balanced(n: int) -> Iterator[BalancedString]:
@@ -152,11 +134,6 @@ class ChainInstance:
         return self.strings[i - 1].prefix(self.indices[i - 1])
 
 
-@dataclass(frozen=True)
-class AugChainInstance(ChainInstance):
-    """Chain instance for the augmented variant; prefixes are derived, not stored."""
-
-
 def validate_instance(inst: ChainInstance) -> bool:
     """True iff every string is balanced and all indexed bits equal the answer."""
     half = inst.n // 2
@@ -166,42 +143,6 @@ def validate_instance(inst: ChainInstance) -> bool:
         if s.bit(idx) != inst.answer:
             return False
     return True
-
-
-@dataclass(frozen=True)
-class Transcript:
-    """Blackboard contents after a run: messages plus freely revealed items.
-
-    `revealed` holds ("index", i, position) entries and, for the augmented
-    variant, ("prefix", i, BitString) entries, in board order.
-    """
-
-    messages: tuple[tuple[int, BitString], ...]
-    revealed: tuple[tuple, ...] = ()
-    output: int | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "messages", tuple(self.messages))
-        object.__setattr__(self, "revealed", tuple(self.revealed))
-        players = [p for p, _ in self.messages]
-        if players != sorted(players):
-            raise InvalidParameterError("messages must appear in ascending player order")
-
-    @property
-    def total_message_bits(self) -> int:
-        return sum(len(m) for _, m in self.messages)
-
-    def message_tuple(self) -> tuple[tuple[int, ...], ...]:
-        """Hashable view of the message contents, one bit tuple per player."""
-        return tuple(m.bits for _, m in self.messages)
-
-    def revealed_tuple(self) -> tuple:
-        """Hashable view of the revealed items."""
-        out = []
-        for item in self.revealed:
-            kind, i, value = item
-            out.append((kind, i, value.bits if isinstance(value, BitString) else value))
-        return tuple(out)
 
 
 def instance_to_json_dict(inst: ChainInstance) -> dict:
@@ -214,10 +155,9 @@ def instance_to_json_dict(inst: ChainInstance) -> dict:
     }
 
 
-def instance_from_json_dict(data: dict, aug: bool = False) -> ChainInstance:
-    cls = AugChainInstance if aug else ChainInstance
+def instance_from_json_dict(data: dict) -> ChainInstance:
     try:
-        return cls(
+        return ChainInstance(
             n=int(data["n"]),
             k=int(data["k"]),
             strings=tuple(BitString.from_text(s) for s in data["strings"]),
@@ -232,5 +172,5 @@ def instance_to_json(inst: ChainInstance) -> str:
     return json.dumps(instance_to_json_dict(inst), sort_keys=True)
 
 
-def instance_from_json(text: str, aug: bool = False) -> ChainInstance:
-    return instance_from_json_dict(json.loads(text), aug=aug)
+def instance_from_json(text: str) -> ChainInstance:
+    return instance_from_json_dict(json.loads(text))

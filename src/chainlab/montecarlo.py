@@ -22,7 +22,7 @@ import numpy as np
 
 from .distributions import sample_chain
 from .errors import InvalidParameterError, ProtocolContractError
-from .protocols import ProtocolSpec, SharedRandomness, build_protocol, derive_seed, run_aug_chain_protocol, run_chain_protocol
+from .protocols import ProtocolSpec, SharedRandomness, build_protocol, derive_seed, run_chain_protocol
 
 VECTOR_BATCH = 1 << 16
 GENERIC_BATCH = 1 << 12
@@ -112,13 +112,12 @@ def _vectorized_successes(protocol: ProtocolSpec, trials: int, seed: int, worker
 
 
 def _generic_successes(protocol: ProtocolSpec, n: int, k: int, trials: int, seed: int, aug: bool) -> int:
-    runner = run_aug_chain_protocol if aug else run_chain_protocol
     successes = 0
     for t in range(trials):
         rng = random.Random(derive_seed("mc-instance", seed, t))
-        inst = sample_chain(n, k, rng, aug=aug)
+        inst = sample_chain(n, k, rng)
         shared = SharedRandomness(derive_seed("mc-shared", seed, t))
-        successes += runner(protocol, inst, shared).correct
+        successes += run_chain_protocol(protocol, inst, shared, aug).correct
     return successes
 
 

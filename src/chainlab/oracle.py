@@ -14,13 +14,14 @@ import math
 import random
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Callable, Iterator
+from typing import Any, Callable, Iterator, Mapping
 
 from .distributions import (
     DEFAULT_ENUMERATION_BUDGET,
     BiasParam,
     enumerate_support,
     sample_biased_structured,
+    structured_bits,
     structured_pool_size,
 )
 from .errors import InvalidParameterError, ProtocolContractError, ResourceLimitError
@@ -32,13 +33,7 @@ from .info_theory import (
     entropy,
     log_binomial,
 )
-from .model import (
-    AugChainInstance,
-    BalancedString,
-    BitString,
-    ChainInstance,
-    enumerate_balanced,
-)
+from .model import BalancedString, BitString, ChainInstance, enumerate_balanced
 from .protocols import (
     Board,
     DecodeView,
@@ -48,7 +43,6 @@ from .protocols import (
     derive_seed,
     index_majority_decode,
     index_majority_encode,
-    run_aug_chain_protocol,
     run_chain_protocol,
 )
 from .report import VerificationReport
@@ -81,52 +75,50 @@ def verify_distribution_identity(n: int, theta, budget: int = DEFAULT_ENUMERATIO
     )
 
 
+def factorizes(joint: Mapping[tuple[Any, Any], int]) -> bool:
+    """True iff an integer-weight law over pairs (a, b) equals the product of
+    its two marginals, compared exactly over every (a, b) combination."""
+    total = sum(joint.values())
+    left: dict = {}
+    right: dict = {}
+    for (a, b), w in joint.items():
+        left[a] = left.get(a, 0) + w
+        right[b] = right.get(b, 0) + w
+    return all(
+        joint.get((a, b), 0) * total == wa * wb
+        for a, wa in left.items()
+        for b, wb in right.items()
+    )
+
+
 def verify_conditional_independence(n: int, theta, trials: int = 0, seed: int = 0) -> VerificationReport:
     """Factorization checks on the structured support and the chained input.
 
     Exact part: for every fixed support set, the conditional (string, index)
     law must equal the product of its marginals, in rationals; likewise the
-    two (string, index) pairs of a k=2 chained input given the answer bit.
-    If trials > 0, structured-sampler frequencies are additionally compared
-    to the exact table within five standard errors per cell.
+    two (string, index) pairs of the k=2 chained input given the answer bit,
+    taken from the enumerated chained support. If trials > 0,
+    structured-sampler frequencies are additionally compared to the exact
+    table within five standard errors per cell.
     """
     if n > 8:
         raise InvalidParameterError(f"independence check is exact-enumeration only, n={n} > 8")
     theta = Fraction(theta)
     b = structured_pool_size(n, theta)
-    half = n // 2
     structured_ok = True
     for pool in combinations(range(1, n + 1), b):
         joint: dict[tuple, int] = {}
-        for chosen in combinations(pool, half):
-            chosen_set = set(chosen)
-            if theta >= 0:
-                bits = tuple(1 if i in chosen_set else 0 for i in range(1, n + 1))
-            else:
-                bits = tuple(0 if i in chosen_set else 1 for i in range(1, n + 1))
+        for chosen in combinations(pool, n // 2):
+            bits = structured_bits(n, set(chosen), theta)
             for rho in pool:
                 joint[(bits, rho)] = joint.get((bits, rho), 0) + 1
-        total = sum(joint.values())
-        y_marg: dict[tuple, int] = {}
-        r_marg: dict[int, int] = {}
-        for (bits, rho), w in joint.items():
-            y_marg[bits] = y_marg.get(bits, 0) + w
-            r_marg[rho] = r_marg.get(rho, 0) + w
-        for y_bits, wy in y_marg.items():
-            for rho, wr in r_marg.items():
-                if joint.get((y_bits, rho), 0) * total != wy * wr:
-                    structured_ok = False
+        structured_ok = structured_ok and factorizes(joint)
 
-    chain_ok = True
-    strings = list(enumerate_balanced(n))
-    for z in (0, 1):
-        valid = [(y.bits, s) for y in strings for s in range(1, n + 1) if y.bit(s) == z]
-        joint2 = {(a, b2): 1 for a in valid for b2 in valid}
-        total = len(valid) ** 2
-        for a in valid:
-            for b2 in valid:
-                if joint2[(a, b2)] * total != len(valid) * len(valid):
-                    chain_ok = False
+    pairs_by_answer: dict[int, dict[tuple, int]] = {0: {}, 1: {}}
+    for z, strings, indices in _chain_support(n, 2):
+        key = ((strings[0].bits, indices[0]), (strings[1].bits, indices[1]))
+        pairs_by_answer[z][key] = pairs_by_answer[z].get(key, 0) + 1
+    chain_ok = all(factorizes(joint) for joint in pairs_by_answer.values())
 
     details: dict = {"structured_factorizes": structured_ok, "chain_pairs_factorize": chain_ok}
     empirical_ok = None
@@ -181,14 +173,20 @@ def _chain_support(n: int, k: int) -> Iterator[tuple[int, tuple, tuple]]:
             yield z, tuple(y for y, _ in combo), tuple(s for _, s in combo)
 
 
-def _runs_over_support(
+_JOINT_LABELS = ("answer", "messages", "reveals")
+
+
+def _support_runs(
     protocol: ProtocolSpec,
     n: int,
     k: int,
     shared_seed: int,
     aug: bool,
     budget: int,
-):
+) -> tuple[dict[tuple, int], Fraction]:
+    """One engine run per support point, in one pass: the integer weights of
+    (answer, board) outcomes, keyed as _JOINT_LABELS, and the exact success
+    probability."""
     required = chain_support_size(n, k)
     if required > budget:
         raise ResourceLimitError(
@@ -197,11 +195,15 @@ def _runs_over_support(
             budget=budget,
         )
     shared = SharedRandomness(shared_seed)
-    runner = run_aug_chain_protocol if aug else run_chain_protocol
-    cls = AugChainInstance if aug else ChainInstance
+    weights: dict[tuple, int] = {}
+    hits = 0
     for z, strs, idxs in _chain_support(n, k):
-        inst = cls(n=n, k=k, strings=strs, indices=idxs, answer=z)
-        yield inst, runner(protocol, inst, shared)
+        inst = ChainInstance(n=n, k=k, strings=strs, indices=idxs, answer=z)
+        result = run_chain_protocol(protocol, inst, shared, aug)
+        key = (z, *result.board.key())
+        weights[key] = weights.get(key, 0) + 1
+        hits += result.correct
+    return weights, Fraction(hits, required)
 
 
 def enumerate_joint(
@@ -212,29 +214,14 @@ def enumerate_joint(
     aug: bool = False,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> JointTable:
-    """Exact joint law of (answer, transcript) under the hard distribution,
-    with the protocol made deterministic by fixing its shared seed."""
-    weights: dict[tuple, int] = {}
-    for inst, result in _runs_over_support(protocol, n, k, shared_seed, aug, budget):
-        key = (inst.answer, result.transcript.message_tuple(), result.transcript.revealed_tuple())
-        weights[key] = weights.get(key, 0) + 1
-    return JointTable.from_weights(("answer", "messages", "reveals"), weights)
-
-
-def _joint_and_success(protocol, n, k, shared_seed, aug, budget):
-    weights: dict[tuple, int] = {}
-    hits = 0
-    total = 0
-    for inst, result in _runs_over_support(protocol, n, k, shared_seed, aug, budget):
-        key = (inst.answer, result.transcript.message_tuple(), result.transcript.revealed_tuple())
-        weights[key] = weights.get(key, 0) + 1
-        hits += result.correct
-        total += 1
-    return JointTable.from_weights(("answer", "messages", "reveals"), weights), Fraction(hits, total)
+    """Exact joint law of (answer, board) under the hard distribution, with
+    the protocol made deterministic by fixing its shared seed."""
+    weights, _ = _support_runs(protocol, n, k, shared_seed, aug, budget)
+    return JointTable.from_weights(_JOINT_LABELS, weights)
 
 
 def posterior_answer_entropy(joint: JointTable) -> float:
-    """H(answer | transcript) from an enumerated joint table."""
+    """H(answer | board) from an enumerated joint table."""
     return conditional_entropy(joint, "answer", ("messages", "reveals"))
 
 
@@ -247,7 +234,7 @@ def exact_protocol_success(
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> Fraction:
     """Exact success probability under the hard distribution at a fixed shared seed."""
-    _, success = _joint_and_success(protocol, n, k, shared_seed, aug, budget)
+    _, success = _support_runs(protocol, n, k, shared_seed, aug, budget)
     return success
 
 
@@ -268,7 +255,8 @@ def verify_chain_entropy_bound(
     callers can also assert the upper direction for better-than-even
     protocols.
     """
-    joint, success = _joint_and_success(protocol, n, k, shared_seed, False, budget)
+    weights, success = _support_runs(protocol, n, k, shared_seed, False, budget)
+    joint = JointTable.from_weights(_JOINT_LABELS, weights)
     lhs = posterior_answer_entropy(joint)
     h_messages = entropy(joint.marginal(("messages",)))
     log_n = math.log2(n)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Mapping, Sequence
 
 from .errors import InvalidParameterError, ProtocolContractError
-from .model import BitString, ChainInstance, Transcript
+from .model import BitString, ChainInstance
 
 
 def derive_seed(*parts) -> int:
@@ -82,6 +82,14 @@ class Board:
     def with_revealed(self, kind: str, inst: int, value) -> "Board":
         return Board(self.messages, self.revealed + ((kind, inst, value),))
 
+    def key(self) -> tuple:
+        """Hashable view of the contents: one bit tuple per message, then the
+        revealed items with bit strings as bit tuples."""
+        return (
+            tuple(m.bits for _, m in self.messages),
+            tuple((kind, i, v.bits if isinstance(v, BitString) else v) for kind, i, v in self.revealed),
+        )
+
 
 @dataclass(frozen=True)
 class PlayerView:
@@ -120,6 +128,8 @@ class ProtocolSpec:
     def __post_init__(self):
         object.__setattr__(self, "message_lengths", tuple(self.message_lengths))
         object.__setattr__(self, "params", dict(self.params))
+        if self.k < 1:
+            raise InvalidParameterError(f"k must be >= 1, got {self.k}")
         if len(self.message_lengths) != self.k:
             raise InvalidParameterError("need one declared message length per player")
 
@@ -130,13 +140,19 @@ class ProtocolSpec:
 
 @dataclass(frozen=True)
 class RunResult:
-    transcript: Transcript
+    board: Board
     output: int
     correct: bool
     total_bits: int
 
 
-def _run(protocol: ProtocolSpec, inst: ChainInstance, shared: SharedRandomness, aug: bool) -> RunResult:
+def run_chain_protocol(
+    protocol: ProtocolSpec, inst: ChainInstance, shared: SharedRandomness, aug: bool = False
+) -> RunResult:
+    """Execute players 1..k in order; each index is revealed for free after its
+    player speaks. With `aug` (the augmented variant) each reveal also places
+    the instance's prefix on the board, and every player additionally holds
+    the previous prefix."""
     if protocol.n != inst.n or protocol.k != inst.k:
         raise ProtocolContractError(
             f"protocol declared for (n={protocol.n}, k={protocol.k}) "
@@ -165,24 +181,12 @@ def _run(protocol: ProtocolSpec, inst: ChainInstance, shared: SharedRandomness, 
     output = int(protocol.decode_fn(board, decode_view, shared))
     if output not in (0, 1):
         raise ProtocolContractError(f"decode must output a bit, got {output}")
-    transcript = Transcript(messages=board.messages, revealed=board.revealed, output=output)
     return RunResult(
-        transcript=transcript,
+        board=board,
         output=output,
         correct=output == inst.answer,
         total_bits=protocol.total_bits,
     )
-
-
-def run_chain_protocol(protocol: ProtocolSpec, inst: ChainInstance, shared: SharedRandomness) -> RunResult:
-    """Execute players 1..k in order; only indices are revealed for free."""
-    return _run(protocol, inst, shared, aug=False)
-
-
-def run_aug_chain_protocol(protocol: ProtocolSpec, inst: ChainInstance, shared: SharedRandomness) -> RunResult:
-    """Augmented variant: each index reveal also places the instance's prefix
-    on the board, and every player additionally holds the previous prefix."""
-    return _run(protocol, inst, shared, aug=True)
 
 
 def trivial_forward_protocol(n: int, k: int, mode: str = "all") -> ProtocolSpec:
@@ -319,12 +323,6 @@ def chained_majority_protocol(n: int, k: int, block_size: int) -> ProtocolSpec:
     )
 
 
-def index_majority_protocol(n: int, block_size: int) -> ProtocolSpec:
-    """Single-instance block-majority protocol; identical runs to the chained
-    protocol at k=1 under equal seeds."""
-    return replace(chained_majority_protocol(n, 1, block_size), name="index-majority")
-
-
 def truncation_protocol(n: int, k: int, t: int) -> ProtocolSpec:
     """Deterministic family for entropy accounting: each player sends its
     first t bits; the decoder reads any index that landed inside a sent
@@ -367,34 +365,43 @@ def constant_protocol(n: int, k: int, bit: int = 0) -> ProtocolSpec:
     )
 
 
+def _int_param(protocol: str, params: Mapping[str, Any], key: str) -> int:
+    """A required integer parameter; text is parsed, anything else is rejected."""
+    if key not in params:
+        raise InvalidParameterError(f"{protocol} requires parameter {key}")
+    value = params[key]
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise InvalidParameterError(f"{protocol} parameter {key} must be an integer, got {value!r}")
+
+
 def _build_trivial(n, k, params):
     return trivial_forward_protocol(n, k, mode=params.get("mode", "all"))
 
 
 def _build_sampled(n, k, params):
-    if "m" not in params:
-        raise InvalidParameterError("sampled-bits requires parameter m")
-    return sampled_bits_protocol(n, k, int(params["m"]))
+    return sampled_bits_protocol(n, k, _int_param("sampled-bits", params, "m"))
 
 
 def _build_index_majority(n, k, params):
+    """The single-instance block-majority protocol: chained-majority at k=1."""
     if k != 1:
         raise InvalidParameterError(f"index-majority is a single-instance protocol, got k={k}")
-    if "B" not in params:
-        raise InvalidParameterError("index-majority requires parameter B")
-    return index_majority_protocol(n, int(params["B"]))
+    block_size = _int_param("index-majority", params, "B")
+    return replace(chained_majority_protocol(n, 1, block_size), name="index-majority")
 
 
 def _build_chained_majority(n, k, params):
-    if "B" not in params:
-        raise InvalidParameterError("chained-majority requires parameter B")
-    return chained_majority_protocol(n, k, int(params["B"]))
+    return chained_majority_protocol(n, k, _int_param("chained-majority", params, "B"))
 
 
 def _build_truncation(n, k, params):
-    if "t" not in params:
-        raise InvalidParameterError("truncation requires parameter t")
-    return truncation_protocol(n, k, int(params["t"]))
+    return truncation_protocol(n, k, _int_param("truncation", params, "t"))
 
 
 PROTOCOLS = {

@@ -39,6 +39,16 @@ class TestConfig:
         with pytest.raises(UsageError):
             ExperimentConfig.from_dict({"mode": "verify", "suite": "pmf", "bogus": 1})
 
+    @pytest.mark.parametrize("data", [
+        {"mode": "verify", "suite": "pmf", "seed": None},
+        {"mode": "verify", "suite": "pmf", "n": True},
+        {"mode": "verify", "suite": "pmf", "theta": "x/y"},
+        {"mode": "simulate", "protocol": {"name": "truncation", "params": [2]}},
+    ])
+    def test_field_types_checked(self, data):
+        with pytest.raises(UsageError):
+            ExperimentConfig.from_dict(data)
+
     def test_config_echoed_in_report(self):
         config = ExperimentConfig(mode="verify", suite="majority", seed=4)
         payload, code = run_config(config)
@@ -219,6 +229,39 @@ class TestCli:
 
         monkeypatch.setattr(cli_module, "run_config", boom)
         assert cli_module.main(["verify", "--suite", "pmf"]) == 3
+
+    def test_unexpected_error_exit_four(self, monkeypatch):
+        import chainlab.cli as cli_module
+
+        def boom(config, workers=None):
+            raise RuntimeError("unexpected")
+
+        monkeypatch.setattr(cli_module, "run_config", boom)
+        assert cli_module.main(["verify", "--suite", "pmf"]) == 4
+
+    def test_bad_param_value_exit_two(self):
+        assert cli_main([
+            "simulate", "--protocol", "chained-majority", "--n", "64", "--k", "3",
+            "--param", "B=x", "--trials", "10",
+        ]) == 2
+
+    @pytest.mark.parametrize("protocol,param", [("chained-majority", "B=64"), ("truncation", "t=8")])
+    def test_k_zero_exit_two_on_both_engine_paths(self, protocol, param):
+        # chained-majority runs on the vectorized kernel, truncation on the generic engine
+        assert cli_main([
+            "simulate", "--protocol", protocol, "--n", "64", "--k", "0",
+            "--param", param, "--trials", "10",
+        ]) == 2
+
+    def test_config_field_type_exit_two(self, tmp_path):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"n": "4"}))
+        assert cli_main(["verify", "--suite", "pmf", "--config", str(config_path)]) == 2
+
+    def test_config_list_exit_two(self, tmp_path):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps([{"n": 4}]))
+        assert cli_main(["verify", "--suite", "pmf", "--config", str(config_path)]) == 2
 
     def test_config_file(self, tmp_path):
         config_path = tmp_path / "config.json"

@@ -1,0 +1,58 @@
+"""Golden report bytes: the sha256 of each CLI report is pinned.
+
+Refactors that promise byte-identical reports are checked against these
+digests. A digest changes only when a report's content is meant to change;
+such a change must be recorded in CHANGES.md together with the new digest.
+"""
+import hashlib
+
+import pytest
+
+from chainlab.cli import main as cli_main
+
+GOLDEN = {
+    "verify-default": (
+        ["verify", "--suite", "default", "--seed", "3"],
+        "518071c3ba0efdf040aaac687ce6a4aea6b0a2cf9a9219fa50161f9383ea3e0e",
+    ),
+    "verify-default-theta0": (
+        ["verify", "--suite", "default", "--theta", "0", "--seed", "3"],
+        "a528ec0b32d4a0095c925df557564ce1f2dc716f4752a0a4a06a9f7df8f4bb28",
+    ),
+    "verify-pmf-n4": (
+        ["verify", "--suite", "pmf", "--n", "4"],
+        "f85e1e8d501cc155c3e32ae1d12c6b085abb665fb5362e41fba53186bafd6c81",
+    ),
+    "verify-chain-entropy-n4": (
+        ["verify", "--suite", "chain-entropy", "--n", "4"],
+        "4cb31eee409996684abeb71d8a3f60fca5f109a65cc5896090111d8d5e84a4f7",
+    ),
+    "verify-biased-index-bound-n4": (
+        ["verify", "--suite", "biased-index-bound", "--n", "4"],
+        "1baf39bd56d454711c6621ce88711f492ec4f61bbaeb2636a699973eeec2958b",
+    ),
+    # vectorized engine path
+    "simulate-chained-majority": (
+        ["simulate", "--protocol", "chained-majority", "--n", "64", "--k", "3",
+         "--param", "B=64", "--trials", "20000"],
+        "26f51c149cd1d74d7f83067727025fd3cc663138681323d7e713423669fff3d3",
+    ),
+    # generic engine path
+    "simulate-truncation": (
+        ["simulate", "--protocol", "truncation", "--n", "4", "--k", "2",
+         "--param", "t=2", "--trials", "4000"],
+        "136edc1dae9fb8383f51573a1005d4875258d677816872675f078a33c01d3c34",
+    ),
+    "table-entropy-given-pool": (
+        ["table", "--suite", "entropy-given-pool", "--sweep", "n=4..16", "--format", "csv"],
+        "caacdcd7283e6eaa860bb3df048b7f4c97ecdef5c3d43c66c27e8a1c78d8a616",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_report_bytes_match_golden_digest(name, tmp_path):
+    args, digest = GOLDEN[name]
+    out = tmp_path / "report"
+    assert cli_main(args + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

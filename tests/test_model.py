@@ -4,17 +4,13 @@ from itertools import permutations
 import pytest
 
 from chainlab import (
-    AugChainInstance,
     BalancedString,
     BitString,
     ChainInstance,
     InvalidParameterError,
-    Transcript,
-    bit_at,
     enumerate_balanced,
     instance_from_json,
     instance_to_json,
-    prefix,
     validate_instance,
 )
 
@@ -22,24 +18,24 @@ from chainlab import (
 class TestBitString:
     def test_bit_at_reads_1_based(self):
         x = BitString("0110")
-        assert bit_at(x, 2) == 1
-        assert bit_at(x, 1) == 0
+        assert x.bit(2) == 1
+        assert x.bit(1) == 0
 
     def test_bit_at_out_of_range(self):
         with pytest.raises(IndexError):
-            bit_at(BitString("1"), 2)
+            BitString("1").bit(2)
         with pytest.raises(IndexError):
-            bit_at(BitString("1"), 0)
+            BitString("1").bit(0)
 
     def test_prefix_examples(self):
         x = BitString("0110")
-        assert prefix(x, 3) == BitString("01")
-        assert prefix(x, 1) == BitString("")
-        assert prefix(x, 4) == BitString("011")
+        assert x.prefix(3) == BitString("01")
+        assert x.prefix(1) == BitString("")
+        assert x.prefix(4) == BitString("011")
 
     def test_prefix_out_of_range(self):
         with pytest.raises(IndexError):
-            prefix(BitString("0110"), 5)
+            BitString("0110").prefix(5)
 
     def test_rejects_non_bits(self):
         with pytest.raises(InvalidParameterError):
@@ -55,7 +51,7 @@ class TestBitString:
     def test_prefix_bit_suffix_reconstructs(self, n):
         for x in enumerate_balanced(n):
             for pos in range(1, n + 1):
-                rebuilt = prefix(x, pos).bits + (bit_at(x, pos),) + x.bits[pos:]
+                rebuilt = x.prefix(pos).bits + (x.bit(pos),) + x.bits[pos:]
                 assert rebuilt == x.bits
 
 
@@ -139,25 +135,6 @@ class TestChainInstance:
         assert inst.prefix_for(1) == BitString("01")
 
 
-class TestTranscript:
-    def test_messages_must_ascend(self):
-        with pytest.raises(InvalidParameterError):
-            Transcript(messages=((2, BitString("1")), (1, BitString("0"))))
-
-    def test_total_message_bits(self):
-        t = Transcript(messages=((1, BitString("10")), (2, BitString("011"))))
-        assert t.total_message_bits == 5
-
-    def test_hashable_views(self):
-        t = Transcript(
-            messages=((1, BitString("10")),),
-            revealed=(("index", 1, 2), ("prefix", 1, BitString("1"))),
-        )
-        assert t.message_tuple() == ((1, 0),)
-        assert t.revealed_tuple() == (("index", 1, 2), ("prefix", 1, (1,)))
-        hash(t.revealed_tuple())
-
-
 class TestInstanceJson:
     def test_round_trip(self):
         inst = ChainInstance(4, 2, (BitString("0110"), BitString("1010")), (2, 1), 1)
@@ -168,12 +145,6 @@ class TestInstanceJson:
             "strings": ["0110", "1010"], "indices": [2, 1],
         }
         assert instance_from_json(text) == inst
-
-    def test_aug_round_trip(self):
-        inst = AugChainInstance(2, 1, (BitString("10"),), (1,), 1)
-        back = instance_from_json(instance_to_json(inst), aug=True)
-        assert isinstance(back, AugChainInstance)
-        assert back == inst
 
     def test_missing_field(self):
         with pytest.raises(InvalidParameterError):

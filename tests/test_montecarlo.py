@@ -5,9 +5,9 @@ import pytest
 from chainlab import (
     InvalidParameterError,
     ProtocolContractError,
+    build_protocol,
     chained_majority_protocol,
     exact_majority_success,
-    index_majority_protocol,
     majority_vote_success,
     montecarlo_success,
     sampled_bits_protocol,
@@ -51,13 +51,13 @@ class TestDeterminism:
         assert a == b
 
     def test_vectorized_path_reproducible(self):
-        p = index_majority_protocol(64, 4)
+        p = build_protocol("index-majority", 64, 1, {"B": 4})
         a = montecarlo_success(p, 64, 1, 200000, seed=11)
         b = montecarlo_success(p, 64, 1, 200000, seed=11)
         assert a.successes == b.successes
 
     def test_seed_changes_counts(self):
-        p = index_majority_protocol(64, 4)
+        p = build_protocol("index-majority", 64, 1, {"B": 4})
         a = montecarlo_success(p, 64, 1, 200000, seed=1)
         b = montecarlo_success(p, 64, 1, 200000, seed=2)
         assert a.successes != b.successes
@@ -75,7 +75,7 @@ class TestAgainstExactOracles:
         assert within_5se(est.estimate, 0.5, est.trials)
 
     def test_index_majority_vectorized(self):
-        est = montecarlo_success(index_majority_protocol(64, 4), 64, 1, 100000, seed=3)
+        est = montecarlo_success(build_protocol("index-majority", 64, 1, {"B": 4}), 64, 1, 100000, seed=3)
         assert within_5se(est.estimate, float(exact_majority_success(4)), est.trials)
 
     def test_generic_engine_agrees_with_vectorized_kernel(self):
@@ -124,5 +124,5 @@ class TestAgainstExactOracles:
 class TestByName:
     def test_by_name_matches_spec_object(self):
         by_name = montecarlo_success_by_name("index-majority", 64, 1, {"B": 4}, 50000, 17)
-        explicit = montecarlo_success(index_majority_protocol(64, 4), 64, 1, 50000, 17)
+        explicit = montecarlo_success(build_protocol("index-majority", 64, 1, {"B": 4}), 64, 1, 50000, 17)
         assert by_name == explicit

@@ -25,6 +25,7 @@ from chainlab import (
 )
 from chainlab.oracle import (
     enumerated_majority_success,
+    factorizes,
     full_string_message_function,
     random_chain_protocol,
     random_message_function,
@@ -307,3 +308,12 @@ class TestConditionalIndependence:
         report = verify_conditional_independence(4, Fraction(1, 6), trials=30000, seed=1)
         assert report.passed
         assert report.details["empirical_within_5se"] is True
+
+    def test_factorizes_accepts_product_law(self):
+        assert factorizes({(a, b): (a + 1) * (b + 2) for a in range(2) for b in range(3)})
+
+    def test_factorizes_rejects_dependent_law(self):
+        # a and b always agree: the law is not the product of its uniform marginals
+        assert not factorizes({(0, 0): 1, (1, 1): 1})
+        # a missing cell breaks the product as well
+        assert not factorizes({(0, 0): 1, (0, 1): 1, (1, 0): 1})

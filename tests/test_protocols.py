@@ -6,7 +6,6 @@ from itertools import product
 import pytest
 
 from chainlab import (
-    AugChainInstance,
     BitString,
     ChainInstance,
     InvalidParameterError,
@@ -18,26 +17,23 @@ from chainlab import (
     enumerate_balanced,
     index_majority_decode,
     index_majority_encode,
-    index_majority_protocol,
-    run_aug_chain_protocol,
     run_chain_protocol,
     sample_chain,
     sampled_bits_protocol,
     trivial_forward_protocol,
     truncation_protocol,
 )
-from chainlab.protocols import constant_protocol
+from chainlab.protocols import Board, constant_protocol
 
 from util import chi2_quantile, chi2_stat
 
 
-def all_instances(n, k, aug=False):
-    cls = AugChainInstance if aug else ChainInstance
+def all_instances(n, k):
     strings = list(enumerate_balanced(n))
     for z in (0, 1):
         valid = [(y, s) for y in strings for s in range(1, n + 1) if y.bit(s) == z]
         for combo in product(valid, repeat=k):
-            yield cls(
+            yield ChainInstance(
                 n=n, k=k,
                 strings=tuple(y for y, _ in combo),
                 indices=tuple(s for _, s in combo),
@@ -81,7 +77,7 @@ class TestEngine:
     def test_trivial_forward_board_message(self):
         inst = ChainInstance(2, 1, (BitString("10"),), (1,), 1)
         result = run_chain_protocol(trivial_forward_protocol(2, 1), inst, SharedRandomness(0))
-        assert result.transcript.messages[0] == (1, BitString("10"))
+        assert result.board.messages[0] == (1, BitString("10"))
 
     def test_last_only_mode(self):
         p = trivial_forward_protocol(4, 3, mode="last-only")
@@ -110,9 +106,9 @@ class TestEngine:
     def test_indices_revealed_in_order(self):
         inst = next(all_instances(4, 2))
         result = run_chain_protocol(truncation_protocol(4, 2, 2), inst, SharedRandomness(0))
-        kinds = [item[0] for item in result.transcript.revealed]
+        kinds = [item[0] for item in result.board.revealed]
         assert kinds == ["index", "index"]
-        assert [item[1] for item in result.transcript.revealed] == [1, 2]
+        assert [item[1] for item in result.board.revealed] == [1, 2]
 
     @pytest.mark.parametrize("build", [
         lambda: truncation_protocol(4, 2, 2),
@@ -129,11 +125,17 @@ class TestEngine:
         for inst in all_instances(4, 2):
             result = run_chain_protocol(p, inst, shared)
             key = inst.strings[0]
-            m1 = result.transcript.messages[0]
+            m1 = result.board.messages[0]
             if key in first_message:
                 assert first_message[key] == m1
             else:
                 first_message[key] = m1
+
+    def test_board_key_is_hashable_view(self):
+        board = Board().with_message(1, BitString("10")).with_revealed("index", 1, 2)
+        board = board.with_revealed("prefix", 1, BitString("1"))
+        assert board.key() == (((1, 0),), (("index", 1, 2), ("prefix", 1, (1,))))
+        hash(board.key())
 
     def test_message_lengths_constant_across_inputs(self):
         for p in (
@@ -143,7 +145,7 @@ class TestEngine:
         ):
             for inst in all_instances(4, 2):
                 result = run_chain_protocol(p, inst, SharedRandomness(3))
-                lengths = tuple(len(m) for _, m in result.transcript.messages)
+                lengths = tuple(len(m) for _, m in result.board.messages)
                 assert lengths == p.message_lengths
 
 
@@ -152,13 +154,13 @@ class TestAugEngine:
         rng = random.Random(2)
         p = trivial_forward_protocol(4, 2)
         for _ in range(30):
-            inst = sample_chain(4, 2, rng, aug=True)
-            assert run_aug_chain_protocol(p, inst, SharedRandomness(1)).correct
+            inst = sample_chain(4, 2, rng)
+            assert run_chain_protocol(p, inst, SharedRandomness(1), aug=True).correct
 
     def test_transcript_contains_k_prefixes_and_k_indices(self):
-        inst = next(all_instances(4, 3, aug=True))
-        result = run_aug_chain_protocol(truncation_protocol(4, 3, 1), inst, SharedRandomness(0))
-        kinds = Counter(item[0] for item in result.transcript.revealed)
+        inst = next(all_instances(4, 3))
+        result = run_chain_protocol(truncation_protocol(4, 3, 1), inst, SharedRandomness(0), aug=True)
+        kinds = Counter(item[0] for item in result.board.revealed)
         assert kinds == {"index": 3, "prefix": 3}
 
     def test_decode_sees_last_prefix(self):
@@ -173,8 +175,8 @@ class TestAugEngine:
             message_fn=lambda i, view, board, shared: BitString(()),
             decode_fn=decode,
         )
-        inst = AugChainInstance(4, 1, (BitString("0110"),), (3,), 1)
-        result = run_aug_chain_protocol(p, inst, SharedRandomness(0))
+        inst = ChainInstance(4, 1, (BitString("0110"),), (3,), 1)
+        result = run_chain_protocol(p, inst, SharedRandomness(0), aug=True)
         assert result.output == (0 + 1) % 2
 
     def test_players_hold_previous_prefix(self):
@@ -190,12 +192,12 @@ class TestAugEngine:
             message_fn=message,
             decode_fn=lambda board, view, shared: 0,
         )
-        inst = AugChainInstance(
+        inst = ChainInstance(
             4, 2, (BitString("0110"), BitString("1010")), (3, 1), 1
         )
-        result = run_aug_chain_protocol(p, inst, SharedRandomness(0))
+        result = run_chain_protocol(p, inst, SharedRandomness(0), aug=True)
         padded = inst.prefix_for(1).bits + (0,) * (4 - 2)
-        assert result.transcript.messages[1] == (2, BitString(padded))
+        assert result.board.messages[1] == (2, BitString(padded))
 
 
 class TestIndexMajorityCoding:
@@ -275,14 +277,14 @@ class TestChainedMajority:
 
     def test_k1_matches_index_majority_run_for_run(self):
         chained = chained_majority_protocol(8, 1, 4)
-        single = index_majority_protocol(8, 4)
+        single = build_protocol("index-majority", 8, 1, {"B": 4})
         rng = random.Random(4)
         for seed in range(40):
             inst = sample_chain(8, 1, rng)
             a = run_chain_protocol(chained, inst, SharedRandomness(seed))
             b = run_chain_protocol(single, inst, SharedRandomness(seed))
             assert a.output == b.output
-            assert a.transcript.messages == b.transcript.messages
+            assert a.board.messages == b.board.messages
 
 
 class TestTruncation:
