@@ -459,8 +459,14 @@ SUITES: dict[str, Suite] = {
 
 
 def run_suite(name: str, n: int | None = None, theta: Fraction | None = None, seed: int = 0) -> list[VerificationReport]:
-    """Run a named suite, optionally restricted to one n / one theta."""
+    """Run a named suite, optionally restricted to one n / one theta.
+
+    An n or theta that the suite would not use is a usage error, not ignored:
+    the default suite runs its preset sizes, so it takes no n.
+    """
     if name == "default":
+        if n is not None:
+            raise UsageError("the default suite runs preset sizes and takes no n; name a suite to pick n")
         return [
             report
             for suite in SUITES.values()
@@ -468,7 +474,12 @@ def run_suite(name: str, n: int | None = None, theta: Fraction | None = None, se
         ]
     if name not in SUITES:
         raise UsageError(f"unknown suite {name!r}; available: {sorted(SUITES) + ['default']}")
-    return SUITES[name].run({}, ns=(n,) if n is not None else None, theta=theta, seed=seed)
+    suite = SUITES[name]
+    if n is not None and "ns" not in suite.takes:
+        raise UsageError(f"suite {name!r} takes no n")
+    if theta is not None and "theta" not in suite.takes:
+        raise UsageError(f"suite {name!r} takes no theta")
+    return suite.run({}, ns=(n,) if n is not None else None, theta=theta, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -476,32 +487,35 @@ def run_suite(name: str, n: int | None = None, theta: Fraction | None = None, se
 
 
 def parse_sweep(spec: str) -> tuple[str, list[int]]:
-    """Parse "name=a..b", "name=a..b:step", or "name=a..b:*factor"."""
+    """Parse "name=a..b", "name=a..b:step", or "name=a..b:*factor" into
+    strictly increasing values within [a, b]."""
     try:
         name, rest = spec.split("=", 1)
+        name = name.strip()
         low_s, rest = rest.split("..", 1)
-        if ":" in rest:
-            high_s, step_s = rest.split(":", 1)
-        else:
-            high_s, step_s = rest, None
+        high_s, _, step_s = rest.partition(":")
         low, high = int(low_s), int(high_s)
+        multiplicative = step_s.startswith("*")
+        step = int(step_s.removeprefix("*")) if step_s else (2 if name == "n" else 1)
     except ValueError as exc:
         raise UsageError(f"bad sweep spec {spec!r}; expected name=a..b[:step|:*factor]") from exc
-    values = []
-    if step_s and step_s.startswith("*"):
-        factor = int(step_s[1:])
-        if factor < 2:
+    if multiplicative:
+        if step < 2:
             raise UsageError("multiplicative sweep factor must be >= 2")
+        if low < 1:
+            raise UsageError("a multiplicative sweep must start at 1 or above")
+        values = []
         v = low
         while v <= high:
             values.append(v)
-            v *= factor
+            v *= step
     else:
-        step = int(step_s) if step_s else (2 if name == "n" else 1)
+        if step < 1:
+            raise UsageError("sweep step must be >= 1")
         values = list(range(low, high + 1, step))
     if not values:
         raise UsageError(f"sweep {spec!r} produces no values")
-    return name.strip(), values
+    return name, values
 
 
 def table_rows(suite: str, sweep: str, theta: Fraction | None = None) -> tuple[list[str], list[list]]:
@@ -510,12 +524,17 @@ def table_rows(suite: str, sweep: str, theta: Fraction | None = None) -> tuple[l
     if suite == "entropy-given-pool":
         if var != "n":
             raise UsageError("entropy-given-pool sweeps over n")
+        odd = [n for n in values if n % 2]
+        if odd:
+            raise UsageError(f"entropy-given-pool needs even n; the sweep gives odd n = {odd}")
         columns = ["check", "n", "theta", "pool_size", "lhs", "rhs", "pass"]
-        reports = suite_entropy_pool(ns=[n for n in values if n % 2 == 0], theta=theta)
+        reports = suite_entropy_pool(ns=values, theta=theta)
         return columns, [
             [r.check, r.params["n"], str(r.params["theta"]), r.params["pool_size"], r.lhs, r.rhs, r.passed]
             for r in reports
         ]
+    if theta is not None and suite in ("majority", "anticoncentration"):
+        raise UsageError(f"suite {suite!r} takes no theta")
     if suite == "majority":
         if var != "B":
             raise UsageError("majority sweeps over B")

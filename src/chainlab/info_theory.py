@@ -1,17 +1,26 @@
-"""Entropy kernel: exact finite distributions, conditional entropy, binary
+"""Entropy kernel: exact joint tables, entropy, conditional entropy, binary
 entropy, the estimator bound, exact log-binomials, and two exact binomial
 facts (entropy-form coefficient bounds and central anti-concentration).
 
-Probabilities may be exact rationals or floats. Entropies are always computed
-in float (logs are transcendental) using exact summation via math.fsum;
-comparisons against entropy values use a tolerance of 1e-9 bits.
+A joint table holds integer weights over an integer total, so a cell's
+probability is the exact rational weight/total; marginals and conditional
+slices add integers. Entropies are floats (logs are transcendental), and
+every term is `_ratio_bits(a, b)` = (a/b) log2(b/a) taken from integers:
+int/int true division is correctly rounded, as `float(Fraction(a, b))` is,
+and the logs are taken of the gcd-reduced numerator and denominator, as
+they are for a Fraction. So each term, and each entropy, is bit-identical
+to the one computed from the exact rational probabilities. Terms are summed
+by math.fsum, which is correctly rounded whatever their order.
+`FiniteDistribution` takes exact rationals or floats. Comparisons against
+entropy values use a tolerance of 1e-9 bits.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterable, Mapping, NamedTuple, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InvalidParameterError
 from .report import VerificationReport
@@ -24,13 +33,32 @@ _PI_LO = Fraction(3141592653589793, 10**15)
 _PI_HI = Fraction(3141592653589794, 10**15)
 
 
+def _ratio_bits(a: int, b: int) -> float:
+    """(a/b) log2(b/a) for integers 0 <= a <= b, b >= 1, with 0 log 0 = 0;
+    bit-identical to the same term on the reduced rational Fraction(a, b)."""
+    if a == 0:
+        return 0.0
+    g = math.gcd(a, b)
+    return (a / b) * (math.log2(b // g) - math.log2(a // g))
+
+
 def _term_bits(p) -> float:
     """p * log2(1/p) for a single probability, with 0 log 0 = 0."""
     if p == 0:
         return 0.0
     if isinstance(p, Fraction):
-        return float(p) * (math.log2(p.denominator) - math.log2(p.numerator))
+        return _ratio_bits(p.numerator, p.denominator)
     return -p * math.log2(p)
+
+
+def _projector(pos: tuple[int, ...]) -> Callable[[tuple], tuple]:
+    """The function that picks positions `pos` of a value tuple, as a tuple."""
+    if len(pos) == 1:
+        (i,) = pos
+        return lambda values: (values[i],)
+    if not pos:
+        return lambda values: ()
+    return itemgetter(*pos)
 
 
 @dataclass(frozen=True)
@@ -59,29 +87,32 @@ class FiniteDistribution:
 class JointTable:
     """Exact joint distribution over named variables.
 
-    `entries` maps value tuples (aligned with `labels`) to probabilities.
+    `weights` maps value tuples (aligned with `labels`) to positive integer
+    weights, and a cell's probability is its weight over `total`. Build a
+    table with `from_weights`, which checks the weights.
     """
 
     labels: tuple[str, ...]
-    entries: Mapping[tuple, Any]
-
-    def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "entries", dict(self.entries))
-        total = sum(self.entries.values())
-        if all(isinstance(p, (Fraction, int)) for p in self.entries.values()):
-            if total != 1:
-                raise InvalidParameterError(f"joint table sums to {total}, expected exactly 1")
-        elif abs(total - 1) > 1e-12:
-            raise InvalidParameterError("joint table must be normalized within 1e-12")
+    weights: Mapping[tuple, int]
+    total: int
 
     @classmethod
     def from_weights(cls, labels: Sequence[str], weights: Mapping[tuple, int]) -> "JointTable":
-        """Build a table from integer weights, normalizing exactly."""
-        total = sum(weights.values())
+        """Build a table from nonnegative integer weights; zero cells are dropped."""
+        kept = {k: w for k, w in weights.items() if w}
+        if kept and min(kept.values()) < 0:
+            raise InvalidParameterError("weights must be nonnegative")
+        total = sum(kept.values())
+        if not isinstance(total, int):
+            raise InvalidParameterError("weights must be integers")
         if total <= 0:
             raise InvalidParameterError("weights must have positive total")
-        return cls(tuple(labels), {k: Fraction(w, total) for k, w in weights.items() if w})
+        return cls(tuple(labels), kept, total)
+
+    @property
+    def entries(self) -> dict[tuple, Fraction]:
+        """Each cell's exact probability, weight / total."""
+        return {k: Fraction(w, self.total) for k, w in self.weights.items()}
 
     def _positions(self, names: Iterable[str]) -> tuple[int, ...]:
         pos = []
@@ -92,12 +123,12 @@ class JointTable:
         return tuple(pos)
 
     def marginal(self, names: Sequence[str]) -> "JointTable":
-        pos = self._positions(names)
-        out: dict[tuple, Any] = {}
-        for values, p in self.entries.items():
-            key = tuple(values[i] for i in pos)
-            out[key] = out.get(key, 0) + p
-        return JointTable(tuple(names), out)
+        key = _projector(self._positions(names))
+        out: dict[tuple, int] = {}
+        for values, w in self.weights.items():
+            k = key(values)
+            out[k] = out.get(k, 0) + w
+        return JointTable(tuple(names), out, self.total)
 
 
 def binary_entropy(x) -> float:
@@ -105,33 +136,44 @@ def binary_entropy(x) -> float:
     if x < 0 or x > 1:
         raise InvalidParameterError(f"binary entropy needs x in [0, 1], got {x}")
     if isinstance(x, Fraction):
-        return _term_bits(x) + _term_bits(1 - x)
+        return binary_entropy_ratio(x.numerator, x.denominator)
     return _term_bits(float(x)) + _term_bits(1.0 - float(x))
+
+
+def binary_entropy_ratio(a: int, b: int) -> float:
+    """H2(a/b) from integers 0 <= a <= b, b >= 1; equal bit for bit to
+    binary_entropy(Fraction(a, b))."""
+    if not 0 <= a <= b:
+        raise InvalidParameterError(f"binary entropy needs 0 <= a <= b, got a={a}, b={b}")
+    return _ratio_bits(a, b) + _ratio_bits(b - a, b)
 
 
 def entropy(dist: FiniteDistribution | JointTable) -> float:
     """Shannon entropy in bits."""
-    probabilities = dist.entries.values() if isinstance(dist, JointTable) else dist.probabilities
-    return math.fsum(_term_bits(p) for p in probabilities)
+    if isinstance(dist, JointTable):
+        total = dist.total
+        return math.fsum(_ratio_bits(w, total) for w in dist.weights.values())
+    return math.fsum(_term_bits(p) for p in dist.probabilities)
 
 
 def conditional_entropy(table: JointTable, target: str, given: Sequence[str]) -> float:
     """H(target | given) in bits: conditional-slice entropies weighted by slice mass."""
     target_pos = table._positions([target])[0]
-    given_pos = table._positions(given)
-    slices: dict[tuple, dict] = {}  # given values -> {target value: mass}
-    for values, p in table.entries.items():
-        cond = slices.setdefault(tuple(values[i] for i in given_pos), {})
+    key = _projector(table._positions(given))
+    slices: dict[tuple, dict] = {}  # given values -> {target value: weight}
+    for values, w in table.weights.items():
+        cond = slices.setdefault(key(values), {})
         v = values[target_pos]
-        cond[v] = cond[v] + p if v in cond else p
+        cond[v] = cond.get(v, 0) + w
+    total = table.total
     terms = []
     for cond in slices.values():
-        weight = sum(cond.values())
-        if weight == 0:
-            continue
-        w = float(weight)
-        for p in cond.values():
-            terms.append(w * _term_bits(p / weight))
+        if len(cond) == 1:
+            continue  # the slice fixes the target: its terms are exactly 0.0
+        mass = sum(cond.values())
+        share = mass / total
+        for c in cond.values():
+            terms.append(share * _ratio_bits(c, mass))
     return math.fsum(terms)
 
 

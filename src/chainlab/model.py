@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterator
 
@@ -95,6 +96,13 @@ def enumerate_balanced(n: int) -> Iterator[BalancedString]:
     for zero_positions in combinations(range(n), n // 2):
         zeros = set(zero_positions)
         yield BalancedString(tuple(0 if i in zeros else 1 for i in range(n)))
+
+
+@lru_cache(maxsize=8)
+def balanced_strings(n: int) -> tuple[BalancedString, ...]:
+    """`enumerate_balanced(n)` as a tuple built once per n, for loops that
+    walk the same support many times."""
+    return tuple(enumerate_balanced(n))
 
 
 @dataclass(frozen=True)

@@ -29,11 +29,12 @@ from .info_theory import (
     ENTROPY_TOLERANCE,
     JointTable,
     binary_entropy,
+    binary_entropy_ratio,
     conditional_entropy,
     entropy,
     log_binomial,
 )
-from .model import BalancedString, BitString, ChainInstance, enumerate_balanced
+from .model import BalancedString, BitString, ChainInstance, balanced_strings, enumerate_balanced
 from .protocols import (
     Board,
     DecodeView,
@@ -299,22 +300,20 @@ def verify_chain_entropy_bound(
 def _biased_joint(n: int, theta: Fraction, message_fn: MessageFunction, s: int, with_prefix: bool) -> JointTable:
     # integer weights over a common denominator: (q +- 2p) per (y, rho) cell
     p, q = theta.numerator, theta.denominator
+    weight_of_bit = (q - 2 * p, q + 2 * p)
     weights: dict[tuple, int] = {}
-    for y in enumerate_balanced(n):
+    for y in balanced_strings(n):
         message = message_fn(y)
         if not isinstance(message, BitString) or len(message) != s:
             raise ProtocolContractError(
                 f"message function must emit {s} bits, got {message!r} for '{y.text}'"
             )
-        for rho in range(1, n + 1):
-            w = y.bit(rho)
-            weight = q + 2 * p if w == 1 else q - 2 * p
+        m, bits = message.bits, y.bits
+        for rho, w in enumerate(bits, 1):
+            weight = weight_of_bit[w]
             if weight == 0:
                 continue
-            if with_prefix:
-                key = (w, message.bits, rho, y.prefix(rho).bits)
-            else:
-                key = (w, message.bits, rho)
+            key = (w, m, rho, bits[: rho - 1]) if with_prefix else (w, m, rho)
             weights[key] = weights.get(key, 0) + weight
     labels = ("answer", "message", "index", "prefix") if with_prefix else ("answer", "message", "index")
     return JointTable.from_weights(labels, weights)
@@ -423,9 +422,8 @@ def sweep_entropy_given_pool(max_n: int) -> tuple[int, int, float]:
                 coeff = coeff * b // (b - half)
             if b == half:
                 continue  # |theta| = 1/2 is the vacuous case
-            theta = Fraction(n - b, 2 * b)
             lhs = math.log2(coeff)
-            rhs = b * binary_entropy(Fraction(1, 2) + theta) - log_n2
+            rhs = b * binary_entropy_ratio(n, 2 * b) - log_n2  # 1/2 + theta = n/2b at theta = (n-b)/2b
             slack = lhs - rhs
             checks += 1
             min_slack = min(min_slack, slack)
@@ -489,7 +487,7 @@ def random_message_function(n: int, s: int, seed: int) -> MessageFunction:
     rng = random.Random(derive_seed("message-fn", n, s, seed))
     table = {
         y: BitString(tuple(rng.randrange(2) for _ in range(s)))
-        for y in enumerate_balanced(n)
+        for y in balanced_strings(n)
     }
     return lambda y: table[y]
 
@@ -501,7 +499,7 @@ def truncation_message_function(s: int) -> MessageFunction:
 def full_string_message_function(n: int) -> tuple[MessageFunction, int]:
     """An injective message function (the string's rank, binary-coded) and
     its message length."""
-    ranks = {y: i for i, y in enumerate(enumerate_balanced(n))}
+    ranks = {y: i for i, y in enumerate(balanced_strings(n))}
     s = max(1, math.ceil(math.log2(len(ranks))))
     def encode(y: BalancedString) -> BitString:
         r = ranks[y]

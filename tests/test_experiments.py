@@ -3,6 +3,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from chainlab import ExperimentConfig, UsageError, emit_report, run_config, run_suite
 from chainlab.cli import main as cli_main
@@ -70,10 +72,33 @@ class TestSweepParsing:
         assert parse_sweep("B=1..8:*2") == ("B", [1, 2, 4, 8])
         assert parse_sweep("t=16..1024:*4") == ("t", [16, 64, 256, 1024])
 
-    @pytest.mark.parametrize("bad", ["n=4", "n=a..b", "4..8", "n=8..4"])
+    @pytest.mark.parametrize("bad", ["n=4", "n=a..b", "4..8", "n=8..4", "n=1..5:x", "n=1..5:0", "n=0..8:*2"])
     def test_bad_specs(self, bad):
         with pytest.raises(UsageError):
             parse_sweep(bad)
+
+    @given(
+        st.sampled_from(["n", "t", "B"]),
+        st.integers(-20, 60),
+        st.integers(-20, 60),
+        st.sampled_from(["", ":", ":-1", ":0", ":1", ":3", ":*0", ":*1", ":*2", ":*3"]),
+    )
+    def test_values_increase_within_range(self, name, low, high, step):
+        try:
+            parsed_name, values = parse_sweep(f"{name}={low}..{high}{step}")
+        except UsageError:
+            return
+        assert parsed_name == name
+        assert all(low <= v <= high for v in values)
+        assert all(a < b for a, b in zip(values, values[1:]))
+
+    @given(st.text(alphabet="nt=.:*-0123456789x ", max_size=9))
+    def test_bad_specs_raise_only_usage_error(self, spec):
+        # at most 9 characters keep every parseable range small
+        try:
+            parse_sweep(spec)
+        except UsageError:
+            pass
 
 
 class TestTables:
@@ -93,6 +118,10 @@ class TestTables:
     def test_unsupported_suite(self):
         with pytest.raises(UsageError):
             table_rows("pmf", "n=2..4")
+
+    def test_odd_n_is_a_usage_error(self):
+        with pytest.raises(UsageError, match=r"\[3, 5\]"):
+            table_rows("entropy-given-pool", "n=3..5")
 
 
 class TestEmitReport:
@@ -214,6 +243,22 @@ class TestCli:
 
     def test_usage_error_exit_two(self):
         assert cli_main(["simulate", "--n", "4", "--k", "1", "--trials", "10"]) == 2
+
+    def test_default_suite_with_n_exit_two(self):
+        assert cli_main(["verify", "--suite", "default", "--n", "3"]) == 2
+
+    @pytest.mark.parametrize("args", [
+        ["--suite", "majority", "--n", "4"],
+        ["--suite", "anticoncentration", "--theta", "1/4"],
+    ])
+    def test_option_the_suite_does_not_take_exit_two(self, args):
+        assert cli_main(["verify", *args]) == 2
+
+    def test_odd_n_pool_table_exit_two(self):
+        assert cli_main(["table", "--suite", "entropy-given-pool", "--sweep", "n=3..5"]) == 2
+
+    def test_theta_on_majority_table_exit_two(self):
+        assert cli_main(["table", "--suite", "majority", "--sweep", "B=1..4:*2", "--theta", "1/4"]) == 2
 
     def test_bad_theta_exit_two(self):
         assert cli_main(["verify", "--suite", "pmf", "--n", "4", "--theta", "x/y"]) == 2

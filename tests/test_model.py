@@ -2,6 +2,8 @@ import json
 from itertools import permutations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from chainlab import (
     BalancedString,
@@ -149,3 +151,14 @@ class TestInstanceJson:
     def test_missing_field(self):
         with pytest.raises(InvalidParameterError):
             instance_from_json('{"n": 2, "k": 1}')
+
+    @given(st.data())
+    def test_round_trip_sampled(self, data):
+        n = data.draw(st.integers(1, 6)) * 2
+        k = data.draw(st.integers(1, 4))
+        strings = tuple(
+            BitString(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))) for _ in range(k)
+        )
+        indices = tuple(data.draw(st.lists(st.integers(1, n), min_size=k, max_size=k)))
+        inst = ChainInstance(n, k, strings, indices, data.draw(st.integers(0, 1)))
+        assert instance_from_json(instance_to_json(inst)) == inst
