@@ -17,7 +17,6 @@ from .model import (
     validate_instance,
 )
 from .distributions import (
-    SupportTable,
     bias_grid,
     enumerate_support,
     pmf_biased_index,
@@ -26,7 +25,6 @@ from .distributions import (
     sample_chain,
 )
 from .info_theory import (
-    FiniteDistribution,
     JointTable,
     binary_entropy,
     binomial_anticoncentration,

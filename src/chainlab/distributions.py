@@ -16,6 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import InvalidParameterError, ResourceLimitError
+from .info_theory import JointTable
 from .model import BalancedString, ChainInstance, enumerate_balanced
 
 DEFAULT_ENUMERATION_BUDGET = 10_000_000
@@ -48,46 +49,6 @@ class BiasedIndexSample:
     index: int
     pool: frozenset[int] | None = None
     chosen: frozenset[int] | None = None
-
-
-@dataclass(frozen=True)
-class SupportTable:
-    """Exact finite distribution over (string, index) outcomes."""
-
-    entries: tuple[tuple[tuple[BalancedString, int], Fraction], ...]
-
-    def __post_init__(self):
-        ordered = tuple(sorted(self.entries, key=lambda e: (e[0][0].text, e[0][1])))
-        object.__setattr__(self, "entries", ordered)
-        if any(p < 0 for _, p in ordered):
-            raise InvalidParameterError("probabilities must be nonnegative")
-        if sum(p for _, p in ordered) != 1:
-            raise InvalidParameterError("support table must sum to exactly 1")
-
-    @property
-    def total(self) -> Fraction:
-        return sum((p for _, p in self.entries), Fraction(0))
-
-    def as_dict(self) -> dict[tuple[BalancedString, int], Fraction]:
-        return dict(self.entries)
-
-    def tv_distance(self, other: "SupportTable") -> Fraction:
-        mine, theirs = self.as_dict(), other.as_dict()
-        keys = set(mine) | set(theirs)
-        return sum(
-            (abs(mine.get(k, Fraction(0)) - theirs.get(k, Fraction(0))) for k in keys),
-            Fraction(0),
-        ) / 2
-
-    def to_csv_rows(self) -> list[list]:
-        rows = [["outcome_Y", "outcome_rho", "prob_num", "prob_den"]]
-        for (y, rho), p in self.entries:
-            rows.append([y.text, rho, p.numerator, p.denominator])
-        return rows
-
-    def write_csv(self, fileobj) -> None:
-        writer = csv.writer(fileobj, lineterminator="\n")
-        writer.writerows(self.to_csv_rows())
 
 
 def bias_grid(n: int) -> list[Fraction]:
@@ -206,21 +167,25 @@ def pmf_biased_index(n: int, theta, y: BalancedString, rho: int) -> Fraction:
     return Fraction(numerator) / (n * math.comb(n, n // 2))
 
 
-def _direct_table(n: int, theta: Fraction) -> dict[tuple[BalancedString, int], Fraction]:
+def _direct_table(n: int, theta: Fraction) -> dict[tuple[BalancedString, int], int]:
+    """Each answer bit w gets mass p_w, shared equally by the cells whose
+    indexed bit is w. With theta = p/q, over the common denominator
+    2q |valid_0| |valid_1| a cell with bit w weighs (q +- 2p) |valid_(1-w)|."""
     strings = list(enumerate_balanced(n))
-    table: dict[tuple[BalancedString, int], Fraction] = {}
-    for w in (0, 1):
-        valid = [(y, rho) for y in strings for rho in range(1, n + 1) if y.bit(rho) == w]
-        p_w = Fraction(1, 2) + theta if w == 1 else Fraction(1, 2) - theta
-        if p_w == 0:
-            continue
-        share = p_w / len(valid)
-        for key in valid:
-            table[key] = table.get(key, Fraction(0)) + share
+    valid = {
+        w: [(y, rho) for y in strings for rho in range(1, n + 1) if y.bit(rho) == w]
+        for w in (0, 1)
+    }
+    p, q = theta.numerator, theta.denominator
+    table: dict[tuple[BalancedString, int], int] = {}
+    for w, sign in ((0, -1), (1, 1)):
+        weight = (q + sign * 2 * p) * len(valid[1 - w])
+        for key in valid[w]:
+            table[key] = weight
     return table
 
 
-def _structured_table(n: int, theta: Fraction) -> dict[tuple[BalancedString, int], Fraction]:
+def _structured_table(n: int, theta: Fraction) -> dict[tuple[BalancedString, int], int]:
     b = structured_pool_size(n, theta)
     half = n // 2
     weights: dict[tuple[BalancedString, int], int] = {}
@@ -230,8 +195,7 @@ def _structured_table(n: int, theta: Fraction) -> dict[tuple[BalancedString, int
             for rho in pool:
                 key = (y, rho)
                 weights[key] = weights.get(key, 0) + 1
-    total = math.comb(n, b) * math.comb(b, half) * b
-    return {key: Fraction(w, total) for key, w in weights.items()}
+    return weights
 
 
 def enumerate_support(
@@ -239,8 +203,8 @@ def enumerate_support(
     theta,
     variant: str = "direct",
     budget: int = DEFAULT_ENUMERATION_BUDGET,
-) -> SupportTable:
-    """Exact marginal table of (string, index) under either formulation."""
+) -> JointTable:
+    """Exact (string, index) table of integer weights under either formulation."""
     if n < 2 or n % 2 != 0:
         raise InvalidParameterError(f"n must be even and >= 2, got {n}")
     theta = BiasParam(Fraction(theta)).theta
@@ -265,4 +229,12 @@ def enumerate_support(
         table = _structured_table(n, theta)
     else:
         raise InvalidParameterError(f"variant must be 'direct' or 'structured', got {variant!r}")
-    return SupportTable(tuple(table.items()))
+    return JointTable.from_weights(("string", "index"), table)
+
+
+def write_support_csv(table: JointTable, fileobj) -> None:
+    """CSV of exact `num,den` cell probabilities, sorted by (string text, index)."""
+    writer = csv.writer(fileobj, lineterminator="\n")
+    writer.writerow(["outcome_Y", "outcome_rho", "prob_num", "prob_den"])
+    for (y, rho), p in sorted(table.entries.items(), key=lambda e: (e[0][0].text, e[0][1])):
+        writer.writerow([y.text, rho, p.numerator, p.denominator])

@@ -154,7 +154,7 @@ def suite_pmf(ns: Sequence[int] = (2, 4, 6, 8), theta: Fraction | None = None) -
     for n in ns:
         strings = list(enumerate_balanced(n))
         for t in _grid_for(n, theta):
-            table = enumerate_support(n, t, "direct").as_dict()
+            table = enumerate_support(n, t, "direct").entries
             mismatches = 0
             for y in strings:
                 for rho in range(1, n + 1):

@@ -10,9 +10,9 @@ int/int true division is correctly rounded, as `float(Fraction(a, b))` is,
 and the logs are taken of the gcd-reduced numerator and denominator, as
 they are for a Fraction. So each term, and each entropy, is bit-identical
 to the one computed from the exact rational probabilities. Terms are summed
-by math.fsum, which is correctly rounded whatever their order.
-`FiniteDistribution` takes exact rationals or floats. Comparisons against
-entropy values use a tolerance of 1e-9 bits.
+by math.fsum, which is correctly rounded whatever their order. Distances
+between tables are exact rationals. Comparisons against entropy values use a
+tolerance of 1e-9 bits.
 """
 from __future__ import annotations
 
@@ -42,15 +42,6 @@ def _ratio_bits(a: int, b: int) -> float:
     return (a / b) * (math.log2(b // g) - math.log2(a // g))
 
 
-def _term_bits(p) -> float:
-    """p * log2(1/p) for a single probability, with 0 log 0 = 0."""
-    if p == 0:
-        return 0.0
-    if isinstance(p, Fraction):
-        return _ratio_bits(p.numerator, p.denominator)
-    return -p * math.log2(p)
-
-
 def _projector(pos: tuple[int, ...]) -> Callable[[tuple], tuple]:
     """The function that picks positions `pos` of a value tuple, as a tuple."""
     if len(pos) == 1:
@@ -59,28 +50,6 @@ def _projector(pos: tuple[int, ...]) -> Callable[[tuple], tuple]:
     if not pos:
         return lambda values: ()
     return itemgetter(*pos)
-
-
-@dataclass(frozen=True)
-class FiniteDistribution:
-    """A normalized list of nonnegative probabilities."""
-
-    probabilities: tuple
-
-    def __post_init__(self):
-        probs = tuple(self.probabilities)
-        object.__setattr__(self, "probabilities", probs)
-        if any(p < 0 for p in probs):
-            raise InvalidParameterError("probabilities must be nonnegative")
-        total = sum(probs)
-        if all(isinstance(p, (Fraction, int)) for p in probs):
-            if total != 1:
-                raise InvalidParameterError(f"probabilities sum to {total}, expected exactly 1")
-        elif abs(total - 1) > 1e-12:
-            raise InvalidParameterError(f"probabilities sum to {total}, expected 1 within 1e-12")
-
-    def __len__(self) -> int:
-        return len(self.probabilities)
 
 
 @dataclass(frozen=True)
@@ -135,9 +104,9 @@ def binary_entropy(x) -> float:
     """-x log2 x - (1-x) log2 (1-x), with the 0 log 0 = 0 convention."""
     if x < 0 or x > 1:
         raise InvalidParameterError(f"binary entropy needs x in [0, 1], got {x}")
-    if isinstance(x, Fraction):
-        return binary_entropy_ratio(x.numerator, x.denominator)
-    return _term_bits(float(x)) + _term_bits(1.0 - float(x))
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return binary_entropy_ratio(x.numerator, x.denominator)
 
 
 def binary_entropy_ratio(a: int, b: int) -> float:
@@ -148,12 +117,20 @@ def binary_entropy_ratio(a: int, b: int) -> float:
     return _ratio_bits(a, b) + _ratio_bits(b - a, b)
 
 
-def entropy(dist: FiniteDistribution | JointTable) -> float:
+def entropy(table: JointTable) -> float:
     """Shannon entropy in bits."""
-    if isinstance(dist, JointTable):
-        total = dist.total
-        return math.fsum(_ratio_bits(w, total) for w in dist.weights.values())
-    return math.fsum(_term_bits(p) for p in dist.probabilities)
+    total = table.total
+    return math.fsum(_ratio_bits(w, total) for w in table.weights.values())
+
+
+def total_variation(a: JointTable, b: JointTable) -> Fraction:
+    """Exact (1/2) sum |P_a - P_b|, cross-multiplying weights by the other table's total."""
+    ta, tb = a.total, b.total
+    diff = sum(
+        abs(a.weights.get(k, 0) * tb - b.weights.get(k, 0) * ta)
+        for k in a.weights.keys() | b.weights.keys()
+    )
+    return Fraction(diff, 2 * ta * tb)
 
 
 def conditional_entropy(table: JointTable, target: str, given: Sequence[str]) -> float:
@@ -208,21 +185,20 @@ def _pi_at_most(num: int, den: int):
     return None
 
 
-def _bounds_hold(p: int, q: int, sqrt_numerator: int) -> tuple[bool | None, bool | None]:
-    """Exact verdicts for  2^(pH2) sqrt(v/(8 pi q(p-q))) <= C(p, q) <= 2^(pH2) sqrt(v/(2 pi q(p-q))).
+def _bounds_hold(p: int, q: int, sqrt_numerators: Sequence[int]) -> list[tuple[bool | None, bool | None]]:
+    """Exact verdicts for  2^(pH2) sqrt(v/(8 pi q(p-q))) <= C(p, q) <= 2^(pH2) sqrt(v/(2 pi q(p-q))),
+    one (lower, upper) pair per square-root numerator v.
 
     Squaring removes the square roots and 2^(2 p H2(q/p)) is the rational
     p^(2p) / (q^(2q) (p-q)^(2(p-q))), so each side reduces to placing pi
     against a ratio of big integers; pi enters through a rational bracket
     tight enough to always be decisive here. Plain cross-multiplication, no
-    gcd normalization: these integers run to tens of kilobits.
+    gcd normalization: these integers run to tens of kilobits, so they are
+    built once for all numerators.
     """
-    c2 = math.comb(p, q) ** 2
-    r2v_num = p ** (2 * p) * sqrt_numerator
-    r2v_den = q ** (2 * q) * (p - q) ** (2 * (p - q))
-    lower = _pi_at_least(r2v_num, r2v_den * 8 * q * (p - q) * c2)
-    upper = _pi_at_most(r2v_num, r2v_den * 2 * q * (p - q) * c2)
-    return lower, upper
+    r2 = p ** (2 * p)
+    den = q ** (2 * q) * (p - q) ** (2 * (p - q)) * math.comb(p, q) ** 2 * q * (p - q)
+    return [(_pi_at_least(r2 * v, den * 8), _pi_at_most(r2 * v, den * 2)) for v in sqrt_numerators]
 
 
 def check_binomial_entropy_bounds(p: int, q: int) -> VerificationReport:
@@ -235,8 +211,7 @@ def check_binomial_entropy_bounds(p: int, q: int) -> VerificationReport:
     """
     if not 1 <= q <= p - 1:
         raise InvalidParameterError(f"need 1 <= q <= p-1, got p={p}, q={q}")
-    lower_p, upper_p = _bounds_hold(p, q, p)
-    lower_n, upper_n = _bounds_hold(p, q, 2 * q)
+    (lower_p, upper_p), (lower_n, upper_n) = _bounds_hold(p, q, (p, 2 * q))
     log_c = log_binomial(p, q)
     h_term = p * binary_entropy(Fraction(q, p))
     denom = math.log2(8 * math.pi * q * (p - q))

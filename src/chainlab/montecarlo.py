@@ -1,14 +1,15 @@
 """Reproducible Monte Carlo estimation of protocol success.
 
-Trials are processed in fixed-size batches; batch b draws its randomness
+Protocols built with a vectorized simulator tag run as numpy batch kernels:
+trials are processed in fixed-size batches, and batch b draws its randomness
 from a stream derived from (master seed, b), so results are byte-identical
 for a given (parameters, seed) regardless of how batches are scheduled
 across workers. The batch layout is part of the determinism contract: the
 same seed always reproduces the same success count.
 
-Protocols built with a vectorized simulator tag run as numpy batch kernels;
-anything else executes the generic engine trial by trial with per-trial
-derived streams.
+Anything else executes the generic engine trial by trial in one process;
+trial t derives its instance and shared-randomness streams from
+(master seed, t). Worker processes speed up only the vectorized path.
 """
 from __future__ import annotations
 
@@ -25,7 +26,6 @@ from .errors import InvalidParameterError, ProtocolContractError
 from .protocols import ProtocolSpec, SharedRandomness, build_protocol, derive_seed, run_chain_protocol
 
 VECTOR_BATCH = 1 << 16
-GENERIC_BATCH = 1 << 12
 
 WORKERS_ENV = "CHAINLAB_WORKERS"
 
@@ -55,7 +55,10 @@ def resolve_workers(workers: int | None = None) -> int:
         return max(1, int(workers))
     env = os.environ.get(WORKERS_ENV)
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise InvalidParameterError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 
@@ -133,6 +136,8 @@ def montecarlo_success(
     """Estimate a protocol's success probability over the hard distribution."""
     if trials < 1:
         raise InvalidParameterError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise InvalidParameterError(f"seed must be >= 0, got {seed}")
     if protocol.n != n or protocol.k != k:
         raise ProtocolContractError(
             f"protocol declared for (n={protocol.n}, k={protocol.k}), requested (n={n}, k={k})"

@@ -33,6 +33,7 @@ from .info_theory import (
     conditional_entropy,
     entropy,
     log_binomial,
+    total_variation,
 )
 from .model import BalancedString, BitString, ChainInstance, balanced_strings, enumerate_balanced
 from .protocols import (
@@ -62,7 +63,7 @@ def verify_distribution_identity(n: int, theta, budget: int = DEFAULT_ENUMERATIO
     theta = BiasParam(Fraction(theta)).theta
     direct = enumerate_support(n, theta, "direct", budget=budget)
     structured = enumerate_support(n, theta, "structured", budget=budget)
-    distance = direct.tv_distance(structured)
+    distance = total_variation(direct, structured)
     return VerificationReport(
         check="distribution-identity",
         params={"n": n, "theta": theta},
@@ -124,7 +125,7 @@ def verify_conditional_independence(n: int, theta, trials: int = 0, seed: int = 
     details: dict = {"structured_factorizes": structured_ok, "chain_pairs_factorize": chain_ok}
     empirical_ok = None
     if trials > 0:
-        exact = enumerate_support(n, theta, "structured").as_dict()
+        exact = enumerate_support(n, theta, "structured").entries
         rng = random.Random(derive_seed("cond-indep", n, theta, seed))
         counts: dict[tuple, int] = {}
         for _ in range(trials):

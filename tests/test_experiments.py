@@ -3,7 +3,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainlab import ExperimentConfig, UsageError, emit_report, run_config, run_suite
@@ -297,6 +297,55 @@ class TestCli:
             "simulate", "--protocol", protocol, "--n", "64", "--k", "0",
             "--param", param, "--trials", "10",
         ]) == 2
+
+    @pytest.mark.parametrize("protocol,param", [("chained-majority", "B=64"), ("truncation", "t=8")])
+    def test_negative_seed_exit_two_on_both_engine_paths(self, protocol, param):
+        assert cli_main([
+            "simulate", "--protocol", protocol, "--n", "64", "--k", "3",
+            "--param", param, "--trials", "100", "--seed", "-1",
+        ]) == 2
+
+    def test_negative_seed_on_default_verify_exit_two(self):
+        assert cli_main(["verify", "--seed", "-1"]) == 2
+
+    def test_non_integer_workers_env_exit_two(self, monkeypatch, capsys):
+        monkeypatch.setenv("CHAINLAB_WORKERS", "abc")
+        assert cli_main([
+            "simulate", "--protocol", "chained-majority", "--n", "64", "--k", "3",
+            "--param", "B=64", "--trials", "100",
+        ]) == 2
+        assert "CHAINLAB_WORKERS" in capsys.readouterr().err
+
+    # Flags are drawn mostly valid, so that many examples reach an engine path
+    # with one junk value (a negative seed, a junk CHAINLAB_WORKERS) among them.
+    @given(
+        st.sampled_from([("trivial-forward", "mode", ["all", "last-only"]), ("sampled-bits", "m", ["1", "4"]),
+                         ("index-majority", "B", ["1", "4"]), ("chained-majority", "B", ["1", "4", "64"]),
+                         ("truncation", "t", ["1", "4"]), ("no-such-protocol", "B", ["4"])]),
+        st.sampled_from([False, False, False, True]),
+        st.data(),
+        st.one_of(st.just(64), st.sampled_from([2, 4, 6, 8, 10]), st.integers(-2, 10)),
+        st.one_of(st.integers(1, 4), st.integers(-1, 4)),
+        st.integers(0, 200),
+        st.integers(-5, 5),
+        st.sampled_from([None, "1", "2", "abc", "1.5"]),
+    )
+    @settings(max_examples=500)
+    def test_simulate_fuzz_exits_with_a_documented_code(self, protocol, junk_key, data, n, k, trials, seed, workers):
+        # trials <= 200 keep the vectorized path to one batch, so no process pool starts
+        name, key, valid = protocol
+        value = data.draw(st.one_of(
+            st.sampled_from(valid), st.integers(-3, 70).map(str), st.sampled_from(["x", "", "1.5", "all"])))
+        args = [
+            "simulate", "--protocol", name, "--param", f"{'x' if junk_key else key}={value}",
+            "--n", str(n), "--k", str(k), "--trials", str(trials), "--seed", str(seed),
+        ]
+        with pytest.MonkeyPatch.context() as mp:
+            if workers is None:
+                mp.delenv("CHAINLAB_WORKERS", raising=False)
+            else:
+                mp.setenv("CHAINLAB_WORKERS", workers)
+            assert cli_main(args) in (0, 1, 2, 3)
 
     def test_config_field_type_exit_two(self, tmp_path):
         config_path = tmp_path / "config.json"

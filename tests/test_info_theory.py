@@ -6,7 +6,6 @@ from itertools import product
 import pytest
 
 from chainlab import (
-    FiniteDistribution,
     InvalidParameterError,
     JointTable,
     binary_entropy,
@@ -17,6 +16,7 @@ from chainlab import (
     fano_bound,
     log_binomial,
 )
+from chainlab.info_theory import total_variation
 
 TOL = 1e-9
 
@@ -55,22 +55,18 @@ class TestBinaryEntropy:
 
 class TestEntropy:
     def test_uniform_six(self):
-        d = FiniteDistribution(tuple(Fraction(1, 6) for _ in range(6)))
+        d = JointTable.from_weights(("x",), {(i,): 1 for i in range(6)})
         assert entropy(d) == pytest.approx(math.log2(6), abs=TOL)
 
     def test_point_mass(self):
-        d = FiniteDistribution((Fraction(1), Fraction(0)))
+        d = JointTable.from_weights(("x",), {(0,): 1, (1,): 0})
         assert entropy(d) == 0.0
 
     def test_quarter_three_quarters(self):
-        d = FiniteDistribution((Fraction(1, 4), Fraction(3, 4)))
+        d = JointTable.from_weights(("x",), {(0,): 1, (1,): 3})
         # direct evaluation of the binary entropy formula
         expected = 0.25 * math.log2(4) + 0.75 * math.log2(4 / 3)
         assert entropy(d) == pytest.approx(expected, abs=1e-12)
-
-    def test_unnormalized_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            FiniteDistribution((Fraction(1, 2), Fraction(1, 3)))
 
     def test_bounded_by_log_support(self):
         rng = random.Random(0)
@@ -78,6 +74,22 @@ class TestEntropy:
             j = random_joint(rng, (6,))
             h = entropy(j)
             assert -TOL <= h <= math.log2(len(j.entries)) + TOL
+
+
+class TestTotalVariation:
+    def test_same_law_different_totals_is_exact_zero(self):
+        a = JointTable.from_weights(("x",), {(0,): 1, (1,): 3})
+        b = JointTable.from_weights(("x",), {(0,): 5, (1,): 15})
+        distance = total_variation(a, b)
+        assert distance == 0
+        assert isinstance(distance, Fraction)
+
+    def test_different_laws_give_exact_distance(self):
+        # (1/4, 3/4, 0) against (1/3, 1/3, 1/3): half of 1/12 + 5/12 + 1/3
+        a = JointTable.from_weights(("x",), {(0,): 1, (1,): 3})
+        b = JointTable.from_weights(("x",), {(0,): 1, (1,): 1, (2,): 1})
+        assert total_variation(a, b) == Fraction(5, 12)
+        assert total_variation(b, a) == Fraction(5, 12)
 
 
 class TestConditionalEntropy:

@@ -6,6 +6,7 @@ import pytest
 
 from chainlab import (
     InvalidParameterError,
+    JointTable,
     ResourceLimitError,
     bias_grid,
     enumerate_balanced,
@@ -57,6 +58,27 @@ class TestDistributionIdentity:
     def test_off_grid_rejected(self):
         with pytest.raises(InvalidParameterError):
             verify_distribution_identity(4, Fraction(1, 3))
+
+    def test_perturbed_structured_table_fails(self, monkeypatch):
+        import chainlab.oracle as oracle_module
+
+        real = oracle_module.enumerate_support
+
+        def perturbed(n, theta, variant, budget):
+            table = real(n, theta, variant, budget=budget)
+            if variant != "structured":
+                return table
+            weights = dict(table.weights)
+            first, second = sorted(weights, key=lambda key: (key[0].text, key[1]))[:2]
+            weights[first] -= 1
+            weights[second] += 1
+            return JointTable.from_weights(table.labels, weights)
+
+        monkeypatch.setattr(oracle_module, "enumerate_support", perturbed)
+        report = verify_distribution_identity(4, 0)
+        # n=4, theta=0: the structured total is 1*6*4 = 24, so one unit is 1/24
+        assert report.passed is False
+        assert report.lhs == Fraction(1, 24)
 
 
 class TestEnumerateJoint:
