@@ -38,8 +38,6 @@ from .info_theory import (
 from .model import BalancedString, BitString, ChainInstance, balanced_strings, enumerate_balanced
 from .protocols import (
     Board,
-    DecodeView,
-    PlayerView,
     ProtocolSpec,
     SharedRandomness,
     derive_seed,
@@ -516,27 +514,20 @@ def _hash_bits(label: str, count: int) -> tuple[int, ...]:
     return tuple((digest[j // 8] >> (j % 8)) & 1 for j in range(count))
 
 
-def _board_fingerprint(board: Board) -> str:
-    parts = [f"M{p}:{m.text}" for p, m in board.messages]
-    for kind, i, value in board.revealed:
-        parts.append(f"{kind}{i}:{value.text if isinstance(value, BitString) else value}")
-    return ";".join(parts)
-
-
 def random_chain_protocol(n: int, k: int, max_message_bits: int, seed: int) -> ProtocolSpec:
     """A uniformly random deterministic protocol: each player's message is a
     random function of its private string and the board so far, realized
     lazily through a keyed hash; the decoder is a random function of the
-    board and its index."""
+    final board, which holds its index."""
     rng = random.Random(derive_seed("random-protocol-lengths", n, k, max_message_bits, seed))
     lengths = tuple(rng.randint(0, max_message_bits) for _ in range(k))
 
-    def message(i: int, view: PlayerView, board: Board, shared: SharedRandomness) -> BitString:
-        label = f"rnd-msg|{seed}|{i}|{view.string.text}|{_board_fingerprint(board)}"
+    def message(i: int, string: BitString, board: Board, shared: SharedRandomness) -> BitString:
+        label = f"rnd-msg|{seed}|{i}|{string.text}|{board.fingerprint()}"
         return BitString(_hash_bits(label, lengths[i - 1]))
 
-    def decode(board: Board, view: DecodeView, shared: SharedRandomness) -> int:
-        label = f"rnd-dec|{seed}|{view.index}|{_board_fingerprint(board)}"
+    def decode(board: Board, shared: SharedRandomness) -> int:
+        label = f"rnd-dec|{seed}|{board.index(k)}|{board.fingerprint()}"
         return _hash_bits(label, 1)[0]
 
     return ProtocolSpec(

@@ -2,8 +2,9 @@
 
 Players send fixed-length messages in ascending order; after player i's
 message, instance i's index (and, in the augmented variant, its prefix) is
-revealed to the board at no cost. Message functions only ever see a board
-snapshot from before their own turn, which enforces one-way causality by
+revealed to the board at no cost. A protocol's `message_fn(i, string, board,
+shared)` sees only player i's string and the board of players 1..i-1, and its
+`decode_fn(board, shared)` only the final board: one-way causality holds by
 construction.
 """
 from __future__ import annotations
@@ -53,63 +54,49 @@ class SharedRandomness:
 
 @dataclass(frozen=True)
 class Board:
-    """Immutable blackboard snapshot: messages plus freely revealed items."""
+    """Immutable blackboard snapshot. Entry i-1 of each tuple is player i's
+    message, then its index and (augmented variant only) prefix."""
 
-    messages: tuple[tuple[int, BitString], ...] = ()
-    revealed: tuple[tuple, ...] = ()
+    messages: tuple[BitString, ...] = ()
+    indices: tuple[int, ...] = ()
+    prefixes: tuple[BitString, ...] = ()
 
     def message(self, i: int) -> BitString:
-        for player, msg in self.messages:
-            if player == i:
-                return msg
-        raise KeyError(f"no message from player {i} on the board")
+        return _entry(self.messages, i, "message")
 
     def index(self, i: int) -> int:
-        for kind, inst, value in self.revealed:
-            if kind == "index" and inst == i:
-                return value
-        raise KeyError(f"index {i} not revealed yet")
+        return _entry(self.indices, i, "index")
 
     def prefix(self, i: int) -> BitString:
-        for kind, inst, value in self.revealed:
-            if kind == "prefix" and inst == i:
-                return value
-        raise KeyError(f"prefix {i} not revealed yet")
-
-    def with_message(self, player: int, msg: BitString) -> "Board":
-        return Board(self.messages + ((player, msg),), self.revealed)
-
-    def with_revealed(self, kind: str, inst: int, value) -> "Board":
-        return Board(self.messages, self.revealed + ((kind, inst, value),))
+        return _entry(self.prefixes, i, "prefix")
 
     def key(self) -> tuple:
-        """Hashable view of the contents: one bit tuple per message, then the
-        revealed items with bit strings as bit tuples."""
+        """Hashable view of the contents: one bit tuple per message, then
+        the indices and one bit tuple per prefix."""
         return (
-            tuple(m.bits for _, m in self.messages),
-            tuple((kind, i, v.bits if isinstance(v, BitString) else v) for kind, i, v in self.revealed),
+            tuple(m.bits for m in self.messages),
+            (self.indices, tuple(p.bits for p in self.prefixes)),
         )
 
-
-@dataclass(frozen=True)
-class PlayerView:
-    """Private input of one sending player."""
-
-    string: BitString
-    prev_index: int | None = None
-    prev_prefix: BitString | None = None
-
-
-@dataclass(frozen=True)
-class DecodeView:
-    """Private input of the output player."""
-
-    index: int
-    prefix: BitString | None = None
+    def fingerprint(self) -> str:
+        """The contents as text: `M1:..;M2:..;index1:v;[prefix1:..;]index2:v..`."""
+        parts = [f"M{i}:{m.text}" for i, m in enumerate(self.messages, 1)]
+        for i, sigma in enumerate(self.indices, 1):
+            parts.append(f"index{i}:{sigma}")
+            if self.prefixes:
+                parts.append(f"prefix{i}:{self.prefixes[i - 1].text}")
+        return ";".join(parts)
 
 
-MessageFn = Callable[[int, PlayerView, Board, SharedRandomness], BitString]
-DecodeFn = Callable[[Board, DecodeView, SharedRandomness], int]
+def _entry(items: tuple, i: int, kind: str):
+    """Entry of player i (1-based); i <= 0 is refused, not read from the end."""
+    if not 1 <= i <= len(items):
+        raise KeyError(f"no {kind} of player {i} on the board")
+    return items[i - 1]
+
+
+MessageFn = Callable[[int, BitString, Board, SharedRandomness], BitString]
+DecodeFn = Callable[[Board, SharedRandomness], int]
 
 
 @dataclass(frozen=True)
@@ -143,50 +130,35 @@ class RunResult:
     board: Board
     output: int
     correct: bool
-    total_bits: int
 
 
 def run_chain_protocol(
     protocol: ProtocolSpec, inst: ChainInstance, shared: SharedRandomness, aug: bool = False
 ) -> RunResult:
-    """Execute players 1..k in order; each index is revealed for free after its
-    player speaks. With `aug` (the augmented variant) each reveal also places
-    the instance's prefix on the board, and every player additionally holds
-    the previous prefix."""
+    """Execute players 1..k in order; player i holds string i and sees the
+    board of players 1..i-1. Each index is revealed for free after its player
+    speaks; with `aug` (the augmented variant) so is the instance's prefix."""
     if protocol.n != inst.n or protocol.k != inst.k:
         raise ProtocolContractError(
             f"protocol declared for (n={protocol.n}, k={protocol.k}) "
             f"got instance (n={inst.n}, k={inst.k})"
         )
-    board = Board()
+    prefixes = tuple(inst.prefix_for(i) for i in range(1, inst.k + 1)) if aug else ()
+    messages: tuple[BitString, ...] = ()
     for i in range(1, inst.k + 1):
-        view = PlayerView(
-            string=inst.strings[i - 1],
-            prev_index=inst.indices[i - 2] if i > 1 else None,
-            prev_prefix=inst.prefix_for(i - 1) if (aug and i > 1) else None,
-        )
-        msg = protocol.message_fn(i, view, board, shared)
+        board = Board(messages, inst.indices[: i - 1], prefixes[: i - 1])
+        msg = protocol.message_fn(i, inst.strings[i - 1], board, shared)
         if not isinstance(msg, BitString) or len(msg) != protocol.message_lengths[i - 1]:
             raise ProtocolContractError(
                 f"player {i} declared {protocol.message_lengths[i - 1]} bits, "
                 f"sent {len(msg) if isinstance(msg, BitString) else msg!r}"
             )
-        board = board.with_message(i, msg).with_revealed("index", i, inst.indices[i - 1])
-        if aug:
-            board = board.with_revealed("prefix", i, inst.prefix_for(i))
-    decode_view = DecodeView(
-        index=inst.indices[-1],
-        prefix=inst.prefix_for(inst.k) if aug else None,
-    )
-    output = int(protocol.decode_fn(board, decode_view, shared))
+        messages += (msg,)
+    board = Board(messages, inst.indices, prefixes)
+    output = int(protocol.decode_fn(board, shared))
     if output not in (0, 1):
         raise ProtocolContractError(f"decode must output a bit, got {output}")
-    return RunResult(
-        board=board,
-        output=output,
-        correct=output == inst.answer,
-        total_bits=protocol.total_bits,
-    )
+    return RunResult(board=board, output=output, correct=output == inst.answer)
 
 
 def trivial_forward_protocol(n: int, k: int, mode: str = "all") -> ProtocolSpec:
@@ -204,13 +176,13 @@ def trivial_forward_protocol(n: int, k: int, mode: str = "all") -> ProtocolSpec:
     else:
         lengths = (0,) * (k - 1) + (n,)
 
-    def message(i: int, view: PlayerView, board: Board, shared: SharedRandomness) -> BitString:
+    def message(i: int, string: BitString, board: Board, shared: SharedRandomness) -> BitString:
         if mode == "last-only" and i < k:
             return BitString(())
-        return BitString(view.string.bits)
+        return BitString(string.bits)
 
-    def decode(board: Board, view: DecodeView, shared: SharedRandomness) -> int:
-        return board.message(k).bit(view.index)
+    def decode(board: Board, shared: SharedRandomness) -> int:
+        return board.message(k).bit(board.index(k))
 
     return ProtocolSpec(
         name="trivial-forward", n=n, k=k, message_lengths=lengths,
@@ -231,13 +203,12 @@ def sampled_bits_protocol(n: int, k: int, m: int) -> ProtocolSpec:
     def published(i: int, shared: SharedRandomness) -> tuple[int, ...]:
         return shared.positions(f"sampled-bits/positions/{i}", m, n)
 
-    def message(i: int, view: PlayerView, board: Board, shared: SharedRandomness) -> BitString:
-        return BitString(tuple(view.string.bit(pos) for pos in published(i, shared)))
+    def message(i: int, string: BitString, board: Board, shared: SharedRandomness) -> BitString:
+        return BitString(tuple(string.bit(pos) for pos in published(i, shared)))
 
-    def decode(board: Board, view: DecodeView, shared: SharedRandomness) -> int:
-        order = [k] + list(range(1, k))
-        for i in order:
-            sigma = view.index if i == k else board.index(i)
+    def decode(board: Board, shared: SharedRandomness) -> int:
+        for i in (k, *range(1, k)):
+            sigma = board.index(i)
             positions = published(i, shared)
             if sigma in positions:
                 return board.message(i).bit(positions.index(sigma) + 1)
@@ -299,10 +270,10 @@ def chained_majority_protocol(n: int, k: int, block_size: int) -> ProtocolSpec:
     def perm_for(i: int, shared: SharedRandomness) -> tuple[int, ...]:
         return shared.permutation(f"majority/perm/{i}", n)
 
-    def message(i: int, view: PlayerView, board: Board, shared: SharedRandomness) -> BitString:
-        return index_majority_encode(view.string, mask_for(i, shared), perm_for(i, shared), block_size)
+    def message(i: int, string: BitString, board: Board, shared: SharedRandomness) -> BitString:
+        return index_majority_encode(string, mask_for(i, shared), perm_for(i, shared), block_size)
 
-    def decode(board: Board, view: DecodeView, shared: SharedRandomness) -> int:
+    def decode(board: Board, shared: SharedRandomness) -> int:
         guesses = [
             index_majority_decode(
                 board.message(i), board.index(i), mask_for(i, shared), perm_for(i, shared), block_size
@@ -330,13 +301,11 @@ def truncation_protocol(n: int, k: int, t: int) -> ProtocolSpec:
     if not 0 <= t <= n:
         raise InvalidParameterError(f"t must lie in 0..n, got {t}")
 
-    def message(i: int, view: PlayerView, board: Board, shared: SharedRandomness) -> BitString:
-        return BitString(view.string.bits[:t])
+    def message(i: int, string: BitString, board: Board, shared: SharedRandomness) -> BitString:
+        return BitString(string.bits[:t])
 
-    def decode(board: Board, view: DecodeView, shared: SharedRandomness) -> int:
-        if view.index <= t:
-            return board.message(k).bit(view.index)
-        for i in range(1, k):
+    def decode(board: Board, shared: SharedRandomness) -> int:
+        for i in (k, *range(1, k)):
             sigma = board.index(i)
             if sigma <= t:
                 return board.message(i).bit(sigma)
@@ -353,10 +322,10 @@ def constant_protocol(n: int, k: int, bit: int = 0) -> ProtocolSpec:
     if bit not in (0, 1):
         raise InvalidParameterError(f"bit must be 0 or 1, got {bit}")
 
-    def message(i: int, view: PlayerView, board: Board, shared: SharedRandomness) -> BitString:
+    def message(i: int, string: BitString, board: Board, shared: SharedRandomness) -> BitString:
         return BitString(())
 
-    def decode(board: Board, view: DecodeView, shared: SharedRandomness) -> int:
+    def decode(board: Board, shared: SharedRandomness) -> int:
         return bit
 
     return ProtocolSpec(

@@ -308,6 +308,20 @@ class TestCli:
     def test_negative_seed_on_default_verify_exit_two(self):
         assert cli_main(["verify", "--seed", "-1"]) == 2
 
+    def test_named_majority_suite_runs_its_seeded_montecarlo(self, tmp_path):
+        successes = {}
+        for seed in (0, 5):
+            out = tmp_path / f"majority-{seed}.json"
+            assert cli_main(["verify", "--suite", "majority", "--seed", str(seed), "--out", str(out)]) == 0
+            checks = json.loads(out.read_bytes())["checks"]
+            (mc,) = [c for c in checks if c["check"] == "majority-montecarlo"]
+            assert mc["params"]["seed"] == seed
+            successes[seed] = mc["details"]["successes"]
+        assert successes[0] != successes[5]
+
+    def test_negative_seed_on_majority_verify_exit_two(self):
+        assert cli_main(["verify", "--suite", "majority", "--seed", "-1"]) == 2
+
     def test_non_integer_workers_env_exit_two(self, monkeypatch, capsys):
         monkeypatch.setenv("CHAINLAB_WORKERS", "abc")
         assert cli_main([

@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 
 from chainlab import (
+    BitString,
     InvalidParameterError,
     JointTable,
+    ProtocolSpec,
     ResourceLimitError,
     bias_grid,
     enumerate_balanced,
@@ -24,6 +26,7 @@ from chainlab import (
     verify_distribution_identity,
     verify_entropy_given_pool,
 )
+from chainlab.experiments import _fano_companion, suite_majority, suite_pmf
 from chainlab.oracle import (
     enumerated_majority_success,
     factorizes,
@@ -79,6 +82,66 @@ class TestDistributionIdentity:
         # n=4, theta=0: the structured total is 1*6*4 = 24, so one unit is 1/24
         assert report.passed is False
         assert report.lhs == Fraction(1, 24)
+
+
+class TestChecksCanFail:
+    """One injected fault per check, each turning `passed` to False."""
+
+    def test_moved_weight_fails_pmf(self, monkeypatch):
+        import chainlab.experiments as experiments_module
+
+        real = experiments_module.enumerate_support
+
+        def perturbed(n, theta, variant):
+            table = real(n, theta, variant)
+            weights = dict(table.weights)
+            first, second = sorted(weights, key=lambda key: (key[0].text, key[1]))[:2]
+            weights[first] -= 1
+            weights[second] += 1
+            return JointTable.from_weights(table.labels, weights)
+
+        monkeypatch.setattr(experiments_module, "enumerate_support", perturbed)
+        (report,) = suite_pmf(ns=(4,), theta=Fraction(0))
+        assert report.passed is False
+        assert report.lhs == "2 mismatched cells"
+
+    def test_next_block_decode_fails_majority_success(self, monkeypatch):
+        import chainlab.oracle as oracle_module
+
+        def next_block(summary, sigma, mask, perm, block_size):
+            blocks = len(summary)
+            block = (perm[sigma - 1] - 1) // block_size + 1
+            return summary.bit(block % blocks + 1) ^ mask.bit(sigma)
+
+        monkeypatch.setattr(oracle_module, "index_majority_decode", next_block)
+        reports = [r for r in suite_majority((1, 2, 4), enum_n=8, mc_trials=0)
+                   if r.check == "majority-protocol-success"]
+        assert [r.lhs for r in reports] == [1, Fraction(3, 4), Fraction(11, 16)]
+        assert [r.rhs for r in reports] == [Fraction(1, 2)] * 3
+        assert all(r.passed is False for r in reports)
+
+    def test_side_channel_protocol_fails_fano(self):
+        # the decoder reads the string through a closure, not the board: it is
+        # always right while the board says nothing about the answer
+        stash = {}
+
+        def message(i, string, board, shared):
+            stash["string"] = string
+            return BitString(())
+
+        p = ProtocolSpec(
+            name="side-channel", n=4, k=1, message_lengths=(0,),
+            message_fn=message, decode_fn=lambda board, shared: stash["string"].bit(board.index(1)),
+        )
+        report = verify_chain_entropy_bound(p, 4, 1)
+        assert report.details["success"] == 1
+        assert report.lhs == 1.0
+        # the accounting bound is vacuous here (rhs -1.0), so it still passes
+        assert report.passed is True
+        assert report.rhs == -1.0
+        fano = _fano_companion(report)
+        assert fano.rhs == 0.0
+        assert fano.passed is False
 
 
 class TestEnumerateJoint:

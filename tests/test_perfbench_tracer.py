@@ -1,0 +1,22 @@
+"""The benchmark's traced mode patches chainlab names from outside; a name
+the program stops defining silently zeroes that layer's metrics. This pins
+the set of names the tracer cannot find."""
+import importlib.util
+from pathlib import Path
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def test_tracer_finds_every_patched_name():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    tracer = module.Tracer()
+    tracer.install()
+    try:
+        assert tracer.missing == {
+            "chainlab.oracle.run_aug_chain_protocol",
+            "chainlab.montecarlo.run_aug_chain_protocol",
+        }
+    finally:
+        tracer.uninstall()

@@ -72,12 +72,13 @@ class TestEngine:
             inst = sample_chain(6, 2, rng)
             result = run_chain_protocol(p, inst, SharedRandomness(1))
             assert result.correct
-            assert result.total_bits == 12
+            assert sum(len(m) for m in result.board.messages) == p.total_bits == 12
 
     def test_trivial_forward_board_message(self):
         inst = ChainInstance(2, 1, (BitString("10"),), (1,), 1)
         result = run_chain_protocol(trivial_forward_protocol(2, 1), inst, SharedRandomness(0))
-        assert result.board.messages[0] == (1, BitString("10"))
+        assert result.board.messages == (BitString("10"),)
+        assert result.board.message(1) == BitString("10")
 
     def test_last_only_mode(self):
         p = trivial_forward_protocol(4, 3, mode="last-only")
@@ -90,8 +91,8 @@ class TestEngine:
     def test_declared_length_enforced(self):
         broken = ProtocolSpec(
             name="broken", n=2, k=1, message_lengths=(2,),
-            message_fn=lambda i, view, board, shared: BitString("1"),
-            decode_fn=lambda board, view, shared: 0,
+            message_fn=lambda i, string, board, shared: BitString("1"),
+            decode_fn=lambda board, shared: 0,
         )
         inst = ChainInstance(2, 1, (BitString("10"),), (1,), 1)
         with pytest.raises(ProtocolContractError):
@@ -106,9 +107,9 @@ class TestEngine:
     def test_indices_revealed_in_order(self):
         inst = next(all_instances(4, 2))
         result = run_chain_protocol(truncation_protocol(4, 2, 2), inst, SharedRandomness(0))
-        kinds = [item[0] for item in result.board.revealed]
-        assert kinds == ["index", "index"]
-        assert [item[1] for item in result.board.revealed] == [1, 2]
+        assert result.board.indices == inst.indices
+        assert [result.board.index(i) for i in (1, 2)] == list(inst.indices)
+        assert result.board.prefixes == ()
 
     @pytest.mark.parametrize("build", [
         lambda: truncation_protocol(4, 2, 2),
@@ -132,10 +133,49 @@ class TestEngine:
                 first_message[key] = m1
 
     def test_board_key_is_hashable_view(self):
-        board = Board().with_message(1, BitString("10")).with_revealed("index", 1, 2)
-        board = board.with_revealed("prefix", 1, BitString("1"))
-        assert board.key() == (((1, 0),), (("index", 1, 2), ("prefix", 1, (1,))))
+        board = Board((BitString("10"),), (2,), (BitString("1"),))
+        assert board.key() == (((1, 0),), ((2,), ((1,),)))
         hash(board.key())
+
+    @pytest.mark.parametrize("i", [0, -1, 2])
+    def test_board_lookup_outside_players_raises(self, i):
+        # a bare tuple lookup would return the last entry at i = 0 and -1
+        board = Board((BitString("10"),), (2,), (BitString("1"),))
+        for read in (board.message, board.index, board.prefix):
+            with pytest.raises(KeyError):
+                read(i)
+
+    def test_board_fingerprint_text(self):
+        board = Board((BitString("10"), BitString(())), (2, 3), (BitString("1"), BitString("01")))
+        assert board.fingerprint() == "M1:10;M2:;index1:2;prefix1:1;index2:3;prefix2:01"
+        assert Board((BitString("1"),), (2,)).fingerprint() == "M1:1;index1:2"
+
+    @pytest.mark.parametrize("aug", [False, True])
+    def test_each_player_sees_exactly_the_earlier_players(self, aug):
+        seen = []
+
+        def message(i, string, board, shared):
+            seen.append((i, string, board))
+            return BitString(())
+
+        def decode(board, shared):
+            seen.append(("decode", None, board))
+            return 0
+
+        p = ProtocolSpec(
+            name="recorder", n=4, k=3, message_lengths=(0, 0, 0),
+            message_fn=message, decode_fn=decode,
+        )
+        inst = next(all_instances(4, 3))
+        run_chain_protocol(p, inst, SharedRandomness(0), aug=aug)
+        assert [entry[0] for entry in seen] == [1, 2, 3, "decode"]
+        prefixes = tuple(inst.prefix_for(i) for i in (1, 2, 3))
+        for spoken, (who, string, board) in enumerate(seen):
+            if who != "decode":
+                assert string == inst.strings[who - 1]
+            assert len(board.messages) == spoken
+            assert board.indices == inst.indices[:spoken]
+            assert board.prefixes == (prefixes[:spoken] if aug else ())
 
     def test_message_lengths_constant_across_inputs(self):
         for p in (
@@ -145,7 +185,7 @@ class TestEngine:
         ):
             for inst in all_instances(4, 2):
                 result = run_chain_protocol(p, inst, SharedRandomness(3))
-                lengths = tuple(len(m) for _, m in result.board.messages)
+                lengths = tuple(len(m) for m in result.board.messages)
                 assert lengths == p.message_lengths
 
 
@@ -160,19 +200,19 @@ class TestAugEngine:
     def test_transcript_contains_k_prefixes_and_k_indices(self):
         inst = next(all_instances(4, 3))
         result = run_chain_protocol(truncation_protocol(4, 3, 1), inst, SharedRandomness(0), aug=True)
-        kinds = Counter(item[0] for item in result.board.revealed)
-        assert kinds == {"index": 3, "prefix": 3}
+        assert result.board.indices == inst.indices
+        assert result.board.prefixes == tuple(inst.prefix_for(i) for i in (1, 2, 3))
 
     def test_decode_sees_last_prefix(self):
         # decoder outputs the parity of its prefix when the index is past 1
-        def decode(board, view, shared):
-            if view.index > 1:
-                return sum(view.prefix.bits) % 2
+        def decode(board, shared):
+            if board.index(1) > 1:
+                return sum(board.prefix(1).bits) % 2
             return 0
 
         p = ProtocolSpec(
             name="prefix-parity", n=4, k=1, message_lengths=(0,),
-            message_fn=lambda i, view, board, shared: BitString(()),
+            message_fn=lambda i, string, board, shared: BitString(()),
             decode_fn=decode,
         )
         inst = ChainInstance(4, 1, (BitString("0110"),), (3,), 1)
@@ -180,24 +220,24 @@ class TestAugEngine:
         assert result.output == (0 + 1) % 2
 
     def test_players_hold_previous_prefix(self):
-        # player 2 must privately hold X_1(<sigma_1); echo it as the message
-        def message(i, view, board, shared):
+        # player 2 must see X_1(<sigma_1) on the board; echo it as the message
+        def message(i, string, board, shared):
             if i == 2:
-                bits = view.prev_prefix.bits
+                bits = board.prefix(1).bits
                 return BitString(bits + (0,) * (4 - len(bits)))
             return BitString((0,) * 4)
 
         p = ProtocolSpec(
             name="echo-prefix", n=4, k=2, message_lengths=(4, 4),
             message_fn=message,
-            decode_fn=lambda board, view, shared: 0,
+            decode_fn=lambda board, shared: 0,
         )
         inst = ChainInstance(
             4, 2, (BitString("0110"), BitString("1010")), (3, 1), 1
         )
         result = run_chain_protocol(p, inst, SharedRandomness(0), aug=True)
         padded = inst.prefix_for(1).bits + (0,) * (4 - 2)
-        assert result.board.messages[1] == (2, BitString(padded))
+        assert result.board.messages[1] == BitString(padded)
 
 
 class TestIndexMajorityCoding:
