@@ -12,6 +12,7 @@ import json
 import sys
 import time
 import traceback
+from dataclasses import fields
 
 from .errors import InvalidParameterError, ResourceLimitError, UsageError
 from .experiments import ExperimentConfig, emit_report, run_config
@@ -53,14 +54,12 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="JSON config file; explicit flags override it")
     common.add_argument("--out", help="output path (default: stdout)")
     common.add_argument("--format", choices=("json", "csv"), default=None)
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--workers", type=int, default=None,
-                        help=f"worker processes (default: ${WORKERS_ENV} or all cores)")
 
     verify = sub.add_parser("verify", parents=[common], help="run an exact verification suite")
     verify.add_argument("--suite", default=None, help="suite name (default: 'default')")
     verify.add_argument("--n", type=int, default=None)
     verify.add_argument("--theta", default=None, help="bias as a rational, e.g. 1/6")
+    verify.add_argument("--seed", type=int, default=None)
 
     simulate = sub.add_parser("simulate", parents=[common], help="Monte Carlo protocol success")
     simulate.add_argument("--protocol", default=None)
@@ -68,6 +67,9 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--k", type=int, default=None)
     simulate.add_argument("--trials", type=int, default=None)
     simulate.add_argument("--param", action="append", default=[], metavar="KEY=VAL")
+    simulate.add_argument("--seed", type=int, default=None)
+    simulate.add_argument("--workers", type=int, default=None,
+                          help=f"worker processes (default: ${WORKERS_ENV} or all cores)")
 
     table = sub.add_parser("table", parents=[common], help="plot-ready long-format tables")
     table.add_argument("--suite", default=None)
@@ -82,35 +84,15 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     if args.config:
         data = _load_config_file(args.config)
     data.setdefault("mode", args.command)
-
-    def override(key, value):
-        if value is not None:
-            data[key] = value
-
-    override("out", args.out)
-    override("format", args.format)
-    override("seed", args.seed)
+    names = {f.name for f in fields(ExperimentConfig)}
+    data.update((key, value) for key, value in vars(args).items() if key in names and value is not None)
     if args.command == "verify":
-        override("suite", args.suite)
         data.setdefault("suite", "default")
-        override("n", args.n)
-        if args.theta is not None:
-            data["theta"] = args.theta
     elif args.command == "simulate":
         if args.protocol is not None:
             data["protocol"] = {"name": args.protocol, "params": _parse_params(args.param)}
         elif args.param:
             raise UsageError("--param requires --protocol")
-        override("n", args.n)
-        override("k", args.k)
-        override("trials", args.trials)
-    elif args.command == "table":
-        override("suite", args.suite)
-        override("sweep", args.sweep)
-        if args.theta is not None:
-            data["theta"] = args.theta
-    data.setdefault("format", "json")
-    data.setdefault("seed", 0)
     return ExperimentConfig.from_dict(data)
 
 
@@ -120,7 +102,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         config = _config_from_args(args)
         started = time.monotonic()
-        payload, code = run_config(config, workers=args.workers)
+        payload, code = run_config(config, workers=getattr(args, "workers", None))
         elapsed = time.monotonic() - started
         body = emit_report(payload, config.format)
         if config.out:

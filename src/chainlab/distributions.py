@@ -202,7 +202,6 @@ def enumerate_support(
     n: int,
     theta,
     variant: str = "direct",
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> JointTable:
     """Exact (string, index) table of integer weights under either formulation."""
     if n < 2 or n % 2 != 0:
@@ -210,26 +209,20 @@ def enumerate_support(
     theta = BiasParam(Fraction(theta)).theta
     if variant == "direct":
         required = math.comb(n, n // 2) * n
-        if required > budget:
-            raise ResourceLimitError(
-                f"direct enumeration needs {required} points, budget is {budget}",
-                required=required,
-                budget=budget,
-            )
-        table = _direct_table(n, theta)
+        build = _direct_table
     elif variant == "structured":
         b = structured_pool_size(n, theta)
         required = math.comb(n, b) * math.comb(b, n // 2) * b
-        if required > budget:
-            raise ResourceLimitError(
-                f"structured enumeration needs {required} points, budget is {budget}",
-                required=required,
-                budget=budget,
-            )
-        table = _structured_table(n, theta)
+        build = _structured_table
     else:
         raise InvalidParameterError(f"variant must be 'direct' or 'structured', got {variant!r}")
-    return JointTable.from_weights(("string", "index"), table)
+    if required > DEFAULT_ENUMERATION_BUDGET:
+        raise ResourceLimitError(
+            f"{variant} enumeration needs {required} points, budget is {DEFAULT_ENUMERATION_BUDGET}",
+            required=required,
+            budget=DEFAULT_ENUMERATION_BUDGET,
+        )
+    return JointTable.from_weights(("string", "index"), build(n, theta))
 
 
 def write_support_csv(table: JointTable, fileobj) -> None:

@@ -10,7 +10,7 @@ class ProtocolContractError(RuntimeError):
 
 
 class ResourceLimitError(RuntimeError):
-    """An exact enumeration would exceed the configured budget."""
+    """An exact enumeration would exceed the fixed enumeration budget."""
 
     def __init__(self, message: str, required: int | None = None, budget: int | None = None):
         super().__init__(message)

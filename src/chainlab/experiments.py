@@ -11,7 +11,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import partial
 from typing import Any, Callable, Mapping, Sequence
@@ -41,6 +41,14 @@ from .protocols import truncation_protocol
 from .report import VerificationReport, to_jsonable
 
 
+# the fields each mode reads besides mode, out and format; a config that
+# sets any other field away from its default is a usage error
+MODE_FIELDS: dict[str, tuple[str, ...]] = {
+    "simulate": ("protocol", "n", "k", "trials", "seed"),
+    "verify": ("suite", "n", "theta", "seed"),
+    "table": ("suite", "sweep", "theta"),
+}
+
 # the type each config field must have when it is set; fields whose default
 # is None may also be null
 _CONFIG_TYPES: dict[str, type | tuple[type, ...]] = {
@@ -66,10 +74,14 @@ class ExperimentConfig:
     format: str = "json"
 
     def validate(self) -> None:
-        if self.mode not in ("simulate", "verify", "table"):
+        if self.mode not in MODE_FIELDS:
             raise UsageError(f"mode must be simulate, verify, or table, got {self.mode!r}")
         if self.format not in ("json", "csv"):
             raise UsageError(f"format must be json or csv, got {self.format!r}")
+        read = ("mode", "out", "format", *MODE_FIELDS[self.mode])
+        unread = [f.name for f in fields(self) if f.name not in read and getattr(self, f.name) != f.default]
+        if unread:
+            raise UsageError(f"mode {self.mode!r} does not read the config fields {unread}")
         if self.mode == "simulate":
             if not self.protocol or "name" not in self.protocol:
                 raise UsageError("simulate requires protocol.name")
@@ -88,20 +100,7 @@ class ExperimentConfig:
     def to_json_dict(self) -> dict:
         # the output path is where the report goes, not part of what it says;
         # leaving it out keeps equal configs byte-identical across destinations
-        return to_jsonable(
-            {
-                "mode": self.mode,
-                "n": self.n,
-                "k": self.k,
-                "theta": self.theta,
-                "protocol": dict(self.protocol) if self.protocol else None,
-                "trials": self.trials,
-                "seed": self.seed,
-                "suite": self.suite,
-                "sweep": self.sweep,
-                "format": self.format,
-            }
-        )
+        return to_jsonable({f.name: getattr(self, f.name) for f in fields(self) if f.name != "out"})
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentConfig":
@@ -461,8 +460,9 @@ SUITES: dict[str, Suite] = {
 def run_suite(name: str, n: int | None = None, theta: Fraction | None = None, seed: int = 0) -> list[VerificationReport]:
     """Run a named suite, optionally restricted to one n / one theta.
 
-    An n or theta that the suite would not use is a usage error, not ignored:
-    the default suite runs its preset sizes, so it takes no n.
+    An n, theta or nonzero seed that the suite would not use is a usage
+    error, not ignored: the default suite runs its preset sizes, so it takes
+    no n.
     """
     if name == "default":
         if n is not None:
@@ -475,10 +475,9 @@ def run_suite(name: str, n: int | None = None, theta: Fraction | None = None, se
     if name not in SUITES:
         raise UsageError(f"unknown suite {name!r}; available: {sorted(SUITES) + ['default']}")
     suite = SUITES[name]
-    if n is not None and "ns" not in suite.takes:
-        raise UsageError(f"suite {name!r} takes no n")
-    if theta is not None and "theta" not in suite.takes:
-        raise UsageError(f"suite {name!r} takes no theta")
+    for option, key, value in (("n", "ns", n), ("theta", "theta", theta), ("seed", "seed", seed or None)):
+        if value is not None and key not in suite.takes:
+            raise UsageError(f"suite {name!r} takes no {option}")
     return suite.run({}, ns=(n,) if n is not None else None, theta=theta, seed=seed)
 
 
@@ -533,7 +532,7 @@ def table_rows(suite: str, sweep: str, theta: Fraction | None = None) -> tuple[l
             [r.check, r.params["n"], str(r.params["theta"]), r.params["pool_size"], r.lhs, r.rhs, r.passed]
             for r in reports
         ]
-    if theta is not None and suite in ("majority", "anticoncentration"):
+    if theta is not None and suite in SUITES and "theta" not in SUITES[suite].takes:
         raise UsageError(f"suite {suite!r} takes no theta")
     if suite == "majority":
         if var != "B":

@@ -94,10 +94,6 @@ def _majority_batch(seed: int, batch_index: int, count: int, k: int, block_size:
     return wins + ties
 
 
-def _majority_task(args: tuple) -> int:
-    return _majority_batch(*args)
-
-
 def _vectorized_successes(protocol: ProtocolSpec, trials: int, seed: int, workers: int) -> int:
     block_size = int(protocol.params["B"])
     batches = []
@@ -110,17 +106,17 @@ def _vectorized_successes(protocol: ProtocolSpec, trials: int, seed: int, worker
         remaining -= count
     if workers > 1 and len(batches) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return sum(pool.map(_majority_task, batches))
-    return sum(_majority_task(task) for task in batches)
+            return sum(pool.map(_majority_batch, *zip(*batches)))
+    return sum(_majority_batch(*task) for task in batches)
 
 
-def _generic_successes(protocol: ProtocolSpec, n: int, k: int, trials: int, seed: int, aug: bool) -> int:
+def _generic_successes(protocol: ProtocolSpec, n: int, k: int, trials: int, seed: int) -> int:
     successes = 0
     for t in range(trials):
         rng = random.Random(derive_seed("mc-instance", seed, t))
         inst = sample_chain(n, k, rng)
         shared = SharedRandomness(derive_seed("mc-shared", seed, t))
-        successes += run_chain_protocol(protocol, inst, shared, aug).correct
+        successes += run_chain_protocol(protocol, inst, shared).correct
     return successes
 
 
@@ -131,7 +127,6 @@ def montecarlo_success(
     trials: int,
     seed: int,
     workers: int | None = None,
-    aug: bool = False,
 ) -> MonteCarloEstimate:
     """Estimate a protocol's success probability over the hard distribution."""
     if trials < 1:
@@ -142,10 +137,10 @@ def montecarlo_success(
         raise ProtocolContractError(
             f"protocol declared for (n={protocol.n}, k={protocol.k}), requested (n={n}, k={k})"
         )
-    if protocol.simulator == "majority" and not aug and int(protocol.params["B"]) <= 64:
+    if protocol.simulator == "majority" and int(protocol.params["B"]) <= 64:
         successes = _vectorized_successes(protocol, trials, seed, resolve_workers(workers))
     else:
-        successes = _generic_successes(protocol, n, k, trials, seed, aug)
+        successes = _generic_successes(protocol, n, k, trials, seed)
     return MonteCarloEstimate.from_counts(successes, trials, seed)
 
 

@@ -54,13 +54,13 @@ MessageFunction = Callable[[BalancedString], BitString]
 # distribution checks
 
 
-def verify_distribution_identity(n: int, theta, budget: int = DEFAULT_ENUMERATION_BUDGET) -> VerificationReport:
+def verify_distribution_identity(n: int, theta) -> VerificationReport:
     """Exact total-variation distance between the two biased-index formulations."""
     if n > 10:
         raise InvalidParameterError(f"identity check is exact-enumeration only, n={n} > 10")
     theta = BiasParam(Fraction(theta)).theta
-    direct = enumerate_support(n, theta, "direct", budget=budget)
-    structured = enumerate_support(n, theta, "structured", budget=budget)
+    direct = enumerate_support(n, theta, "direct")
+    structured = enumerate_support(n, theta, "structured")
     distance = total_variation(direct, structured)
     return VerificationReport(
         check="distribution-identity",
@@ -181,25 +181,23 @@ def _support_runs(
     n: int,
     k: int,
     shared_seed: int,
-    aug: bool,
-    budget: int,
 ) -> tuple[dict[tuple, int], Fraction]:
     """One engine run per support point, in one pass: the integer weights of
     (answer, board) outcomes, keyed as _JOINT_LABELS, and the exact success
     probability."""
     required = chain_support_size(n, k)
-    if required > budget:
+    if required > DEFAULT_ENUMERATION_BUDGET:
         raise ResourceLimitError(
-            f"joint enumeration needs {required} support points, budget is {budget}",
+            f"joint enumeration needs {required} support points, budget is {DEFAULT_ENUMERATION_BUDGET}",
             required=required,
-            budget=budget,
+            budget=DEFAULT_ENUMERATION_BUDGET,
         )
     shared = SharedRandomness(shared_seed)
     weights: dict[tuple, int] = {}
     hits = 0
     for z, strs, idxs in _chain_support(n, k):
         inst = ChainInstance(n=n, k=k, strings=strs, indices=idxs, answer=z)
-        result = run_chain_protocol(protocol, inst, shared, aug)
+        result = run_chain_protocol(protocol, inst, shared)
         key = (z, *result.board.key())
         weights[key] = weights.get(key, 0) + 1
         hits += result.correct
@@ -211,12 +209,10 @@ def enumerate_joint(
     n: int,
     k: int,
     shared_seed: int = 0,
-    aug: bool = False,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> JointTable:
     """Exact joint law of (answer, board) under the hard distribution, with
     the protocol made deterministic by fixing its shared seed."""
-    weights, _ = _support_runs(protocol, n, k, shared_seed, aug, budget)
+    weights, _ = _support_runs(protocol, n, k, shared_seed)
     return JointTable.from_weights(_JOINT_LABELS, weights)
 
 
@@ -230,11 +226,9 @@ def exact_protocol_success(
     n: int,
     k: int,
     shared_seed: int = 0,
-    aug: bool = False,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> Fraction:
     """Exact success probability under the hard distribution at a fixed shared seed."""
-    _, success = _support_runs(protocol, n, k, shared_seed, aug, budget)
+    _, success = _support_runs(protocol, n, k, shared_seed)
     return success
 
 
@@ -243,7 +237,6 @@ def verify_chain_entropy_bound(
     n: int,
     k: int,
     shared_seed: int = 0,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> VerificationReport:
     """Answer-entropy accounting for a chained run.
 
@@ -255,7 +248,7 @@ def verify_chain_entropy_bound(
     callers can also assert the upper direction for better-than-even
     protocols.
     """
-    weights, success = _support_runs(protocol, n, k, shared_seed, False, budget)
+    weights, success = _support_runs(protocol, n, k, shared_seed)
     joint = JointTable.from_weights(_JOINT_LABELS, weights)
     lhs = posterior_answer_entropy(joint)
     h_messages = entropy(joint.marginal(("messages",)))

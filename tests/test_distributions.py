@@ -19,7 +19,7 @@ from chainlab import (
     sample_chain,
     validate_instance,
 )
-from chainlab.distributions import write_support_csv
+from chainlab.distributions import DEFAULT_ENUMERATION_BUDGET, write_support_csv
 from chainlab.info_theory import total_variation
 
 from util import chi2_quantile, chi2_stat
@@ -263,9 +263,9 @@ class TestEnumerateSupport:
 
     def test_budget_error_reports_requirement(self):
         with pytest.raises(ResourceLimitError) as err:
-            enumerate_support(8, 0, "direct", budget=10)
-        assert err.value.required == math.comb(8, 4) * 8
-        assert err.value.budget == 10
+            enumerate_support(22, 0, "direct")
+        assert err.value.required == math.comb(22, 11) * 22
+        assert err.value.budget == DEFAULT_ENUMERATION_BUDGET
 
     def test_bad_variant(self):
         with pytest.raises(InvalidParameterError):

@@ -1,15 +1,21 @@
+import argparse
 import json
+import re
 import time
+from dataclasses import fields
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainlab import ExperimentConfig, UsageError, emit_report, run_config, run_suite
+from chainlab.cli import _build_parser
 from chainlab.cli import main as cli_main
 from chainlab.errors import ResourceLimitError
-from chainlab.experiments import parse_sweep, table_rows
+from chainlab.experiments import MODE_FIELDS, SUITES, parse_sweep, table_rows
+from chainlab.protocols import PROTOCOLS
 
 
 class TestConfig:
@@ -36,6 +42,10 @@ class TestConfig:
     def test_unknown_mode(self):
         with pytest.raises(UsageError):
             ExperimentConfig(mode="explore").validate()
+
+    def test_field_the_mode_does_not_read_rejected(self):
+        with pytest.raises(UsageError, match="seed"):
+            ExperimentConfig(mode="table", suite="majority", sweep="B=1..4", seed=5).validate()
 
     def test_unknown_fields_rejected(self):
         with pytest.raises(UsageError):
@@ -198,6 +208,9 @@ class TestSuites:
         assert elapsed < 60
 
 
+SIMULATE_SMALL = ["simulate", "--protocol", "truncation", "--n", "4", "--k", "1", "--param", "t=2", "--trials", "10"]
+
+
 class TestCli:
     def test_simulate_writes_report(self, tmp_path):
         out = tmp_path / "report.json"
@@ -253,6 +266,34 @@ class TestCli:
     ])
     def test_option_the_suite_does_not_take_exit_two(self, args):
         assert cli_main(["verify", *args]) == 2
+
+    @pytest.mark.parametrize("args", [
+        ["table", "--suite", "majority", "--sweep", "B=1..4:*2", "--seed", "5"],
+        ["verify", "--suite", "pmf", "--n", "4", "--workers", "2"],
+        ["verify", "--suite", "pmf", "--seed", "5"],
+        ["verify", "--suite", "anticoncentration", "--seed", "3"],
+    ])
+    def test_option_nothing_reads_exit_two(self, args):
+        # argparse rejects a flag the subcommand lacks by exiting the process with 2
+        try:
+            code = cli_main(args)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+
+    @pytest.mark.parametrize("args,field", [
+        (["verify", "--suite", "pmf", "--n", "4"], {"k": 3}),
+        (["verify", "--suite", "pmf", "--n", "4"], {"sweep": "n=4..8"}),
+        (SIMULATE_SMALL, {"suite": "pmf"}),
+        (SIMULATE_SMALL, {"theta": "1/4"}),
+        (["table", "--suite", "majority", "--sweep", "B=1..4"], {"seed": 5}),
+        (["table", "--suite", "majority", "--sweep", "B=1..4"], {"n": 4}),
+    ])
+    def test_config_field_the_mode_does_not_read_exit_two(self, tmp_path, args, field):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(field))
+        assert cli_main(args + ["--out", str(tmp_path / "report")]) == 0
+        assert cli_main(args + ["--config", str(config_path)]) == 2
 
     def test_odd_n_pool_table_exit_two(self):
         assert cli_main(["table", "--suite", "entropy-given-pool", "--sweep", "n=3..5"]) == 2
@@ -403,3 +444,28 @@ class TestCli:
         lines = out.read_text().splitlines()
         assert lines[0] == "check,t,c,probability,bound,pass"
         assert len(lines) == 9
+
+
+class TestDrift:
+    """The parser, the mode table and the README name the same options."""
+
+    def test_every_config_flag_is_a_field_its_mode_reads(self):
+        parser = _build_parser()
+        (commands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        names = {f.name for f in fields(ExperimentConfig)}
+        assert set(commands) == set(MODE_FIELDS)
+        for command, sub in commands.items():
+            flags = {a.dest: a.option_strings for a in sub._actions if a.dest in names}
+            assert set(flags) == {*MODE_FIELDS[command], "out", "format"}, command
+            if "protocol" in flags:
+                assert flags["protocol"] == ["--protocol"]
+
+    @staticmethod
+    def _readme_names(label: str) -> set[str]:
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        listing = readme.split(f"{label}:", 1)[1].split(".", 1)[0]
+        return set(re.findall(r"`([^`]+)`", re.sub(r"\([^)]*\)", "", listing)))
+
+    def test_readme_lists_every_suite_and_protocol(self):
+        assert self._readme_names("Suites") == {*SUITES, "default"}
+        assert self._readme_names("Protocols") == set(PROTOCOLS)

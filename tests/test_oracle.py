@@ -26,7 +26,9 @@ from chainlab import (
     verify_distribution_identity,
     verify_entropy_given_pool,
 )
-from chainlab.experiments import _fano_companion, suite_majority, suite_pmf
+from chainlab.distributions import DEFAULT_ENUMERATION_BUDGET
+from chainlab.experiments import _fano_companion, suite_binomial_bounds, suite_entropy_pool, suite_majority, suite_pmf
+from chainlab.montecarlo import MonteCarloEstimate
 from chainlab.oracle import (
     enumerated_majority_success,
     factorizes,
@@ -67,8 +69,8 @@ class TestDistributionIdentity:
 
         real = oracle_module.enumerate_support
 
-        def perturbed(n, theta, variant, budget):
-            table = real(n, theta, variant, budget=budget)
+        def perturbed(n, theta, variant):
+            table = real(n, theta, variant)
             if variant != "structured":
                 return table
             weights = dict(table.weights)
@@ -143,6 +145,58 @@ class TestChecksCanFail:
         assert fano.rhs == 0.0
         assert fano.passed is False
 
+    def test_zero_log_binomial_fails_restricted_support_entropy(self, monkeypatch):
+        import chainlab.oracle as oracle_module
+
+        monkeypatch.setattr(oracle_module, "log_binomial", lambda b, h: 0.0)
+        report = verify_entropy_given_pool(64, 0)
+        assert (report.lhs, report.rhs) == (0.0, 52.0)
+        assert report.passed is False
+        # at n=4, theta=0 the right side is 4 - 2 log2 4 = 0, so no fault can fail it
+        assert verify_entropy_given_pool(4, 0).rhs == 0.0
+        assert verify_entropy_given_pool(4, 0).passed is True
+
+    def test_unit_entropy_ratio_fails_restricted_support_entropy_sweep(self, monkeypatch):
+        import chainlab.oracle as oracle_module
+
+        assert sweep_entropy_given_pool(32)[:2] == (136, 0)
+        monkeypatch.setattr(oracle_module, "binary_entropy_ratio", lambda a, b: 1.0)
+        assert sweep_entropy_given_pool(32)[:2] == (136, 7)
+        (report,) = suite_entropy_pool(ns=(), sweep_to=32)
+        assert report.check == "restricted-support-entropy-sweep"
+        assert report.lhs == "7 failures"
+        assert report.passed is False
+
+    def test_wrong_pi_bracket_fails_binomial_bounds_sweep(self, monkeypatch):
+        import chainlab.info_theory as info_theory_module
+
+        monkeypatch.setattr(info_theory_module, "_PI_LO", Fraction(4))
+        monkeypatch.setattr(info_theory_module, "_PI_HI", Fraction(4) + Fraction(1, 10**15))
+        (report,) = suite_binomial_bounds(64, 16)
+        assert report.check == "binomial-entropy-bounds-sweep"
+        assert report.details["checks"] == report.details["corrected_failures"] == 888
+        assert report.passed is False
+
+    def test_even_odds_estimate_fails_majority_montecarlo(self, monkeypatch):
+        import chainlab.experiments as experiments_module
+
+        def even_odds(name, n, k, params, trials, seed, workers=None):
+            return MonteCarloEstimate.from_counts(10000, 20000, seed)
+
+        monkeypatch.setattr(experiments_module, "montecarlo_success_by_name", even_odds)
+        (report,) = [r for r in suite_majority((1,), enum_n=8) if r.check == "majority-montecarlo"]
+        assert (report.lhs, report.rhs) == (0.5, 0.6875)
+        assert report.passed is False
+
+    def test_no_advantage_fails_majority_advantage_floor(self, monkeypatch):
+        import chainlab.experiments as experiments_module
+
+        monkeypatch.setattr(experiments_module, "exact_majority_success", lambda b: Fraction(1, 2))
+        (report,) = [r for r in suite_majority((1,), enum_n=8, mc_trials=0)
+                     if r.check == "majority-advantage-floor"]
+        assert (report.lhs, report.rhs) == (Fraction(1, 2), Fraction(33, 64))
+        assert report.passed is False
+
 
 class TestEnumerateJoint:
     def test_support_n2_k1(self):
@@ -158,8 +212,9 @@ class TestEnumerateJoint:
 
     def test_budget(self):
         with pytest.raises(ResourceLimitError) as err:
-            enumerate_joint(trivial_forward_protocol(6, 2), 6, 2, budget=100)
-        assert err.value.required == 2 * 60 * 60
+            enumerate_joint(trivial_forward_protocol(8, 3), 8, 3)
+        assert err.value.required == 2 * 280**3
+        assert err.value.budget == DEFAULT_ENUMERATION_BUDGET
 
     def test_total_probability_exact(self):
         joint = enumerate_joint(truncation_protocol(4, 2, 2), 4, 2)
