@@ -100,6 +100,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a bad flag, 0 after --help
+        return exc.code
+    try:
         config = _config_from_args(args)
         started = time.monotonic()
         payload, code = run_config(config, workers=getattr(args, "workers", None))

@@ -119,8 +119,12 @@ class ExperimentConfig:
             except (ValueError, ZeroDivisionError) as exc:
                 raise UsageError(f"bad theta {values['theta']!r}: {exc}") from exc
         protocol = values.get("protocol")
-        if protocol is not None and not isinstance(protocol.get("params", {}), Mapping):
-            raise UsageError(f"config field 'protocol.params' must be an object, got {protocol['params']!r}")
+        if protocol is not None:
+            unknown = set(protocol) - {"name", "params"}
+            if unknown:
+                raise UsageError(f"unknown config fields in 'protocol': {sorted(unknown)}")
+            if not isinstance(protocol.get("params", {}), Mapping):
+                raise UsageError(f"config field 'protocol.params' must be an object, got {protocol['params']!r}")
         return cls(**values)
 
 

@@ -35,15 +35,17 @@ from .info_theory import (
     log_binomial,
     total_variation,
 )
-from .model import BalancedString, BitString, ChainInstance, balanced_strings, enumerate_balanced
+from .model import BalancedString, BitString, balanced_strings, enumerate_balanced
 from .protocols import (
     Board,
     ProtocolSpec,
     SharedRandomness,
+    check_size,
+    decoder_output,
     derive_seed,
     index_majority_decode,
     index_majority_encode,
-    run_chain_protocol,
+    player_message,
 )
 from .report import VerificationReport
 
@@ -159,11 +161,6 @@ def verify_conditional_independence(n: int, theta, trials: int = 0, seed: int = 
 # exact protocol enumeration
 
 
-def chain_support_size(n: int, k: int) -> int:
-    per_answer = math.comb(n, n // 2) * (n // 2)
-    return 2 * per_answer**k
-
-
 def _chain_support(n: int, k: int) -> Iterator[tuple[int, tuple, tuple]]:
     """All (answer, strings, indices) with positive probability; uniform weight each."""
     strings = list(enumerate_balanced(n))
@@ -176,32 +173,71 @@ def _chain_support(n: int, k: int) -> Iterator[tuple[int, tuple, tuple]]:
 _JOINT_LABELS = ("answer", "messages", "reveals")
 
 
+def _message_calls(n: int, lengths: tuple[int, ...]) -> int:
+    """Upper bound on the message calls of `_support_runs`: every balanced
+    string is tried on every board its player can see, and player i's
+    message and index multiply the boards by at most min(2^L_i, C(n, n/2)) * n."""
+    strings = math.comb(n, n // 2)
+    boards = 1
+    calls = 0
+    for length in lengths:
+        calls += strings * boards
+        boards *= min(2**length, strings) * n
+    return calls
+
+
 def _support_runs(
     protocol: ProtocolSpec,
     n: int,
     k: int,
     shared_seed: int,
 ) -> tuple[dict[tuple, int], Fraction]:
-    """One engine run per support point, in one pass: the integer weights of
-    (answer, board) outcomes, keyed as _JOINT_LABELS, and the exact success
-    probability."""
-    required = chain_support_size(n, k)
+    """The integer weights of (answer, board) outcomes, keyed as
+    _JOINT_LABELS, and the exact success probability.
+
+    Built one player at a time: a message depends only on its sender's string
+    and the board so far, so one message call per (board, string) serves
+    every support point that shares them, under both answers. Each board
+    carries the number of (strings, indices) prefixes that lead to it under
+    answer 0 and under answer 1; player i's index then fans out over the
+    positions whose bit equals the answer. The decoder runs once per final
+    board."""
+    check_size(protocol, n, k)
+    required = _message_calls(n, protocol.message_lengths)
     if required > DEFAULT_ENUMERATION_BUDGET:
         raise ResourceLimitError(
-            f"joint enumeration needs {required} support points, budget is {DEFAULT_ENUMERATION_BUDGET}",
+            f"joint enumeration needs {required} message calls, budget is {DEFAULT_ENUMERATION_BUDGET}",
             required=required,
             budget=DEFAULT_ENUMERATION_BUDGET,
         )
+    strings = balanced_strings(n)
     shared = SharedRandomness(shared_seed)
+    boards: dict = {(): [Board(), 1, 1]}  # -> [board, weight under answer 0, under answer 1]
+    for i in range(1, k + 1):
+        grown: dict = {}
+        for key, (board, *answer_weights) in boards.items():
+            for y in strings:
+                message = player_message(protocol, i, y, board, shared)
+                for sigma, bit in enumerate(y.bits, 1):
+                    weight = answer_weights[bit]
+                    if weight == 0:
+                        continue
+                    child = (key, message.bits, sigma)
+                    entry = grown.get(child)
+                    if entry is None:
+                        child_board = Board(board.messages + (message,), board.indices + (sigma,))
+                        entry = grown[child] = [child_board, 0, 0]
+                    entry[1 + bit] += weight
+        boards = grown
     weights: dict[tuple, int] = {}
-    hits = 0
-    for z, strs, idxs in _chain_support(n, k):
-        inst = ChainInstance(n=n, k=k, strings=strs, indices=idxs, answer=z)
-        result = run_chain_protocol(protocol, inst, shared)
-        key = (z, *result.board.key())
-        weights[key] = weights.get(key, 0) + 1
-        hits += result.correct
-    return weights, Fraction(hits, required)
+    hits = total = 0
+    for board, *answer_weights in boards.values():
+        hits += answer_weights[decoder_output(protocol, board, shared)]
+        for z, weight in enumerate(answer_weights):
+            if weight:
+                weights[(z, *board.key())] = weight
+                total += weight
+    return weights, Fraction(hits, total)
 
 
 def enumerate_joint(

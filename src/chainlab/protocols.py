@@ -132,32 +132,51 @@ class RunResult:
     correct: bool
 
 
+def check_size(protocol: ProtocolSpec, n: int, k: int) -> None:
+    """Refuse a run at another (n, k) than the protocol was declared for."""
+    if protocol.n != n or protocol.k != k:
+        raise ProtocolContractError(
+            f"protocol declared for (n={protocol.n}, k={protocol.k}) "
+            f"got instance (n={n}, k={k})"
+        )
+
+
+def player_message(
+    protocol: ProtocolSpec, i: int, string: BitString, board: Board, shared: SharedRandomness
+) -> BitString:
+    """Player i's message, holding `string` and seeing `board` (players
+    1..i-1), checked against its declared length."""
+    msg = protocol.message_fn(i, string, board, shared)
+    if not isinstance(msg, BitString) or len(msg) != protocol.message_lengths[i - 1]:
+        raise ProtocolContractError(
+            f"player {i} declared {protocol.message_lengths[i - 1]} bits, "
+            f"sent {len(msg) if isinstance(msg, BitString) else msg!r}"
+        )
+    return msg
+
+
+def decoder_output(protocol: ProtocolSpec, board: Board, shared: SharedRandomness) -> int:
+    """The decoder's answer on the final board, checked to be a bit."""
+    output = int(protocol.decode_fn(board, shared))
+    if output not in (0, 1):
+        raise ProtocolContractError(f"decode must output a bit, got {output}")
+    return output
+
+
 def run_chain_protocol(
     protocol: ProtocolSpec, inst: ChainInstance, shared: SharedRandomness, aug: bool = False
 ) -> RunResult:
     """Execute players 1..k in order; player i holds string i and sees the
     board of players 1..i-1. Each index is revealed for free after its player
     speaks; with `aug` (the augmented variant) so is the instance's prefix."""
-    if protocol.n != inst.n or protocol.k != inst.k:
-        raise ProtocolContractError(
-            f"protocol declared for (n={protocol.n}, k={protocol.k}) "
-            f"got instance (n={inst.n}, k={inst.k})"
-        )
+    check_size(protocol, inst.n, inst.k)
     prefixes = tuple(inst.prefix_for(i) for i in range(1, inst.k + 1)) if aug else ()
     messages: tuple[BitString, ...] = ()
     for i in range(1, inst.k + 1):
         board = Board(messages, inst.indices[: i - 1], prefixes[: i - 1])
-        msg = protocol.message_fn(i, inst.strings[i - 1], board, shared)
-        if not isinstance(msg, BitString) or len(msg) != protocol.message_lengths[i - 1]:
-            raise ProtocolContractError(
-                f"player {i} declared {protocol.message_lengths[i - 1]} bits, "
-                f"sent {len(msg) if isinstance(msg, BitString) else msg!r}"
-            )
-        messages += (msg,)
+        messages += (player_message(protocol, i, inst.strings[i - 1], board, shared),)
     board = Board(messages, inst.indices, prefixes)
-    output = int(protocol.decode_fn(board, shared))
-    if output not in (0, 1):
-        raise ProtocolContractError(f"decode must output a bit, got {output}")
+    output = decoder_output(protocol, board, shared)
     return RunResult(board=board, output=output, correct=output == inst.answer)
 
 

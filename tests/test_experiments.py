@@ -274,12 +274,12 @@ class TestCli:
         ["verify", "--suite", "anticoncentration", "--seed", "3"],
     ])
     def test_option_nothing_reads_exit_two(self, args):
-        # argparse rejects a flag the subcommand lacks by exiting the process with 2
-        try:
-            code = cli_main(args)
-        except SystemExit as exc:
-            code = exc.code
-        assert code == 2
+        # argparse rejects a flag the subcommand lacks; main returns its code 2
+        assert cli_main(args) == 2
+
+    def test_help_exit_zero(self, capsys):
+        assert cli_main(["verify", "--help"]) == 0
+        assert "--suite" in capsys.readouterr().out
 
     @pytest.mark.parametrize("args,field", [
         (["verify", "--suite", "pmf", "--n", "4"], {"k": 3}),
@@ -406,6 +406,15 @@ class TestCli:
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({"n": "4"}))
         assert cli_main(["verify", "--suite", "pmf", "--config", str(config_path)]) == 2
+
+    def test_config_protocol_key_nothing_reads_exit_two(self, tmp_path):
+        protocol = {"name": "truncation", "params": {"t": 2}}
+        config_path = tmp_path / "config.json"
+        args = ["simulate", "--n", "4", "--k", "1", "--trials", "10", "--config", str(config_path)]
+        config_path.write_text(json.dumps({"protocol": protocol}))
+        assert cli_main(args + ["--out", str(tmp_path / "report")]) == 0
+        config_path.write_text(json.dumps({"protocol": {**protocol, "junk": 1}}))
+        assert cli_main(args) == 2
 
     def test_config_list_exit_two(self, tmp_path):
         config_path = tmp_path / "config.json"

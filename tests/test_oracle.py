@@ -6,17 +6,23 @@ import pytest
 
 from chainlab import (
     BitString,
+    ChainInstance,
     InvalidParameterError,
     JointTable,
+    ProtocolContractError,
     ProtocolSpec,
     ResourceLimitError,
+    SharedRandomness,
     bias_grid,
+    chained_majority_protocol,
     enumerate_balanced,
     enumerate_joint,
     exact_majority_success,
     exact_protocol_success,
     majority_vote_success,
     posterior_answer_entropy,
+    run_chain_protocol,
+    sampled_bits_protocol,
     trivial_forward_protocol,
     truncation_protocol,
     verify_aug_biased_index_bound,
@@ -30,6 +36,8 @@ from chainlab.distributions import DEFAULT_ENUMERATION_BUDGET
 from chainlab.experiments import _fano_companion, suite_binomial_bounds, suite_entropy_pool, suite_majority, suite_pmf
 from chainlab.montecarlo import MonteCarloEstimate
 from chainlab.oracle import (
+    _chain_support,
+    _support_runs,
     enumerated_majority_success,
     factorizes,
     full_string_message_function,
@@ -122,25 +130,19 @@ class TestChecksCanFail:
         assert [r.rhs for r in reports] == [Fraction(1, 2)] * 3
         assert all(r.passed is False for r in reports)
 
-    def test_side_channel_protocol_fails_fano(self):
-        # the decoder reads the string through a closure, not the board: it is
-        # always right while the board says nothing about the answer
-        stash = {}
+    def test_wrong_posterior_entropy_fails_fano(self, monkeypatch):
+        import chainlab.oracle as oracle_module
 
-        def message(i, string, board, shared):
-            stash["string"] = string
-            return BitString(())
-
-        p = ProtocolSpec(
-            name="side-channel", n=4, k=1, message_lengths=(0,),
-            message_fn=message, decode_fn=lambda board, shared: stash["string"].bit(board.index(1)),
-        )
-        report = verify_chain_entropy_bound(p, 4, 1)
+        # truncation t=n reads every indexed bit, so success is 1 and the
+        # ceiling H2(1) is 0.0; an oracle that reports a posterior entropy of
+        # 1.0 must turn the estimator-ceiling check red
+        monkeypatch.setattr(oracle_module, "conditional_entropy", lambda joint, target, given: 1.0)
+        report = verify_chain_entropy_bound(truncation_protocol(4, 1, 4), 4, 1)
         assert report.details["success"] == 1
         assert report.lhs == 1.0
-        # the accounting bound is vacuous here (rhs -1.0), so it still passes
+        # the accounting bound is vacuous here (rhs 1 - (log2 6 + 4)/2 < 0), so it still passes
         assert report.passed is True
-        assert report.rhs == -1.0
+        assert report.rhs < 0
         fano = _fano_companion(report)
         assert fano.rhs == 0.0
         assert fano.passed is False
@@ -211,14 +213,64 @@ class TestEnumerateJoint:
         assert messages == {((),)}
 
     def test_budget(self):
+        # counted in message calls before any is made: 70 strings on each of
+        # 1, 560 and 560^2 boards (70 messages x 8 indices per player)
         with pytest.raises(ResourceLimitError) as err:
             enumerate_joint(trivial_forward_protocol(8, 3), 8, 3)
-        assert err.value.required == 2 * 280**3
+        assert err.value.required == 70 * (1 + 560 + 560**2)
         assert err.value.budget == DEFAULT_ENUMERATION_BUDGET
+
+    def test_random_protocol_n8_k3_enumerates(self):
+        # 2 * 280^3 support points, over the budget when each ran the engine
+        joint = enumerate_joint(random_chain_protocol(8, 3, 3, 0), 8, 3)
+        assert joint.total == 2 * 280**3
+        assert joint.marginal(("answer",)).entries == {(0,): Fraction(1, 2), (1,): Fraction(1, 2)}
 
     def test_total_probability_exact(self):
         joint = enumerate_joint(truncation_protocol(4, 2, 2), 4, 2)
         assert sum(joint.entries.values()) == 1
+
+
+def _engine_runs(protocol, n, k, shared_seed):
+    """The scalar engine once per support point: the reference for the pass."""
+    shared = SharedRandomness(shared_seed)
+    weights = Counter()
+    hits = 0
+    for z, strings, indices in _chain_support(n, k):
+        result = run_chain_protocol(protocol, ChainInstance(n, k, strings, indices, z), shared)
+        weights[(z, *result.board.key())] += 1
+        hits += result.correct
+    return dict(weights), Fraction(hits, sum(weights.values()))
+
+
+def _pass_subjects(n, k):
+    return [
+        *(truncation_protocol(n, k, t) for t in (0, 2, n)),
+        *(random_chain_protocol(n, k, 3, seed) for seed in (11, 12, 13)),
+        sampled_bits_protocol(n, k, 2),
+        chained_majority_protocol(n, k, 2),
+        trivial_forward_protocol(n, k, "last-only"),
+    ]
+
+
+class TestForwardPass:
+    @pytest.mark.parametrize("n,k", [(4, 1), (4, 2), (6, 2)])
+    def test_matches_scalar_engine(self, n, k):
+        for protocol in _pass_subjects(n, k):
+            assert _support_runs(protocol, n, k, 3) == _engine_runs(protocol, n, k, 3), protocol.name
+
+    @pytest.mark.parametrize("break_", ["size", "length", "output"])
+    def test_contract_checked_on_both_paths(self, break_):
+        p = ProtocolSpec(
+            name="broken", n=6 if break_ == "size" else 4, k=1, message_lengths=(1,),
+            message_fn=lambda i, string, board, shared: BitString("10" if break_ == "length" else "1"),
+            decode_fn=lambda board, shared: 2 if break_ == "output" else 0,
+        )
+        inst = ChainInstance(4, 1, (BitString("1100"),), (1,), 1)
+        with pytest.raises(ProtocolContractError):
+            run_chain_protocol(p, inst, SharedRandomness(0))
+        with pytest.raises(ProtocolContractError):
+            exact_protocol_success(p, 4, 1)
 
 
 class TestPosteriorAnswerEntropy:
@@ -290,6 +342,25 @@ class TestChainEntropyBound:
         report = verify_chain_entropy_bound(truncation_protocol(4, 1, 2), 4, 1)
         assert report.details["success"] == Fraction(3, 4)
         assert report.details["fano_pass"] is True
+
+    def test_side_channel_decoder_gains_nothing_over_its_board(self):
+        # the decoder reads a string stashed by the last message call, not the
+        # board; the enumeration decodes each board once, so the stash cannot
+        # carry the string of the support point being scored
+        stash = {}
+
+        def message(i, string, board, shared):
+            stash["string"] = string
+            return BitString(())
+
+        p = ProtocolSpec(
+            name="side-channel", n=4, k=1, message_lengths=(0,),
+            message_fn=message, decode_fn=lambda board, shared: stash["string"].bit(board.index(1)),
+        )
+        report = verify_chain_entropy_bound(p, 4, 1)
+        assert report.details["success"] == Fraction(1, 2)
+        assert report.lhs == 1.0
+        assert _fano_companion(report) is None
 
     def test_exact_success_via_oracle(self):
         assert exact_protocol_success(truncation_protocol(4, 1, 2), 4, 1) == Fraction(3, 4)

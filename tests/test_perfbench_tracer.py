@@ -15,6 +15,7 @@ def test_tracer_finds_every_patched_name():
     tracer.install()
     try:
         assert tracer.missing == {
+            "chainlab.oracle.run_chain_protocol",
             "chainlab.oracle.run_aug_chain_protocol",
             "chainlab.montecarlo.run_aug_chain_protocol",
         }
