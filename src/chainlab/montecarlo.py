@@ -1,15 +1,25 @@
 """Reproducible Monte Carlo estimation of protocol success.
 
-Protocols built with a vectorized simulator tag run as numpy batch kernels:
-trials are processed in fixed-size batches, and batch b draws its randomness
-from a stream derived from (master seed, b), so results are byte-identical
-for a given (parameters, seed) regardless of how batches are scheduled
-across workers. The batch layout is part of the determinism contract: the
-same seed always reproduces the same success count.
+A protocol tagged with a simulator (`ProtocolSpec.simulator`) runs as a numpy
+batch kernel. Trials are processed in batches of VECTOR_BATCH, and batch b
+draws all its randomness from one stream derived from (master seed, b), so
+the success count for given (parameters, seed) does not depend on how the
+batches are scheduled across worker processes: `workers` changes the speed of
+every kernel protocol, never its result. The batch layout is part of the
+determinism contract: the same seed always reproduces the same count.
 
-Anything else executes the generic engine trial by trial in one process;
-trial t derives its instance and shared-randomness streams from
-(master seed, t). Worker processes speed up only the vectorized path.
+- "truncation" and "sampled-bits": a batch samples instances of the hard
+  distribution as arrays (answer bits, indices, strings as bits) in chunks of
+  about CHUNK_CELLS string bits, in order, which bounds memory whatever the
+  batch size. The protocol's kernel computes the messages from the strings
+  and decodes them in the order its scalar protocol does.
+- "majority" (chained-majority with B <= 64): `_majority_batch` draws the
+  protocol's reduced form, without strings.
+
+Every other protocol executes the generic engine trial by trial in one
+process; trial t derives its instance and shared-randomness streams from
+(master seed, t). That path is also the reference the kernels are tested
+against. `numpy.random` is imported by the first batch, not by the package.
 """
 from __future__ import annotations
 
@@ -26,6 +36,8 @@ from .errors import InvalidParameterError, ProtocolContractError
 from .protocols import ProtocolSpec, SharedRandomness, build_protocol, derive_seed, run_chain_protocol
 
 VECTOR_BATCH = 1 << 16
+
+CHUNK_CELLS = 1 << 13
 
 WORKERS_ENV = "CHAINLAB_WORKERS"
 
@@ -51,22 +63,98 @@ class MonteCarloEstimate:
 
 
 def resolve_workers(workers: int | None = None) -> int:
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get(WORKERS_ENV)
-    if env:
+    """Worker processes for the batch kernels: `workers`, else $CHAINLAB_WORKERS,
+    else every core. A count below 1 is refused, not clamped."""
+    source = "workers"
+    if workers is None:
+        env = os.environ.get(WORKERS_ENV)
+        if not env:
+            return os.cpu_count() or 1
+        source = WORKERS_ENV
         try:
-            return max(1, int(env))
+            workers = int(env)
         except ValueError:
             raise InvalidParameterError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
+    if workers < 1:
+        raise InvalidParameterError(f"{source} must be >= 1, got {workers}")
+    return workers
 
 
 def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(batch_index,))))
 
 
-def _majority_batch(seed: int, batch_index: int, count: int, k: int, block_size: int) -> int:
+def _lowest(keys: np.ndarray, size: int) -> np.ndarray:
+    """Mask of the `size` smallest keys of each row (last axis) of a 3-d
+    array: exactly `size` per row, ties or not."""
+    mask = np.zeros(keys.shape, dtype=bool)
+    if size:
+        count, k, _ = keys.shape
+        chosen = np.argpartition(keys, size - 1, axis=-1)[..., :size]
+        mask[np.arange(count)[:, None, None], np.arange(k)[:, None], chosen] = True
+    return mask
+
+
+def sample_chain_batch(
+    rng: np.random.Generator, count: int, n: int, k: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`count` instances of the hard distribution as arrays: answer bits z
+    `(count,)`, 1-based indices `(count, k)` and strings `(count, k, n)` bool.
+
+    Each position gets a uniform random key, the indexed one forced below (z=1)
+    or above (z=0) all others; the n/2 lowest keys are the ones. So every string
+    is balanced with bit z at its index, and its other n/2 - z ones are a
+    uniform subset of the other n - 1 positions: the law of `sample_chain`.
+    """
+    answer = rng.integers(0, 2, size=count)
+    sigma = rng.integers(1, n + 1, size=(count, k))
+    keys = rng.random((count, k, n))
+    keys[np.arange(count)[:, None], np.arange(k), sigma - 1] = np.where(answer, -1.0, 2.0)[:, None]
+    return answer, sigma, _lowest(keys, n // 2)
+
+
+def _first_readable(readable: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per trial, whether any instance is readable and the 0-based player the
+    decoder reads: instance k first, then 1..k-1 (player k-1 when none is)."""
+    k = readable.shape[1]
+    order = np.concatenate((readable[:, -1:], readable[:, :-1]), axis=1)
+    return order.any(axis=1), (order.argmax(axis=1) - 1) % k
+
+
+def truncation_kernel(rng: np.random.Generator, strings: np.ndarray, sigma: np.ndarray, t: int) -> np.ndarray:
+    """Decoder outputs of `truncation_protocol` on a batch: every player sends
+    its first t bits; the decoder reads the first index inside a sent prefix,
+    else outputs 0. Draws nothing from `rng`."""
+    count = len(sigma)
+    if t == 0:
+        return np.zeros(count, dtype=np.int64)
+    hit, player = _first_readable(sigma <= t)
+    rows = np.arange(count)
+    messages = strings[..., :t]
+    bit = messages[rows, player, np.minimum(sigma[rows, player], t) - 1]
+    return np.where(hit, bit, 0)
+
+
+def sampled_bits_kernel(rng: np.random.Generator, strings: np.ndarray, sigma: np.ndarray, m: int) -> np.ndarray:
+    """Decoder outputs of `sampled_bits_protocol` on a batch: every (trial,
+    player) publishes its bits at m distinct positions drawn from `rng`, in
+    position order; the decoder reads the first index among its player's
+    positions, else one coin per trial, also drawn from `rng`."""
+    count, k, n = strings.shape
+    published = _lowest(rng.random((count, k, n)), m)
+    coin = rng.integers(0, 2, size=count)
+    if m == 0:
+        return coin
+    rows = np.arange(count)
+    messages = strings[published].reshape(count, k, m)
+    hit, player = _first_readable(published[rows[:, None], np.arange(k), sigma - 1])
+    # the decoder's bit sits at the rank of the index among the published positions
+    slot = published[rows, player].cumsum(axis=-1)[rows, sigma[rows, player] - 1] - 1
+    bit = messages[rows, player, np.maximum(slot, 0)]
+    return np.where(hit, bit, coin)
+
+
+def _majority_batch(rng: np.random.Generator, count: int, k: int, block_size: int) -> int:
     """Success count for one batch of the block-majority family.
 
     The shared mask and permutation make every instance's guess event
@@ -78,7 +166,6 @@ def _majority_batch(seed: int, batch_index: int, count: int, k: int, block_size:
     from the hard distribution; the agreement is covered by tests against
     the generic engine and the exact oracle.
     """
-    rng = _batch_rng(seed, batch_index)
     b = block_size
     halves = rng.integers(0, 1 << 32, size=(count, k, 2), dtype=np.uint64)
     words = (halves[..., 0] << np.uint64(32)) | halves[..., 1]
@@ -94,20 +181,37 @@ def _majority_batch(seed: int, batch_index: int, count: int, k: int, block_size:
     return wins + ties
 
 
+KERNELS = {"truncation": truncation_kernel, "sampled-bits": sampled_bits_kernel}
+
+
+def _has_kernel(protocol: ProtocolSpec) -> bool:
+    if protocol.simulator == "majority":
+        return int(protocol.params["B"]) <= 64
+    return protocol.simulator in KERNELS
+
+
+def _batch_successes(tag: str, n: int, k: int, params: dict, seed: int, batch_index: int, count: int) -> int:
+    """Success count of one batch, drawn from the stream of (seed, batch_index)."""
+    rng = _batch_rng(seed, batch_index)
+    if tag == "majority":
+        return _majority_batch(rng, count, k, int(params["B"]))
+    kernel = KERNELS[tag]
+    chunk = max(1, CHUNK_CELLS // (k * n))
+    successes = 0
+    for start in range(0, count, chunk):
+        answer, sigma, strings = sample_chain_batch(rng, min(chunk, count - start), n, k)
+        successes += int((kernel(rng, strings, sigma, **params) == answer).sum())
+    return successes
+
+
 def _vectorized_successes(protocol: ProtocolSpec, trials: int, seed: int, workers: int) -> int:
-    block_size = int(protocol.params["B"])
-    batches = []
-    index = 0
-    remaining = trials
-    while remaining > 0:
-        count = min(VECTOR_BATCH, remaining)
-        batches.append((seed, index, count, protocol.k, block_size))
-        index += 1
-        remaining -= count
-    if workers > 1 and len(batches) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return sum(pool.map(_majority_batch, *zip(*batches)))
-    return sum(_majority_batch(*task) for task in batches)
+    counts = [min(VECTOR_BATCH, trials - start) for start in range(0, trials, VECTOR_BATCH)]
+    tasks = [(protocol.simulator, protocol.n, protocol.k, protocol.params, seed, index, count)
+             for index, count in enumerate(counts)]
+    if workers > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+            return sum(pool.map(_batch_successes, *zip(*tasks)))
+    return sum(_batch_successes(*task) for task in tasks)
 
 
 def _generic_successes(protocol: ProtocolSpec, n: int, k: int, trials: int, seed: int) -> int:
@@ -137,8 +241,11 @@ def montecarlo_success(
         raise ProtocolContractError(
             f"protocol declared for (n={protocol.n}, k={protocol.k}), requested (n={n}, k={k})"
         )
-    if protocol.simulator == "majority" and int(protocol.params["B"]) <= 64:
-        successes = _vectorized_successes(protocol, trials, seed, resolve_workers(workers))
+    if n < 2 or n % 2 != 0:
+        raise InvalidParameterError(f"n must be even and >= 2, got {n}")
+    workers = resolve_workers(workers)
+    if _has_kernel(protocol):
+        successes = _vectorized_successes(protocol, trials, seed, workers)
     else:
         successes = _generic_successes(protocol, n, k, trials, seed)
     return MonteCarloEstimate.from_counts(successes, trials, seed)

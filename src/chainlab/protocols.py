@@ -101,7 +101,11 @@ DecodeFn = Callable[[Board, SharedRandomness], int]
 
 @dataclass(frozen=True)
 class ProtocolSpec:
-    """A one-way blackboard protocol with declared, input-independent message lengths."""
+    """A one-way blackboard protocol with declared, input-independent message lengths.
+
+    `simulator` names the numpy batch kernel of `montecarlo` that computes
+    the same outputs as `message_fn` and `decode_fn`, if the protocol has one.
+    """
 
     name: str
     n: int
@@ -236,6 +240,7 @@ def sampled_bits_protocol(n: int, k: int, m: int) -> ProtocolSpec:
     return ProtocolSpec(
         name="sampled-bits", n=n, k=k, message_lengths=(m,) * k,
         message_fn=message, decode_fn=decode, params={"m": m},
+        simulator="sampled-bits",
     )
 
 
@@ -333,6 +338,7 @@ def truncation_protocol(n: int, k: int, t: int) -> ProtocolSpec:
     return ProtocolSpec(
         name="truncation", n=n, k=k, message_lengths=(t,) * k,
         message_fn=message, decode_fn=decode, params={"t": t},
+        simulator="truncation",
     )
 
 

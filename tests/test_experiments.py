@@ -331,15 +331,19 @@ class TestCli:
             "--param", "B=x", "--trials", "10",
         ]) == 2
 
-    @pytest.mark.parametrize("protocol,param", [("chained-majority", "B=64"), ("truncation", "t=8")])
+    @pytest.mark.parametrize("protocol,param", [
+        ("chained-majority", "B=64"), ("truncation", "t=8"), ("trivial-forward", "mode=all"),
+    ])
     def test_k_zero_exit_two_on_both_engine_paths(self, protocol, param):
-        # chained-majority runs on the vectorized kernel, truncation on the generic engine
+        # chained-majority and truncation run as batch kernels, trivial-forward on the generic engine
         assert cli_main([
             "simulate", "--protocol", protocol, "--n", "64", "--k", "0",
             "--param", param, "--trials", "10",
         ]) == 2
 
-    @pytest.mark.parametrize("protocol,param", [("chained-majority", "B=64"), ("truncation", "t=8")])
+    @pytest.mark.parametrize("protocol,param", [
+        ("chained-majority", "B=64"), ("truncation", "t=8"), ("trivial-forward", "mode=all"),
+    ])
     def test_negative_seed_exit_two_on_both_engine_paths(self, protocol, param):
         assert cli_main([
             "simulate", "--protocol", protocol, "--n", "64", "--k", "3",
@@ -371,6 +375,24 @@ class TestCli:
         ]) == 2
         assert "CHAINLAB_WORKERS" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("protocol,param", [("chained-majority", "B=64"), ("trivial-forward", "mode=all")])
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_worker_count_below_one_exit_two(self, monkeypatch, capsys, protocol, param, workers):
+        monkeypatch.delenv("CHAINLAB_WORKERS", raising=False)
+        assert cli_main([
+            "simulate", "--protocol", protocol, "--n", "64", "--k", "3",
+            "--param", param, "--trials", "100", "--workers", workers,
+        ]) == 2
+        assert "workers must be >= 1" in capsys.readouterr().err
+
+    def test_zero_workers_env_exit_two(self, monkeypatch, capsys):
+        monkeypatch.setenv("CHAINLAB_WORKERS", "0")
+        assert cli_main([
+            "simulate", "--protocol", "truncation", "--n", "64", "--k", "3",
+            "--param", "t=8", "--trials", "100",
+        ]) == 2
+        assert "CHAINLAB_WORKERS must be >= 1" in capsys.readouterr().err
+
     # Flags are drawn mostly valid, so that many examples reach an engine path
     # with one junk value (a negative seed, a junk CHAINLAB_WORKERS) among them.
     @given(
@@ -383,11 +405,11 @@ class TestCli:
         st.one_of(st.integers(1, 4), st.integers(-1, 4)),
         st.integers(0, 200),
         st.integers(-5, 5),
-        st.sampled_from([None, "1", "2", "abc", "1.5"]),
+        st.sampled_from([None, "1", "2", "0", "abc", "1.5"]),
     )
     @settings(max_examples=500)
     def test_simulate_fuzz_exits_with_a_documented_code(self, protocol, junk_key, data, n, k, trials, seed, workers):
-        # trials <= 200 keep the vectorized path to one batch, so no process pool starts
+        # trials <= 200 keep every batch kernel to one batch, so no process pool starts
         name, key, valid = protocol
         value = data.draw(st.one_of(
             st.sampled_from(valid), st.integers(-3, 70).map(str), st.sampled_from(["x", "", "1.5", "all"])))

@@ -31,17 +31,27 @@ GOLDEN = {
         ["verify", "--suite", "biased-index-bound", "--n", "4"],
         "1baf39bd56d454711c6621ce88711f492ec4f61bbaeb2636a699973eeec2958b",
     ),
-    # vectorized engine path
+    # batch kernels: chained-majority (reduced form), truncation, sampled-bits
     "simulate-chained-majority": (
         ["simulate", "--protocol", "chained-majority", "--n", "64", "--k", "3",
          "--param", "B=64", "--trials", "20000"],
         "26f51c149cd1d74d7f83067727025fd3cc663138681323d7e713423669fff3d3",
     ),
-    # generic engine path
     "simulate-truncation": (
         ["simulate", "--protocol", "truncation", "--n", "4", "--k", "2",
          "--param", "t=2", "--trials", "4000"],
-        "136edc1dae9fb8383f51573a1005d4875258d677816872675f078a33c01d3c34",
+        "62af9b5479fa320ef97eabd68cadb448e2fca5a40340cbef6392f6f8199562c4",
+    ),
+    "simulate-sampled-bits": (
+        ["simulate", "--protocol", "sampled-bits", "--n", "16", "--k", "4",
+         "--param", "m=4", "--trials", "20000"],
+        "f2963d74757124419947dadac598d517cec2f74ed372c06ae3ed6b4cf506e51c",
+    ),
+    # generic engine path (B > 64 has no kernel)
+    "simulate-generic-chained-majority": (
+        ["simulate", "--protocol", "chained-majority", "--n", "128", "--k", "3",
+         "--param", "B=128", "--trials", "500"],
+        "c91ac8ed90ead5a79647dbc6e7e234a4be7c0be7fb0eeaee3934880fdd0e9095",
     ),
     "table-entropy-given-pool": (
         ["table", "--suite", "entropy-given-pool", "--sweep", "n=4..16", "--format", "csv"],

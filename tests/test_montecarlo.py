@@ -1,8 +1,17 @@
+import copy
 import math
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import chainlab
 from chainlab import (
+    BitString,
+    ChainInstance,
     InvalidParameterError,
     ProtocolContractError,
     build_protocol,
@@ -14,8 +23,16 @@ from chainlab import (
     trivial_forward_protocol,
     truncation_protocol,
 )
-from chainlab.montecarlo import MonteCarloEstimate, montecarlo_success_by_name
-from chainlab.protocols import constant_protocol
+from chainlab.montecarlo import (
+    VECTOR_BATCH,
+    MonteCarloEstimate,
+    _lowest,
+    montecarlo_success_by_name,
+    sample_chain_batch,
+    sampled_bits_kernel,
+    truncation_kernel,
+)
+from chainlab.protocols import SharedRandomness, constant_protocol, run_chain_protocol
 
 
 def within_5se(estimate: float, exact: float, trials: int) -> bool:
@@ -46,8 +63,8 @@ class TestEstimate:
 
 class TestDeterminism:
     def test_generic_path_reproducible(self):
-        a = montecarlo_success(truncation_protocol(4, 1, 2), 4, 1, 5000, seed=11)
-        b = montecarlo_success(truncation_protocol(4, 1, 2), 4, 1, 5000, seed=11)
+        a = montecarlo_success(constant_protocol(4, 1, 0), 4, 1, 5000, seed=11)
+        b = montecarlo_success(constant_protocol(4, 1, 0), 4, 1, 5000, seed=11)
         assert a == b
 
     def test_vectorized_path_reproducible(self):
@@ -67,6 +84,26 @@ class TestDeterminism:
         one = montecarlo_success(p, 64, 3, 150000, seed=5, workers=1)
         two = montecarlo_success(p, 64, 3, 150000, seed=5, workers=2)
         assert one == two
+
+    @pytest.mark.parametrize("protocol", [truncation_protocol(4, 2, 1), sampled_bits_protocol(4, 2, 1)])
+    def test_worker_count_does_not_change_kernel_counts(self, protocol):
+        # two batches, so two workers start a pool
+        trials = VECTOR_BATCH + 1000
+        one = montecarlo_success(protocol, 4, 2, trials, seed=5, workers=1)
+        two = montecarlo_success(protocol, 4, 2, trials, seed=5, workers=2)
+        assert one == two
+
+    def test_odd_n_is_refused_on_every_path(self):
+        for protocol in (truncation_protocol(3, 1, 1), chained_majority_protocol(3, 1, 1), constant_protocol(3, 1)):
+            with pytest.raises(InvalidParameterError):
+                montecarlo_success(protocol, 3, 1, 10, seed=0)
+
+    def test_import_does_not_load_numpy_random(self):
+        # importing numpy.random costs about 5 ms and 2.6 MB; only a batch kernel run needs it
+        src = str(Path(chainlab.__file__).resolve().parents[1])
+        code = f"import sys; sys.path.insert(0, {src!r}); import chainlab; print('numpy.random' in sys.modules)"
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert run.stdout.strip() == "False"
 
 
 class TestAgainstExactOracles:
@@ -119,6 +156,87 @@ class TestAgainstExactOracles:
     def test_chained_majority_block_one_perfect(self):
         est = montecarlo_success(chained_majority_protocol(16, 2, 1), 16, 2, 2000, seed=4)
         assert est.estimate == 1.0
+
+
+def _instances(answer, sigma, strings):
+    """The rows of a sampled batch as engine instances."""
+    n = strings.shape[2]
+    return [
+        ChainInstance(n=n, k=len(s), strings=tuple(BitString(row.astype(int)) for row in x), indices=tuple(s),
+                      answer=int(z))
+        for z, s, x in zip(answer, sigma.tolist(), strings)
+    ]
+
+
+class PublishedPositions(SharedRandomness):
+    """Shared randomness that hands sampled-bits the positions and the coin a
+    batch kernel drew, so the engine runs on the kernel's randomness."""
+
+    def __init__(self, published, coin):
+        object.__setattr__(self, "published", published)
+        object.__setattr__(self, "fallback", int(coin))
+
+    def positions(self, label, count, n):
+        row = self.published[int(label.rsplit("/", 1)[1]) - 1]
+        return tuple(int(p) + 1 for p in np.flatnonzero(row))
+
+    def coin(self, label):
+        return self.fallback
+
+
+class TestBatchKernels:
+    @pytest.mark.parametrize("n,k", [(2, 1), (4, 3), (8, 2), (64, 25)])
+    def test_sampled_rows_are_balanced_with_the_answer_at_the_index(self, n, k):
+        answer, sigma, strings = sample_chain_batch(np.random.default_rng(n * k), 300, n, k)
+        assert strings.shape == (300, k, n) and sigma.shape == (300, k) and answer.shape == (300,)
+        assert (strings.sum(axis=-1) == n // 2).all()
+        assert ((1 <= sigma) & (sigma <= n)).all()
+        indexed = np.take_along_axis(strings, sigma[..., None] - 1, axis=-1)[..., 0]
+        assert (indexed == answer[:, None]).all()
+
+    def test_sampler_is_uniform_over_the_support(self):
+        # at n=4, k=1 the support has 24 (z, index, string) cells of mass 1/24 each
+        count = 48000
+        answer, sigma, strings = sample_chain_batch(np.random.default_rng(4), count, 4, 1)
+        cells = Counter(zip(answer.tolist(), sigma[:, 0].tolist(), map(bytes, strings[:, 0])))
+        assert len(cells) == 24
+        p = 1 / 24
+        assert all(abs(c / count - p) <= 5 * math.sqrt(p * (1 - p) / count) for c in cells.values())
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_truncation_kernel_matches_the_engine_row_by_row(self, n, k):
+        rng = np.random.default_rng(10 * n + k)
+        answer, sigma, strings = sample_chain_batch(rng, 200, n, k)
+        for t in sorted({0, 1, n // 2, n}):
+            protocol = truncation_protocol(n, k, t)
+            expected = [run_chain_protocol(protocol, inst, SharedRandomness(0)).output
+                        for inst in _instances(answer, sigma, strings)]
+            assert truncation_kernel(rng, strings, sigma, t).tolist() == expected
+
+    @pytest.mark.parametrize("n,k", [(2, 1), (4, 3), (8, 2)])
+    def test_sampled_bits_kernel_matches_the_engine_row_by_row(self, n, k):
+        rng = np.random.default_rng(10 * n + k)
+        answer, sigma, strings = sample_chain_batch(rng, 200, n, k)
+        for m in sorted({0, 1, n // 2, n}):
+            # replay the kernel's draws: published positions, then one coin per trial
+            replay = copy.deepcopy(rng)
+            published = _lowest(replay.random(strings.shape), m)
+            coins = replay.integers(0, 2, size=len(answer))
+            outputs = sampled_bits_kernel(rng, strings, sigma, m)
+            protocol = sampled_bits_protocol(n, k, m)
+            expected = [run_chain_protocol(protocol, inst, PublishedPositions(pub, coin)).output
+                        for inst, pub, coin in zip(_instances(answer, sigma, strings), published, coins)]
+            assert outputs.tolist() == expected
+
+    def test_sampled_bits_kernel_extremes_match_the_closed_form(self):
+        # success = 1/2 + (1/2)(1 - (1 - m/n)^k): 1 at m=n, 1/2 at m=0
+        count = 40000
+        rng = np.random.default_rng(6)
+        answer, sigma, strings = sample_chain_batch(rng, count, 8, 2)
+        assert (sampled_bits_kernel(rng, strings, sigma, 8) == answer).all()
+        right = int((sampled_bits_kernel(rng, strings, sigma, 0) == answer).sum())
+        assert within_5se(right / count, 0.5, count)
 
 
 class TestByName:
