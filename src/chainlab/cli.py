@@ -25,6 +25,8 @@ def _parse_params(pairs: list[str]) -> dict:
         if "=" not in pair:
             raise UsageError(f"--param expects KEY=VAL, got {pair!r}")
         key, value = pair.split("=", 1)
+        if key in params:
+            raise UsageError(f"--param {key} given more than once")
         try:
             params[key] = int(value)
         except ValueError:

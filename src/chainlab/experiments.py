@@ -370,6 +370,8 @@ def _q_grid(p: int, points: int) -> list[int]:
 
 def sweep_binomial_bounds(max_p: int = 1024, points: int = 100) -> dict:
     """Exact bound checks across p up to max_p on a q grid; returns counts."""
+    if max_p < 2 or points < 2:
+        raise InvalidParameterError(f"the sweep needs max_p >= 2 and points >= 2, got {max_p} and {points}")
     checks = corrected_failures = printed_failures = 0
     failing_examples: list[tuple[int, int]] = []
     for p in range(2, max_p + 1):

@@ -1,39 +1,39 @@
 """Reproducible Monte Carlo estimation of protocol success.
 
-A protocol tagged with a simulator (`ProtocolSpec.simulator`) runs as a numpy
-batch kernel. Trials are processed in batches of VECTOR_BATCH, and batch b
-draws all its randomness from one stream derived from (master seed, b), so
-the success count for given (parameters, seed) does not depend on how the
-batches are scheduled across worker processes: `workers` changes the speed of
-every kernel protocol, never its result. The batch layout is part of the
+Every protocol runs through one batch loop. Trials are processed in batches
+of VECTOR_BATCH, and batch b draws all its randomness from one stream derived
+from (master seed, b), so the success count for given (parameters, seed) does
+not depend on how the batches are scheduled: `workers` changes the speed of
+the kernel protocols, never a result. The batch layout is part of the
 determinism contract: the same seed always reproduces the same count.
 
-- "truncation" and "sampled-bits": a batch samples instances of the hard
-  distribution as arrays (answer bits, indices, strings as bits) in chunks of
-  about CHUNK_CELLS string bits, in order, which bounds memory whatever the
-  batch size. The protocol's kernel computes the messages from the strings
-  and decodes them in the order its scalar protocol does.
+A batch samples instances of the hard distribution as arrays (answer bits,
+indices, strings as bits) in chunks of about CHUNK_CELLS string bits, in
+order, which bounds memory whatever the batch size, and decodes each chunk
+with the kernel of the protocol's simulator tag (`ProtocolSpec.simulator`):
+
+- "truncation" and "sampled-bits": numpy kernels that compute the messages
+  from the strings and decode them in the order the scalar protocol does.
+- none: `engine_kernel` runs the engine on each row, in the calling process
+  (protocol functions are closures and cannot be pickled). It is the
+  reference the numpy kernels are tested against.
 - "majority" (chained-majority with B <= 64): `_majority_batch` draws the
   protocol's reduced form, without strings.
 
-Every other protocol executes the generic engine trial by trial in one
-process; trial t derives its instance and shared-randomness streams from
-(master seed, t). That path is also the reference the kernels are tested
-against. `numpy.random` is imported by the first batch, not by the package.
+`numpy.random` is imported by the first batch, not by the package.
 """
 from __future__ import annotations
 
 import math
 import os
-import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import sample_chain
-from .errors import InvalidParameterError, ProtocolContractError
-from .protocols import ProtocolSpec, SharedRandomness, build_protocol, derive_seed, run_chain_protocol
+from .errors import InvalidParameterError
+from .model import BitString, ChainInstance
+from .protocols import ProtocolSpec, SharedRandomness, build_protocol, check_size, run_chain_protocol
 
 VECTOR_BATCH = 1 << 16
 
@@ -181,16 +181,23 @@ def _majority_batch(rng: np.random.Generator, count: int, k: int, block_size: in
     return wins + ties
 
 
-KERNELS = {"truncation": truncation_kernel, "sampled-bits": sampled_bits_kernel}
+def engine_kernel(rng: np.random.Generator, strings: np.ndarray, sigma: np.ndarray,
+                  protocol: ProtocolSpec) -> np.ndarray:
+    """Decoder outputs of any protocol on a batch: `run_chain_protocol` on
+    each row, with one shared-randomness seed per row drawn from `rng`."""
+    seeds = rng.integers(0, 1 << 63, size=len(sigma)).tolist()
+    outputs = []
+    for rows, indices, shared in zip(strings.astype(np.int8).tolist(), sigma.tolist(), seeds):
+        inst = ChainInstance(protocol.n, protocol.k, tuple(map(BitString, rows)), indices, rows[0][indices[0] - 1])
+        outputs.append(run_chain_protocol(protocol, inst, SharedRandomness(shared)).output)
+    return np.array(outputs)
 
 
-def _has_kernel(protocol: ProtocolSpec) -> bool:
-    if protocol.simulator == "majority":
-        return int(protocol.params["B"]) <= 64
-    return protocol.simulator in KERNELS
+# keyed by `ProtocolSpec.simulator`; "majority" draws no instances (`_majority_batch`)
+KERNELS = {None: engine_kernel, "truncation": truncation_kernel, "sampled-bits": sampled_bits_kernel}
 
 
-def _batch_successes(tag: str, n: int, k: int, params: dict, seed: int, batch_index: int, count: int) -> int:
+def _batch_successes(tag: str | None, n: int, k: int, params: dict, seed: int, batch_index: int, count: int) -> int:
     """Success count of one batch, drawn from the stream of (seed, batch_index)."""
     rng = _batch_rng(seed, batch_index)
     if tag == "majority":
@@ -201,26 +208,6 @@ def _batch_successes(tag: str, n: int, k: int, params: dict, seed: int, batch_in
     for start in range(0, count, chunk):
         answer, sigma, strings = sample_chain_batch(rng, min(chunk, count - start), n, k)
         successes += int((kernel(rng, strings, sigma, **params) == answer).sum())
-    return successes
-
-
-def _vectorized_successes(protocol: ProtocolSpec, trials: int, seed: int, workers: int) -> int:
-    counts = [min(VECTOR_BATCH, trials - start) for start in range(0, trials, VECTOR_BATCH)]
-    tasks = [(protocol.simulator, protocol.n, protocol.k, protocol.params, seed, index, count)
-             for index, count in enumerate(counts)]
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            return sum(pool.map(_batch_successes, *zip(*tasks)))
-    return sum(_batch_successes(*task) for task in tasks)
-
-
-def _generic_successes(protocol: ProtocolSpec, n: int, k: int, trials: int, seed: int) -> int:
-    successes = 0
-    for t in range(trials):
-        rng = random.Random(derive_seed("mc-instance", seed, t))
-        inst = sample_chain(n, k, rng)
-        shared = SharedRandomness(derive_seed("mc-shared", seed, t))
-        successes += run_chain_protocol(protocol, inst, shared).correct
     return successes
 
 
@@ -237,17 +224,19 @@ def montecarlo_success(
         raise InvalidParameterError(f"trials must be >= 1, got {trials}")
     if seed < 0:
         raise InvalidParameterError(f"seed must be >= 0, got {seed}")
-    if protocol.n != n or protocol.k != k:
-        raise ProtocolContractError(
-            f"protocol declared for (n={protocol.n}, k={protocol.k}), requested (n={n}, k={k})"
-        )
+    check_size(protocol, n, k)
     if n < 2 or n % 2 != 0:
         raise InvalidParameterError(f"n must be even and >= 2, got {n}")
     workers = resolve_workers(workers)
-    if _has_kernel(protocol):
-        successes = _vectorized_successes(protocol, trials, seed, workers)
+    tag = protocol.simulator
+    params = protocol.params if tag else {"protocol": protocol}
+    tasks = [(tag, n, k, params, seed, index, min(VECTOR_BATCH, trials - start))
+             for index, start in enumerate(range(0, trials, VECTOR_BATCH))]
+    if tag and workers > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+            successes = sum(pool.map(_batch_successes, *zip(*tasks)))
     else:
-        successes = _generic_successes(protocol, n, k, trials, seed)
+        successes = sum(_batch_successes(*task) for task in tasks)
     return MonteCarloEstimate.from_counts(successes, trials, seed)
 
 

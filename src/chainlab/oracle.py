@@ -101,7 +101,8 @@ def verify_conditional_independence(n: int, theta, trials: int = 0, seed: int = 
     two (string, index) pairs of the k=2 chained input given the answer bit,
     taken from the enumerated chained support. If trials > 0,
     structured-sampler frequencies are additionally compared to the exact
-    table within five standard errors per cell.
+    table within five standard errors per cell, and every sampled pair must
+    lie in its support.
     """
     if n > 8:
         raise InvalidParameterError(f"independence check is exact-enumeration only, n={n} > 8")
@@ -132,7 +133,7 @@ def verify_conditional_independence(n: int, theta, trials: int = 0, seed: int = 
             s = sample_biased_structured(n, theta, rng)
             key = (s.string, s.index)
             counts[key] = counts.get(key, 0) + 1
-        empirical_ok = True
+        empirical_ok = counts.keys() <= exact.keys()
         worst = 0.0
         for key, p in exact.items():
             pf = float(p)
@@ -439,6 +440,8 @@ def sweep_entropy_given_pool(max_n: int) -> tuple[int, int, float]:
 
     Uses an incrementally updated exact binomial per n to stay fast.
     """
+    if max_n < 2:
+        raise InvalidParameterError(f"the sweep needs max_n >= 2, got {max_n}")
     checks = failures = 0
     min_slack = math.inf
     for n in range(2, max_n + 1, 2):

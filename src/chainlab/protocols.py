@@ -284,7 +284,8 @@ def index_majority_decode(
 def chained_majority_protocol(n: int, k: int, block_size: int) -> ProtocolSpec:
     """Every player runs the block-majority encoding with fresh shared
     randomness; the decoder recovers one guess per instance and outputs the
-    majority of the guesses (ties go to a shared coin)."""
+    majority of the guesses (ties go to a shared coin). The batch kernel
+    packs a block into one 64-bit word, so only B <= 64 has one."""
     if block_size < 1 or n % block_size != 0:
         raise InvalidParameterError(f"block size {block_size} must divide n={n}")
 
@@ -314,7 +315,7 @@ def chained_majority_protocol(n: int, k: int, block_size: int) -> ProtocolSpec:
     return ProtocolSpec(
         name="chained-majority", n=n, k=k, message_lengths=(n // block_size,) * k,
         message_fn=message, decode_fn=decode, params={"B": block_size},
-        simulator="majority",
+        simulator="majority" if block_size <= 64 else None,
     )
 
 

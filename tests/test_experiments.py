@@ -13,8 +13,15 @@ from hypothesis import strategies as st
 from chainlab import ExperimentConfig, UsageError, emit_report, run_config, run_suite
 from chainlab.cli import _build_parser
 from chainlab.cli import main as cli_main
-from chainlab.errors import ResourceLimitError
-from chainlab.experiments import MODE_FIELDS, SUITES, parse_sweep, table_rows
+from chainlab.errors import InvalidParameterError, ResourceLimitError
+from chainlab.experiments import (
+    MODE_FIELDS,
+    SUITES,
+    parse_sweep,
+    suite_binomial_bounds,
+    sweep_binomial_bounds,
+    table_rows,
+)
 from chainlab.protocols import PROTOCOLS
 
 
@@ -193,6 +200,14 @@ class TestSuites:
         assert len(failing) == 1
         assert failing[0]["params"] == {"t": 16, "c": "1/16"}
 
+    def test_binomial_sweeps_that_check_nothing_are_refused(self):
+        assert sweep_binomial_bounds(3, 2)["checks"] == 3
+        for max_p, points in ((8, 1), (8, 0), (1, 100), (-1, 100)):
+            with pytest.raises(InvalidParameterError):
+                sweep_binomial_bounds(max_p, points)
+        with pytest.raises(InvalidParameterError):
+            suite_binomial_bounds(max_p=1)
+
     def test_reports_reproducible_bit_for_bit(self):
         first = [r.to_json_dict() for r in run_suite("chain-entropy", n=4, seed=7)]
         second = [r.to_json_dict() for r in run_suite("chain-entropy", n=4, seed=7)]
@@ -330,6 +345,12 @@ class TestCli:
             "simulate", "--protocol", "chained-majority", "--n", "64", "--k", "3",
             "--param", "B=x", "--trials", "10",
         ]) == 2
+
+    def test_repeated_param_key_exit_two(self, tmp_path):
+        args = ["simulate", "--protocol", "truncation", "--n", "4", "--k", "2", "--trials", "10"]
+        assert cli_main(args + ["--param", "t=3", "--out", str(tmp_path / "once.json")]) == 0
+        assert cli_main(args + ["--param", "t=2", "--param", "t=3"]) == 2
+        assert cli_main(args + ["--param", "t=3", "--param", "t=3"]) == 2
 
     @pytest.mark.parametrize("protocol,param", [
         ("chained-majority", "B=64"), ("truncation", "t=8"), ("trivial-forward", "mode=all"),

@@ -47,11 +47,11 @@ GOLDEN = {
          "--param", "m=4", "--trials", "20000"],
         "f2963d74757124419947dadac598d517cec2f74ed372c06ae3ed6b4cf506e51c",
     ),
-    # generic engine path (B > 64 has no kernel)
+    # the engine on sampled batches (B > 64 has no kernel)
     "simulate-generic-chained-majority": (
         ["simulate", "--protocol", "chained-majority", "--n", "128", "--k", "3",
          "--param", "B=128", "--trials", "500"],
-        "c91ac8ed90ead5a79647dbc6e7e234a4be7c0be7fb0eeaee3934880fdd0e9095",
+        "3703a39e71df0d6d2a8d4abaab0833745a21fb34fb638d8108dea6c641ba8f78",
     ),
     "table-entropy-given-pool": (
         ["table", "--suite", "entropy-given-pool", "--sweep", "n=4..16", "--format", "csv"],

@@ -3,12 +3,14 @@ import math
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import chainlab
+import chainlab.montecarlo as montecarlo_module
 from chainlab import (
     BitString,
     ChainInstance,
@@ -93,6 +95,14 @@ class TestDeterminism:
         two = montecarlo_success(protocol, 4, 2, trials, seed=5, workers=2)
         assert one == two
 
+    def test_engine_batches_ignore_the_worker_count(self, monkeypatch):
+        # protocol closures cannot be pickled: engine batches stay in this process
+        monkeypatch.setattr(montecarlo_module, "VECTOR_BATCH", 500)
+        protocol = trivial_forward_protocol(4, 2)
+        one = montecarlo_success(protocol, 4, 2, 1200, seed=5, workers=1)
+        two = montecarlo_success(protocol, 4, 2, 1200, seed=5, workers=2)
+        assert one == two
+
     def test_odd_n_is_refused_on_every_path(self):
         for protocol in (truncation_protocol(3, 1, 1), chained_majority_protocol(3, 1, 1), constant_protocol(3, 1)):
             with pytest.raises(InvalidParameterError):
@@ -122,20 +132,21 @@ class TestAgainstExactOracles:
         p = chained_majority_protocol(8, 3, 4)
         fast = montecarlo_success(p, 8, 3, 100000, seed=21)
         assert within_5se(fast.estimate, exact, fast.trials)
+        slow = montecarlo_success(replace(p, simulator=None), 8, 3, 20000, seed=21)
+        assert within_5se(slow.estimate, exact, slow.trials)
 
-        slow_successes = 0
-        trials = 20000
-        import random
+    def test_truncation_on_the_engine_and_on_its_kernel(self):
+        # success = 1 - (1 - t/n)^k / 2: the answer is read unless no index lands in a prefix
+        exact = 1 - (1 - 2 / 8) ** 3 / 2
+        kernel = truncation_protocol(8, 3, 2)
+        for protocol in (kernel, replace(kernel, simulator=None)):
+            est = montecarlo_success(protocol, 8, 3, 20000, seed=31)
+            assert within_5se(est.estimate, exact, est.trials)
 
-        from chainlab import SharedRandomness, run_chain_protocol, sample_chain
-        from chainlab.protocols import derive_seed
-
-        for t in range(trials):
-            rng = random.Random(derive_seed("engine-check", 21, t))
-            inst = sample_chain(8, 3, rng)
-            shared = SharedRandomness(derive_seed("engine-check-shared", 21, t))
-            slow_successes += run_chain_protocol(p, inst, shared).correct
-        assert within_5se(slow_successes / trials, exact, trials)
+    def test_chained_majority_beyond_the_kernel_runs_on_the_engine(self):
+        exact = float(majority_vote_success(3, exact_majority_success(128)))
+        est = montecarlo_success(chained_majority_protocol(128, 3, 128), 128, 3, 1500, seed=8)
+        assert within_5se(est.estimate, exact, est.trials)
 
     def test_truncation_exact_three_quarters(self):
         est = montecarlo_success(truncation_protocol(4, 1, 2), 4, 1, 40000, seed=9)

@@ -1,5 +1,6 @@
 import math
 from collections import Counter, defaultdict
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -188,6 +189,28 @@ class TestChecksCanFail:
         monkeypatch.setattr(experiments_module, "montecarlo_success_by_name", even_odds)
         (report,) = [r for r in suite_majority((1,), enum_n=8) if r.check == "majority-montecarlo"]
         assert (report.lhs, report.rhs) == (0.5, 0.6875)
+        assert report.passed is False
+
+    def test_index_outside_the_pool_fails_conditional_independence(self, monkeypatch):
+        import chainlab.oracle as oracle_module
+
+        # at theta = 1/2 the pool is the chosen half-set, so a pair indexed
+        # outside it is outside the exact support; one draw in 100 is too few
+        # to move any support cell by 5 SE
+        real = oracle_module.sample_biased_structured
+        draws = iter(range(10**9))
+
+        def leaky(n, theta, rng):
+            sample = real(n, theta, rng)
+            if next(draws) % 100:
+                return sample
+            outside = min(set(range(1, n + 1)) - sample.pool)
+            return replace(sample, index=outside, answer=sample.string.bit(outside))
+
+        monkeypatch.setattr(oracle_module, "sample_biased_structured", leaky)
+        report = verify_conditional_independence(4, Fraction(1, 2), trials=20000, seed=1)
+        assert report.details["worst_deviation_se"] < 5
+        assert report.details["empirical_within_5se"] is False
         assert report.passed is False
 
     def test_no_advantage_fails_majority_advantage_floor(self, monkeypatch):
@@ -470,6 +493,12 @@ class TestEntropyGivenPool:
         assert failures == 0
         assert checks == sum(n // 2 for n in range(2, 65, 2))
         assert min_slack > 0
+
+    def test_sweep_that_checks_nothing_is_refused(self):
+        assert sweep_entropy_given_pool(2)[:2] == (1, 0)
+        for max_n in (1, 0, -4):
+            with pytest.raises(InvalidParameterError):
+                sweep_entropy_given_pool(max_n)
 
 
 class TestMajorityOracles:

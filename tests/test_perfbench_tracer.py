@@ -18,6 +18,9 @@ def test_tracer_finds_every_patched_name():
             "chainlab.oracle.run_chain_protocol",
             "chainlab.oracle.run_aug_chain_protocol",
             "chainlab.montecarlo.run_aug_chain_protocol",
+            # montecarlo samples every protocol in batches: no per-trial sampler or seeds
+            "chainlab.montecarlo.sample_chain",
+            "chainlab.montecarlo.derive_seed",
         }
     finally:
         tracer.uninstall()

@@ -326,6 +326,11 @@ class TestChainedMajority:
             assert a.output == b.output
             assert a.board.messages == b.board.messages
 
+    def test_batch_kernel_only_up_to_block_size_64(self):
+        assert chained_majority_protocol(64, 3, 64).simulator == "majority"
+        assert chained_majority_protocol(128, 3, 128).simulator is None
+        assert build_protocol("index-majority", 128, 1, {"B": 128}).simulator is None
+
 
 class TestTruncation:
     def test_full_length_always_correct(self):
