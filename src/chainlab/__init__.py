@@ -20,9 +20,7 @@ from .distributions import (
     bias_grid,
     enumerate_support,
     pmf_biased_index,
-    sample_biased_direct,
     sample_biased_structured,
-    sample_chain,
 )
 from .info_theory import (
     JointTable,
@@ -31,7 +29,6 @@ from .info_theory import (
     check_binomial_entropy_bounds,
     conditional_entropy,
     entropy,
-    fano_bound,
     log_binomial,
 )
 from .protocols import (

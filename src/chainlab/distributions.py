@@ -1,10 +1,11 @@
-"""Samplers and exact probability tables for the hard input distributions.
+"""The biased index input: its sampler and exact probability tables.
 
-Two equivalent formulations of the biased index input are implemented: the
-direct one (draw the answer bit, then a conditioned string/index pair) and
-the structured one (draw a support set T, place the half-weight set inside
-it, draw the index from T). Their exact (Y, rho) tables must coincide, and
-the package verifies that they do.
+The law has two formulations: the direct one (draw the answer bit, then a
+conditioned string/index pair) and the structured one (draw a support set T,
+place the half-weight set inside it, draw the index from T). Both have exact
+(Y, rho) tables, which must coincide, and the package verifies that they do;
+samples are drawn from the structured one. The chained input is sampled by
+`montecarlo.sample_chain_batch`.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from itertools import combinations
 
 from .errors import InvalidParameterError, ResourceLimitError
 from .info_theory import JointTable
-from .model import BalancedString, ChainInstance, enumerate_balanced
+from .model import BalancedString, enumerate_balanced
 
 DEFAULT_ENUMERATION_BUDGET = 10_000_000
 
@@ -40,15 +41,14 @@ class BiasedIndexSample:
     """One draw of the biased index input.
 
     `pool` is the restricted support set the index is drawn from and `chosen`
-    the half-size subset fixed to the biased value; both are only present for
-    draws from the structured formulation. Positions are 1-based.
+    the half-size subset fixed to the biased value. Positions are 1-based.
     """
 
     answer: int
     string: BalancedString
     index: int
-    pool: frozenset[int] | None = None
-    chosen: frozenset[int] | None = None
+    pool: frozenset[int]
+    chosen: frozenset[int]
 
 
 def bias_grid(n: int) -> list[Fraction]:
@@ -84,51 +84,6 @@ def structured_bits(n: int, chosen: set[int], theta: Fraction) -> tuple[int, ...
     opposite one."""
     inside = 1 if theta >= 0 else 0
     return tuple(inside if i in chosen else 1 - inside for i in range(1, n + 1))
-
-
-def _sample_conditioned(n: int, pos: int, value: int, rng: random.Random) -> BalancedString:
-    """Uniform balanced string with the given bit at 1-based `pos`, without rejection.
-
-    The remaining n/2 - value ones are a uniform subset of the other n-1
-    positions, giving the exact conditional law in bounded time.
-    """
-    others = [i for i in range(1, n + 1) if i != pos]
-    ones = set(rng.sample(others, n // 2 - value))
-    bits = [0] * n
-    bits[pos - 1] = value
-    for i in ones:
-        bits[i - 1] = 1
-    return BalancedString(tuple(bits))
-
-
-def sample_chain(n: int, k: int, rng: random.Random) -> ChainInstance:
-    """Draw one chained-index instance: uniform answer bit, then independent
-    conditioned (string, index) pairs."""
-    if n < 2 or n % 2 != 0:
-        raise InvalidParameterError(f"n must be even and >= 2, got {n}")
-    z = rng.randrange(2)
-    strings = []
-    indices = []
-    for _ in range(k):
-        sigma = rng.randrange(1, n + 1)
-        strings.append(_sample_conditioned(n, sigma, z, rng))
-        indices.append(sigma)
-    return ChainInstance(n=n, k=k, strings=tuple(strings), indices=tuple(indices), answer=z)
-
-
-def _bernoulli(p: Fraction, rng: random.Random) -> int:
-    return 1 if rng.randrange(p.denominator) < p.numerator else 0
-
-
-def sample_biased_direct(n: int, theta, rng: random.Random) -> BiasedIndexSample:
-    """Draw from the direct formulation: biased answer bit, then a conditioned pair."""
-    if n < 2 or n % 2 != 0:
-        raise InvalidParameterError(f"n must be even and >= 2, got {n}")
-    theta = BiasParam(Fraction(theta)).theta
-    w = _bernoulli(Fraction(1, 2) + theta, rng)
-    rho = rng.randrange(1, n + 1)
-    y = _sample_conditioned(n, rho, w, rng)
-    return BiasedIndexSample(answer=w, string=y, index=rho)
 
 
 def sample_biased_structured(n: int, theta, rng: random.Random) -> BiasedIndexSample:

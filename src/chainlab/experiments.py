@@ -410,7 +410,7 @@ def suite_binomial_bounds(max_p: int = 1024, points: int = 100) -> list[Verifica
 
 
 def suite_conditional_independence(
-    ns: Sequence[int] = (4,), trials: int = 0, seed: int = 0, theta: Fraction | None = None
+    ns: Sequence[int] = (4,), trials: int = 20000, seed: int = 0, theta: Fraction | None = None
 ) -> list[VerificationReport]:
     return [
         verify_conditional_independence(n, t, trials=trials, seed=seed)
@@ -458,8 +458,7 @@ SUITES: dict[str, Suite] = {
     "anticoncentration": Suite(suite_anticoncentration, (), {"ts": (64, 256)}),
     "binomial-bounds": Suite(suite_binomial_bounds, (), {"max_p": 64, "points": 16}),
     "conditional-independence": Suite(
-        suite_conditional_independence, ("ns", "theta", "seed"), {"ns": (4,), "trials": 20000},
-        preset_theta=True),
+        suite_conditional_independence, ("ns", "theta", "seed"), {"ns": (4,)}, preset_theta=True),
 }
 
 

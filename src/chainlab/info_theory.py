@@ -1,6 +1,6 @@
 """Entropy kernel: exact joint tables, entropy, conditional entropy, binary
-entropy, the estimator bound, exact log-binomials, and two exact binomial
-facts (entropy-form coefficient bounds and central anti-concentration).
+entropy, exact log-binomials, and two exact binomial facts (entropy-form
+coefficient bounds and central anti-concentration).
 
 A joint table holds integer weights over an integer total, so a cell's
 probability is the exact rational weight/total; marginals and conditional
@@ -152,13 +152,6 @@ def conditional_entropy(table: JointTable, target: str, given: Sequence[str]) ->
         for c in cond.values():
             terms.append(share * _ratio_bits(c, mass))
     return math.fsum(terms)
-
-
-def fano_bound(delta) -> float:
-    """Upper bound on H(answer | estimator input) for an estimator with error delta."""
-    if delta < 0 or delta >= Fraction(1, 2):
-        raise InvalidParameterError(f"estimator error must lie in [0, 1/2), got {delta}")
-    return binary_entropy(delta)
 
 
 def log_binomial(p: int, q: int) -> float:

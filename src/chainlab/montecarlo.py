@@ -101,10 +101,13 @@ def sample_chain_batch(
     """`count` instances of the hard distribution as arrays: answer bits z
     `(count,)`, 1-based indices `(count, k)` and strings `(count, k, n)` bool.
 
-    Each position gets a uniform random key, the indexed one forced below (z=1)
-    or above (z=0) all others; the n/2 lowest keys are the ones. So every string
-    is balanced with bit z at its index, and its other n/2 - z ones are a
-    uniform subset of the other n - 1 positions: the law of `sample_chain`.
+    The law: z is a uniform bit; given z, the k (string, index) pairs are
+    independent, each index uniform on 1..n and each string uniform among the
+    balanced strings with bit z at its index. Each position gets a uniform
+    random key, the indexed one forced below (z=1) or above (z=0) all others;
+    the n/2 lowest keys are the ones. So every string is balanced with bit z
+    at its index, and its other n/2 - z ones are a uniform subset of the
+    other n - 1 positions.
     """
     answer = rng.integers(0, 2, size=count)
     sigma = rng.integers(1, n + 1, size=(count, k))
@@ -155,16 +158,20 @@ def sampled_bits_kernel(rng: np.random.Generator, strings: np.ndarray, sigma: np
 
 
 def _majority_batch(rng: np.random.Generator, count: int, k: int, block_size: int) -> int:
-    """Success count for one batch of the block-majority family.
+    """Success count for one batch of the block-majority family, drawn in
+    its reduced form, without strings.
 
-    The shared mask and permutation make every instance's guess event
-    equivalent to: draw a uniform block of B bits and a uniform position in
-    it; the guess is right iff the block's majority bit (ties to 0) matches
-    the indexed bit. Ties in the final vote are right with probability
-    exactly 1/2, sampled as one coin per trial. This reduced form is
-    distributionally identical to executing the protocol on instances drawn
-    from the hard distribution; the agreement is covered by tests against
-    the generic engine and the exact oracle.
+    The reduced form is exact. A player XORs its string with a uniform
+    shared mask, so the masked string is uniform over all n-bit strings
+    whatever the input (string, index); the shared uniform permutation then
+    sends the index to a uniform position, independent of the masked bits.
+    The decoder undoes the mask, so a guess is right iff the majority bit
+    (ties to 0) of the block holding that position equals the masked bit
+    there: each guess is a uniform B-bit block read at a uniform position.
+    Each player has its own mask and permutation, so the k guesses are
+    independent. Ties in the final vote are right with probability exactly
+    1/2, sampled as one coin per trial. Tests check this against the engine
+    (B > 64 has no kernel) and the exact oracle.
     """
     b = block_size
     halves = rng.integers(0, 1 << 32, size=(count, k, 2), dtype=np.uint64)
@@ -181,16 +188,21 @@ def _majority_batch(rng: np.random.Generator, count: int, k: int, block_size: in
     return wins + ties
 
 
+def chain_instances(strings: np.ndarray, sigma: np.ndarray) -> list[ChainInstance]:
+    """The rows of a sampled batch as engine instances; each answer is the
+    first string's indexed bit, which every sampled row shares."""
+    _, k, n = strings.shape
+    return [ChainInstance(n, k, tuple(map(BitString, rows)), indices, rows[0][indices[0] - 1])
+            for rows, indices in zip(strings.astype(np.int8).tolist(), sigma.tolist())]
+
+
 def engine_kernel(rng: np.random.Generator, strings: np.ndarray, sigma: np.ndarray,
                   protocol: ProtocolSpec) -> np.ndarray:
     """Decoder outputs of any protocol on a batch: `run_chain_protocol` on
     each row, with one shared-randomness seed per row drawn from `rng`."""
     seeds = rng.integers(0, 1 << 63, size=len(sigma)).tolist()
-    outputs = []
-    for rows, indices, shared in zip(strings.astype(np.int8).tolist(), sigma.tolist(), seeds):
-        inst = ChainInstance(protocol.n, protocol.k, tuple(map(BitString, rows)), indices, rows[0][indices[0] - 1])
-        outputs.append(run_chain_protocol(protocol, inst, SharedRandomness(shared)).output)
-    return np.array(outputs)
+    return np.array([run_chain_protocol(protocol, inst, SharedRandomness(shared)).output
+                     for inst, shared in zip(chain_instances(strings, sigma), seeds)])
 
 
 # keyed by `ProtocolSpec.simulator`; "majority" draws no instances (`_majority_batch`)

@@ -5,23 +5,24 @@ also produces: support tables are rebuilt from their defining processes,
 protocol success probabilities are enumerated point by point, and entropy
 bounds are evaluated from exact joint tables. Checks compare in exact
 rationals wherever both sides are rational and use the 1e-9 bit tolerance
-where a side is an entropy.
+where a side is an entropy. The one sampled check, the structured sampler
+against its exact table, allows 5 standard errors per cell.
 """
 from __future__ import annotations
 
 import hashlib
 import math
 import random
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations, product
-from typing import Any, Callable, Iterator, Mapping
+from itertools import product
+from typing import Callable
 
 from .distributions import (
     DEFAULT_ENUMERATION_BUDGET,
     BiasParam,
     enumerate_support,
     sample_biased_structured,
-    structured_bits,
     structured_pool_size,
 )
 from .errors import InvalidParameterError, ProtocolContractError, ResourceLimitError
@@ -35,7 +36,7 @@ from .info_theory import (
     log_binomial,
     total_variation,
 )
-from .model import BalancedString, BitString, balanced_strings, enumerate_balanced
+from .model import BalancedString, BitString, balanced_strings
 from .protocols import (
     Board,
     ProtocolSpec,
@@ -77,98 +78,46 @@ def verify_distribution_identity(n: int, theta) -> VerificationReport:
     )
 
 
-def factorizes(joint: Mapping[tuple[Any, Any], int]) -> bool:
-    """True iff an integer-weight law over pairs (a, b) equals the product of
-    its two marginals, compared exactly over every (a, b) combination."""
-    total = sum(joint.values())
-    left: dict = {}
-    right: dict = {}
-    for (a, b), w in joint.items():
-        left[a] = left.get(a, 0) + w
-        right[b] = right.get(b, 0) + w
-    return all(
-        joint.get((a, b), 0) * total == wa * wb
-        for a, wa in left.items()
-        for b, wb in right.items()
-    )
-
-
-def verify_conditional_independence(n: int, theta, trials: int = 0, seed: int = 0) -> VerificationReport:
-    """Factorization checks on the structured support and the chained input.
-
-    Exact part: for every fixed support set, the conditional (string, index)
-    law must equal the product of its marginals, in rationals; likewise the
-    two (string, index) pairs of the k=2 chained input given the answer bit,
-    taken from the enumerated chained support. If trials > 0,
-    structured-sampler frequencies are additionally compared to the exact
-    table within five standard errors per cell, and every sampled pair must
-    lie in its support.
+def verify_conditional_independence(n: int, theta, trials: int, seed: int = 0) -> VerificationReport:
+    """Check that the structured sampler draws the structured law, under which
+    string and index are independent given the pool: the (string, index)
+    frequencies of `trials` draws against the exact structured table. The
+    worst cell deviation, in standard errors, must be at most 5, and no draw
+    may fall outside the support.
     """
     if n > 8:
         raise InvalidParameterError(f"independence check is exact-enumeration only, n={n} > 8")
+    if trials < 1:
+        raise InvalidParameterError(f"trials must be >= 1, got {trials}")
     theta = Fraction(theta)
-    b = structured_pool_size(n, theta)
-    structured_ok = True
-    for pool in combinations(range(1, n + 1), b):
-        joint: dict[tuple, int] = {}
-        for chosen in combinations(pool, n // 2):
-            bits = structured_bits(n, set(chosen), theta)
-            for rho in pool:
-                joint[(bits, rho)] = joint.get((bits, rho), 0) + 1
-        structured_ok = structured_ok and factorizes(joint)
-
-    pairs_by_answer: dict[int, dict[tuple, int]] = {0: {}, 1: {}}
-    for z, strings, indices in _chain_support(n, 2):
-        key = ((strings[0].bits, indices[0]), (strings[1].bits, indices[1]))
-        pairs_by_answer[z][key] = pairs_by_answer[z].get(key, 0) + 1
-    chain_ok = all(factorizes(joint) for joint in pairs_by_answer.values())
-
-    details: dict = {"structured_factorizes": structured_ok, "chain_pairs_factorize": chain_ok}
-    empirical_ok = None
-    if trials > 0:
-        exact = enumerate_support(n, theta, "structured").entries
-        rng = random.Random(derive_seed("cond-indep", n, theta, seed))
-        counts: dict[tuple, int] = {}
-        for _ in range(trials):
-            s = sample_biased_structured(n, theta, rng)
-            key = (s.string, s.index)
-            counts[key] = counts.get(key, 0) + 1
-        empirical_ok = counts.keys() <= exact.keys()
-        worst = 0.0
-        for key, p in exact.items():
-            pf = float(p)
-            se = math.sqrt(pf * (1 - pf) / trials)
-            dev = abs(counts.get(key, 0) / trials - pf)
-            worst = max(worst, dev / se if se else 0.0)
-            if se and dev > 5 * se:
-                empirical_ok = False
-        details["empirical_within_5se"] = empirical_ok
-        details["worst_deviation_se"] = worst
-    passed = structured_ok and chain_ok and (empirical_ok is not False)
+    exact = enumerate_support(n, theta, "structured").entries
+    rng = random.Random(derive_seed("cond-indep", n, theta, seed))
+    counts = Counter()
+    for _ in range(trials):
+        s = sample_biased_structured(n, theta, rng)
+        counts[(s.string, s.index)] += 1
+    outside = trials - sum(counts[key] for key in exact)
+    worst = 0.0
+    for key, p in exact.items():
+        pf = float(p)
+        se = math.sqrt(pf * (1 - pf) / trials)
+        if se:
+            worst = max(worst, abs(counts[key] / trials - pf) / se)
     return VerificationReport(
         check="conditional-independence",
         params={"n": n, "theta": theta, "trials": trials, "seed": seed},
-        lhs="factorizes",
-        rhs="product of marginals",
-        relation="==",
-        passed=passed,
+        lhs=worst,
+        rhs=5,
+        relation="<=",
+        passed=worst <= 5 and outside == 0,
         tolerance=0,
-        mode="exact",
-        details=details,
+        mode="float",
+        details={"cells": len(exact), "outside_support": outside},
     )
 
 
 # ---------------------------------------------------------------------------
 # exact protocol enumeration
-
-
-def _chain_support(n: int, k: int) -> Iterator[tuple[int, tuple, tuple]]:
-    """All (answer, strings, indices) with positive probability; uniform weight each."""
-    strings = list(enumerate_balanced(n))
-    for z in (0, 1):
-        valid = [(y, s) for y in strings for s in range(1, n + 1) if y.bit(s) == z]
-        for combo in product(valid, repeat=k):
-            yield z, tuple(y for y, _ in combo), tuple(s for _, s in combo)
 
 
 _JOINT_LABELS = ("answer", "messages", "reveals")

@@ -4,6 +4,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from chainlab import (
@@ -14,13 +15,12 @@ from chainlab import (
     enumerate_balanced,
     enumerate_support,
     pmf_biased_index,
-    sample_biased_direct,
     sample_biased_structured,
-    sample_chain,
     validate_instance,
 )
 from chainlab.distributions import DEFAULT_ENUMERATION_BUDGET, write_support_csv
 from chainlab.info_theory import total_variation
+from chainlab.montecarlo import chain_instances, sample_chain_batch
 
 from util import chi2_quantile, chi2_stat
 
@@ -75,35 +75,25 @@ class TestPmf:
 
 
 class TestSampleChain:
-    def test_every_output_validates(self):
-        rng = random.Random(11)
-        for _ in range(200):
-            inst = sample_chain(6, 3, rng)
-            assert validate_instance(inst)
+    """The chain sampler, `sample_chain_batch`, row by row."""
 
-    def test_odd_n_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            sample_chain(3, 1, random.Random(0))
+    def test_every_output_validates(self):
+        _, sigma, strings = sample_chain_batch(np.random.default_rng(11), 200, 6, 3)
+        assert all(validate_instance(inst) for inst in chain_instances(strings, sigma))
 
     def test_point_probability_n2(self):
         # Pr[(z=1, X=10, sigma=1)] = 1/4
-        rng = random.Random(5)
         trials = 40000
-        hits = 0
-        for _ in range(trials):
-            inst = sample_chain(2, 1, rng)
-            hits += inst.answer == 1 and inst.strings[0].text == "10" and inst.indices[0] == 1
+        answer, sigma, strings = sample_chain_batch(np.random.default_rng(5), trials, 2, 1)
+        hits = int(((answer == 1) & (sigma[:, 0] == 1) & strings[:, 0, 0] & ~strings[:, 0, 1]).sum())
         se = math.sqrt(0.25 * 0.75 / trials)
         assert abs(hits / trials - 0.25) <= 5 * se
 
     def test_marginal_uniform_n4(self):
         # marginalizing the answer bit leaves every (string, index) pair at 1/24
-        rng = random.Random(6)
         trials = 120000
-        counts = Counter()
-        for _ in range(trials):
-            inst = sample_chain(4, 1, rng)
-            counts[(inst.strings[0].text, inst.indices[0])] += 1
+        _, sigma, strings = sample_chain_batch(np.random.default_rng(6), trials, 4, 1)
+        counts = Counter(zip(map(bytes, strings[:, 0]), sigma[:, 0].tolist()))
         assert len(counts) == 24
         p = 1 / 24
         se = math.sqrt(p * (1 - p) / trials)
@@ -112,21 +102,18 @@ class TestSampleChain:
 
     def test_pairs_independent_given_answer(self):
         # conditioned on the answer, the two (string, index) pairs are independent
-        rng = random.Random(7)
         trials = 80000
+        answer, sigma, strings = sample_chain_batch(np.random.default_rng(7), trials, 2, 2)
         joint = {0: Counter(), 1: Counter()}
         marg1 = {0: Counter(), 1: Counter()}
         marg2 = {0: Counter(), 1: Counter()}
-        totals = Counter()
-        for _ in range(trials):
-            inst = sample_chain(2, 2, rng)
-            z = inst.answer
-            a = (inst.strings[0].text, inst.indices[0])
-            b = (inst.strings[1].text, inst.indices[1])
+        totals = Counter(answer.tolist())
+        pairs = zip(answer.tolist(), map(bytes, strings[:, 0]), map(bytes, strings[:, 1]), sigma.tolist())
+        for z, x1, x2, (s1, s2) in pairs:
+            a, b = (x1, s1), (x2, s2)
             joint[z][(a, b)] += 1
             marg1[z][a] += 1
             marg2[z][b] += 1
-            totals[z] += 1
         for z in (0, 1):
             n_z = totals[z]
             expected = {
@@ -139,27 +126,21 @@ class TestSampleChain:
             assert stat <= chi2_quantile(df)
 
 
-class TestSampleBiasedDirect:
+class TestSampleBiasedStructured:
     def test_full_bias_always_one(self):
         rng = random.Random(1)
-        for _ in range(100):
-            s = sample_biased_direct(4, Fraction(1, 2), rng)
-            assert s.answer == 1
-            assert s.string.bit(s.index) == 1
-            assert s.pool is None and s.chosen is None
+        assert all(sample_biased_structured(4, Fraction(1, 2), rng).answer == 1 for _ in range(100))
 
     def test_full_negative_bias_always_zero(self):
         rng = random.Random(2)
-        assert all(
-            sample_biased_direct(4, Fraction(-1, 2), rng).answer == 0 for _ in range(100)
-        )
+        assert all(sample_biased_structured(4, Fraction(-1, 2), rng).answer == 0 for _ in range(100))
 
     def test_unbiased_n2_uniform(self):
         rng = random.Random(3)
         trials = 40000
         counts = Counter()
         for _ in range(trials):
-            s = sample_biased_direct(2, 0, rng)
+            s = sample_biased_structured(2, 0, rng)
             counts[(s.string.text, s.index)] += 1
         assert len(counts) == 4
         se = math.sqrt(0.25 * 0.75 / trials)
@@ -168,10 +149,8 @@ class TestSampleBiasedDirect:
 
     def test_bias_out_of_range(self):
         with pytest.raises(InvalidParameterError):
-            sample_biased_direct(4, Fraction(2, 3), random.Random(0))
+            sample_biased_structured(4, Fraction(2, 3), random.Random(0))
 
-
-class TestSampleBiasedStructured:
     def test_off_grid_error_names_neighbors(self):
         with pytest.raises(InvalidParameterError) as err:
             sample_biased_structured(4, Fraction(1, 3), random.Random(0))

@@ -385,6 +385,18 @@ class TestCli:
             successes[seed] = mc["details"]["successes"]
         assert successes[0] != successes[5]
 
+    def test_named_independence_suite_reads_its_seed(self, tmp_path):
+        lhs = {}
+        for seed in (1, 2):
+            out = tmp_path / f"independence-{seed}.json"
+            args = ["verify", "--suite", "conditional-independence", "--theta", "1/6", "--seed", str(seed),
+                    "--out", str(out)]
+            assert cli_main(args) == 0
+            (check,) = json.loads(out.read_bytes())["checks"]
+            assert (check["params"]["trials"], check["params"]["seed"]) == (20000, seed)
+            lhs[seed] = check["lhs"]
+        assert lhs[1] != lhs[2]
+
     def test_negative_seed_on_majority_verify_exit_two(self):
         assert cli_main(["verify", "--suite", "majority", "--seed", "-1"]) == 2
 

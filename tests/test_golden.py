@@ -13,11 +13,16 @@ from chainlab.cli import main as cli_main
 GOLDEN = {
     "verify-default": (
         ["verify", "--suite", "default", "--seed", "3"],
-        "518071c3ba0efdf040aaac687ce6a4aea6b0a2cf9a9219fa50161f9383ea3e0e",
+        "b3d598ea81ce0ac4888acbc8d98a7b9aa7ad533981164e2b15943bbc7be48cb5",
     ),
     "verify-default-theta0": (
         ["verify", "--suite", "default", "--theta", "0", "--seed", "3"],
-        "a528ec0b32d4a0095c925df557564ce1f2dc716f4752a0a4a06a9f7df8f4bb28",
+        "0437582fbe0fab3efc34246468a641c57e4021875c0d27a25ef788373a0aa3d7",
+    ),
+    # the named suite runs the same sampled check as the default suite, with its own seed
+    "verify-conditional-independence": (
+        ["verify", "--suite", "conditional-independence", "--seed", "3"],
+        "7e8c90ff6028571347bce6dde43e451e3fa8adceecc77698e501b34771ce8279",
     ),
     "verify-pmf-n4": (
         ["verify", "--suite", "pmf", "--n", "4"],

@@ -13,7 +13,6 @@ from chainlab import (
     check_binomial_entropy_bounds,
     conditional_entropy,
     entropy,
-    fano_bound,
     log_binomial,
 )
 from chainlab.info_theory import total_variation
@@ -136,27 +135,30 @@ class TestConditionalEntropy:
 
 
 class TestFano:
+    """Fano's inequality for a binary answer: H(X | Y) <= H2(error) for any
+    estimator of X from Y."""
+
     def test_zero_error(self):
-        assert fano_bound(0) == 0.0
+        assert binary_entropy(0) == 0.0
 
     def test_symmetry_point(self):
-        assert fano_bound(Fraction(1, 3)) == pytest.approx(binary_entropy(Fraction(2, 3)), abs=1e-12)
+        assert binary_entropy(Fraction(1, 3)) == pytest.approx(binary_entropy(Fraction(2, 3)), abs=1e-12)
 
     def test_domain(self):
-        with pytest.raises(InvalidParameterError):
-            fano_bound(Fraction(1, 2))
+        for error in (Fraction(-1, 4), Fraction(3, 2)):
+            with pytest.raises(InvalidParameterError):
+                binary_entropy(error)
 
     def test_every_deterministic_estimator(self):
-        # exhaustive check on a small joint: any estimator g(Y) with error < 1/2
-        # must leave H(X|Y) <= H2(error)
+        # exhaustive check on a small joint: every estimator g(Y) leaves
+        # H(X|Y) <= H2(error); past error 1/2 the complement of g is the witness
         j = JointTable.from_weights(
             ("x", "y"), {(0, 0): 5, (1, 0): 1, (0, 1): 1, (1, 1): 4, (0, 2): 2, (1, 2): 1}
         )
         h_x_given_y = conditional_entropy(j, "x", ("y",))
         for g in product((0, 1), repeat=3):
             error = sum(p for (x, y), p in j.entries.items() if g[y] != x)
-            if error < Fraction(1, 2):
-                assert h_x_given_y <= fano_bound(error) + TOL
+            assert h_x_given_y <= binary_entropy(error) + TOL
 
 
 class TestLogBinomial:

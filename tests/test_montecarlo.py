@@ -12,8 +12,6 @@ import pytest
 import chainlab
 import chainlab.montecarlo as montecarlo_module
 from chainlab import (
-    BitString,
-    ChainInstance,
     InvalidParameterError,
     ProtocolContractError,
     build_protocol,
@@ -29,6 +27,7 @@ from chainlab.montecarlo import (
     VECTOR_BATCH,
     MonteCarloEstimate,
     _lowest,
+    chain_instances,
     montecarlo_success_by_name,
     sample_chain_batch,
     sampled_bits_kernel,
@@ -169,16 +168,6 @@ class TestAgainstExactOracles:
         assert est.estimate == 1.0
 
 
-def _instances(answer, sigma, strings):
-    """The rows of a sampled batch as engine instances."""
-    n = strings.shape[2]
-    return [
-        ChainInstance(n=n, k=len(s), strings=tuple(BitString(row.astype(int)) for row in x), indices=tuple(s),
-                      answer=int(z))
-        for z, s, x in zip(answer, sigma.tolist(), strings)
-    ]
-
-
 class PublishedPositions(SharedRandomness):
     """Shared randomness that hands sampled-bits the positions and the coin a
     batch kernel drew, so the engine runs on the kernel's randomness."""
@@ -222,7 +211,7 @@ class TestBatchKernels:
         for t in sorted({0, 1, n // 2, n}):
             protocol = truncation_protocol(n, k, t)
             expected = [run_chain_protocol(protocol, inst, SharedRandomness(0)).output
-                        for inst in _instances(answer, sigma, strings)]
+                        for inst in chain_instances(strings, sigma)]
             assert truncation_kernel(rng, strings, sigma, t).tolist() == expected
 
     @pytest.mark.parametrize("n,k", [(2, 1), (4, 3), (8, 2)])
@@ -237,7 +226,7 @@ class TestBatchKernels:
             outputs = sampled_bits_kernel(rng, strings, sigma, m)
             protocol = sampled_bits_protocol(n, k, m)
             expected = [run_chain_protocol(protocol, inst, PublishedPositions(pub, coin)).output
-                        for inst, pub, coin in zip(_instances(answer, sigma, strings), published, coins)]
+                        for inst, pub, coin in zip(chain_instances(strings, sigma), published, coins)]
             assert outputs.tolist() == expected
 
     def test_sampled_bits_kernel_extremes_match_the_closed_form(self):

@@ -2,6 +2,7 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -33,14 +34,12 @@ from chainlab import (
     verify_distribution_identity,
     verify_entropy_given_pool,
 )
-from chainlab.distributions import DEFAULT_ENUMERATION_BUDGET
+from chainlab.distributions import DEFAULT_ENUMERATION_BUDGET, enumerate_support
 from chainlab.experiments import _fano_companion, suite_binomial_bounds, suite_entropy_pool, suite_majority, suite_pmf
 from chainlab.montecarlo import MonteCarloEstimate
 from chainlab.oracle import (
-    _chain_support,
     _support_runs,
     enumerated_majority_success,
-    factorizes,
     full_string_message_function,
     random_chain_protocol,
     random_message_function,
@@ -209,8 +208,26 @@ class TestChecksCanFail:
 
         monkeypatch.setattr(oracle_module, "sample_biased_structured", leaky)
         report = verify_conditional_independence(4, Fraction(1, 2), trials=20000, seed=1)
-        assert report.details["worst_deviation_se"] < 5
-        assert report.details["empirical_within_5se"] is False
+        assert report.lhs < 5
+        assert report.details["outside_support"] > 0
+        assert report.passed is False
+
+    def test_index_always_lowest_in_pool_fails_conditional_independence(self, monkeypatch):
+        import chainlab.oracle as oracle_module
+
+        # every draw stays inside the support, but the index is no longer
+        # uniform on the pool, so the law is wrong
+        real = oracle_module.sample_biased_structured
+
+        def lowest(n, theta, rng):
+            sample = real(n, theta, rng)
+            index = min(sample.pool)
+            return replace(sample, index=index, answer=sample.string.bit(index))
+
+        monkeypatch.setattr(oracle_module, "sample_biased_structured", lowest)
+        report = verify_conditional_independence(4, Fraction(1, 6), trials=20000, seed=1)
+        assert report.details["outside_support"] == 0
+        assert report.lhs > 5
         assert report.passed is False
 
     def test_no_advantage_fails_majority_advantage_floor(self, monkeypatch):
@@ -252,6 +269,15 @@ class TestEnumerateJoint:
     def test_total_probability_exact(self):
         joint = enumerate_joint(truncation_protocol(4, 2, 2), 4, 2)
         assert sum(joint.entries.values()) == 1
+
+
+def _chain_support(n, k):
+    """All (answer, strings, indices) with positive probability; uniform weight each."""
+    strings = list(enumerate_balanced(n))
+    for z in (0, 1):
+        valid = [(y, s) for y in strings for s in range(1, n + 1) if y.bit(s) == z]
+        for combo in product(valid, repeat=k):
+            yield z, tuple(y for y, _ in combo), tuple(s for _, s in combo)
 
 
 def _engine_runs(protocol, n, k, shared_seed):
@@ -538,22 +564,19 @@ class TestMajorityOracles:
 
 class TestConditionalIndependence:
     @pytest.mark.parametrize("theta", [0, Fraction(1, 2), Fraction(1, 6), Fraction(-1, 6)])
-    def test_exact_factorization(self, theta):
-        report = verify_conditional_independence(4, theta)
+    def test_sampled_law_matches_the_support(self, theta):
+        report = verify_conditional_independence(4, theta, trials=20000, seed=2)
+        assert (report.rhs, report.relation, report.mode) == (5, "<=", "float")
+        assert report.lhs <= 5
+        assert report.details == {"cells": len(enumerate_support(4, theta, "structured").entries),
+                                  "outside_support": 0}
         assert report.passed
-        assert report.details["structured_factorizes"]
-        assert report.details["chain_pairs_factorize"]
 
     def test_with_empirical_check(self):
         report = verify_conditional_independence(4, Fraction(1, 6), trials=30000, seed=1)
         assert report.passed
-        assert report.details["empirical_within_5se"] is True
+        assert report.details["outside_support"] == 0
 
-    def test_factorizes_accepts_product_law(self):
-        assert factorizes({(a, b): (a + 1) * (b + 2) for a in range(2) for b in range(3)})
-
-    def test_factorizes_rejects_dependent_law(self):
-        # a and b always agree: the law is not the product of its uniform marginals
-        assert not factorizes({(0, 0): 1, (1, 1): 1})
-        # a missing cell breaks the product as well
-        assert not factorizes({(0, 0): 1, (0, 1): 1, (1, 0): 1})
+    def test_no_trials_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            verify_conditional_independence(4, 0, trials=0)

@@ -3,6 +3,7 @@ import random
 from collections import Counter
 from itertools import product
 
+import numpy as np
 import pytest
 
 from chainlab import (
@@ -18,14 +19,20 @@ from chainlab import (
     index_majority_decode,
     index_majority_encode,
     run_chain_protocol,
-    sample_chain,
     sampled_bits_protocol,
     trivial_forward_protocol,
     truncation_protocol,
 )
+from chainlab.montecarlo import chain_instances, sample_chain_batch
 from chainlab.protocols import Board, constant_protocol
 
 from util import chi2_quantile, chi2_stat
+
+
+def sampled_instances(n, k, count, seed):
+    """`count` instances of the hard distribution from the batch sampler."""
+    _, sigma, strings = sample_chain_batch(np.random.default_rng(seed), count, n, k)
+    return chain_instances(strings, sigma)
 
 
 def all_instances(n, k):
@@ -66,10 +73,8 @@ class TestSharedRandomness:
 
 class TestEngine:
     def test_trivial_forward_always_correct(self):
-        rng = random.Random(0)
         p = trivial_forward_protocol(6, 2)
-        for _ in range(50):
-            inst = sample_chain(6, 2, rng)
+        for inst in sampled_instances(6, 2, 50, seed=0):
             result = run_chain_protocol(p, inst, SharedRandomness(1))
             assert result.correct
             assert sum(len(m) for m in result.board.messages) == p.total_bits == 12
@@ -83,9 +88,7 @@ class TestEngine:
     def test_last_only_mode(self):
         p = trivial_forward_protocol(4, 3, mode="last-only")
         assert p.total_bits == 4
-        rng = random.Random(1)
-        for _ in range(20):
-            inst = sample_chain(4, 3, rng)
+        for inst in sampled_instances(4, 3, 20, seed=1):
             assert run_chain_protocol(p, inst, SharedRandomness(2)).correct
 
     def test_declared_length_enforced(self):
@@ -191,10 +194,8 @@ class TestEngine:
 
 class TestAugEngine:
     def test_trivial_forward_correct(self):
-        rng = random.Random(2)
         p = trivial_forward_protocol(4, 2)
-        for _ in range(30):
-            inst = sample_chain(4, 2, rng)
+        for inst in sampled_instances(4, 2, 30, seed=2):
             assert run_chain_protocol(p, inst, SharedRandomness(1), aug=True).correct
 
     def test_transcript_contains_k_prefixes_and_k_indices(self):
@@ -318,9 +319,7 @@ class TestChainedMajority:
     def test_k1_matches_index_majority_run_for_run(self):
         chained = chained_majority_protocol(8, 1, 4)
         single = build_protocol("index-majority", 8, 1, {"B": 4})
-        rng = random.Random(4)
-        for seed in range(40):
-            inst = sample_chain(8, 1, rng)
+        for seed, inst in enumerate(sampled_instances(8, 1, 40, seed=4)):
             a = run_chain_protocol(chained, inst, SharedRandomness(seed))
             b = run_chain_protocol(single, inst, SharedRandomness(seed))
             assert a.output == b.output
