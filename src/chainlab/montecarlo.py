@@ -18,7 +18,9 @@ with the kernel of the protocol's simulator tag (`ProtocolSpec.simulator`):
   (protocol functions are closures and cannot be pickled). It is the
   reference the numpy kernels are tested against.
 - "majority" (chained-majority with B <= 64): `_majority_batch` draws the
-  protocol's reduced form, without strings.
+  protocol's reduced form, without strings: one raw 64-bit output per block
+  word, decoded in passes of MAJORITY_ROWS trials, so a batch holds its
+  words and positions and little else.
 
 `numpy.random` is imported by the first batch, not by the package.
 """
@@ -38,6 +40,9 @@ from .protocols import ProtocolSpec, SharedRandomness, build_protocol, check_siz
 VECTOR_BATCH = 1 << 16
 
 CHUNK_CELLS = 1 << 13
+
+# trials per decoding pass of `_majority_batch`: its word arrays stay in cache
+MAJORITY_ROWS = 1 << 11
 
 WORKERS_ENV = "CHAINLAB_WORKERS"
 
@@ -172,20 +177,33 @@ def _majority_batch(rng: np.random.Generator, count: int, k: int, block_size: in
     independent. Ties in the final vote are right with probability exactly
     1/2, sampled as one coin per trial. Tests check this against the engine
     (B > 64 has no kernel) and the exact oracle.
+
+    The block words are the draws of `rng.integers(0, 1 << 32, size=(count,
+    k, 2), dtype=np.uint64)` joined as `first << 32 | second`, taken from one
+    raw 64-bit output each. PCG64 serves a 32-bit draw as the low half of a
+    64-bit output and buffers the high half for the next one, so each word is
+    its raw output rotated by 32 bits; count * k * 2 halves leave nothing
+    buffered, so the positions and coins drawn next are unchanged too. The
+    golden digest of `simulate-chained-majority` pins the counts: a numpy
+    release that serves the halves in another order turns it red. After the
+    draws, the words are decoded in passes of MAJORITY_ROWS trials.
     """
     b = block_size
-    halves = rng.integers(0, 1 << 32, size=(count, k, 2), dtype=np.uint64)
-    words = (halves[..., 0] << np.uint64(32)) | halves[..., 1]
-    if b < 64:
-        words &= np.uint64((1 << b) - 1)
+    raw = rng.bit_generator.random_raw(count * k).reshape(count, k)
     pos = rng.integers(0, b, size=(count, k), dtype=np.uint64)
     coin = rng.integers(0, 2, size=count, dtype=np.int64)
-    majority = np.bitwise_count(words).astype(np.int64) * 2 > b
-    indexed = ((words >> pos) & np.uint64(1)).astype(bool)
-    n_right = (majority == indexed).sum(axis=1)
-    wins = int((2 * n_right > k).sum())
-    ties = int(coin[2 * n_right == k].sum())
-    return wins + ties
+    half = np.uint64(32)
+    successes = 0
+    for start in range(0, count, MAJORITY_ROWS):
+        rows = slice(start, start + MAJORITY_ROWS)
+        words = (raw[rows] << half) | (raw[rows] >> half)
+        if b < 64:
+            words &= np.uint64((1 << b) - 1)
+        majority = np.bitwise_count(words) > b // 2
+        words >>= pos[rows]
+        n_right = (majority == (words & np.uint64(1)).astype(bool)).sum(axis=1)
+        successes += int((2 * n_right > k).sum()) + int(coin[rows][2 * n_right == k].sum())
+    return successes
 
 
 def chain_instances(strings: np.ndarray, sigma: np.ndarray) -> list[ChainInstance]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Any, Callable, Mapping, Sequence
 
 from .errors import InvalidParameterError, ProtocolContractError
@@ -289,20 +290,18 @@ def chained_majority_protocol(n: int, k: int, block_size: int) -> ProtocolSpec:
     if block_size < 1 or n % block_size != 0:
         raise InvalidParameterError(f"block size {block_size} must divide n={n}")
 
-    def mask_for(i: int, shared: SharedRandomness) -> BitString:
-        return shared.bits(f"majority/mask/{i}", n)
-
-    def perm_for(i: int, shared: SharedRandomness) -> tuple[int, ...]:
-        return shared.permutation(f"majority/perm/{i}", n)
+    # k entries hold one run's masks and permutations: a run derives each
+    # once, and a run under the next shared seed evicts them
+    @lru_cache(maxsize=k)
+    def keys_for(i: int, shared: SharedRandomness) -> tuple[BitString, tuple[int, ...]]:
+        return shared.bits(f"majority/mask/{i}", n), shared.permutation(f"majority/perm/{i}", n)
 
     def message(i: int, string: BitString, board: Board, shared: SharedRandomness) -> BitString:
-        return index_majority_encode(string, mask_for(i, shared), perm_for(i, shared), block_size)
+        return index_majority_encode(string, *keys_for(i, shared), block_size)
 
     def decode(board: Board, shared: SharedRandomness) -> int:
         guesses = [
-            index_majority_decode(
-                board.message(i), board.index(i), mask_for(i, shared), perm_for(i, shared), block_size
-            )
+            index_majority_decode(board.message(i), board.index(i), *keys_for(i, shared), block_size)
             for i in range(1, k + 1)
         ]
         ones = sum(guesses)

@@ -1,20 +1,26 @@
-"""The integer-weight entropy kernel is bit-identical to the exact-rational one.
+"""Fast kernels are identical to the reference formulations they replace.
 
-The reference below is the Fraction formulation of the kernel: cells are
+The entropy reference is the Fraction formulation of the kernel: cells are
 normalized to Fraction probabilities, marginals and slice masses add
 Fractions, and each entropy term is float(p) * (log2(den) - log2(num)) on
 the reduced rational. Every comparison is float `==`, not approx.
+
+The block-majority reference draws each block word as two 32-bit halves and
+decodes the whole batch at once. The kernel must give the same success count
+and leave the generator in the same state.
 """
 import math
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from chainlab import InvalidParameterError, JointTable, binary_entropy, conditional_entropy, entropy
 from chainlab.info_theory import binary_entropy_ratio
+from chainlab.montecarlo import _batch_rng, _majority_batch
 
 
 def ref_cells(weights):
@@ -110,3 +116,55 @@ def test_bad_weights_rejected(weights):
 def test_binary_entropy_ratio_domain():
     with pytest.raises(InvalidParameterError):
         binary_entropy_ratio(3, 2)
+
+
+def ref_majority_batch(rng, count, k, block_size):
+    b = block_size
+    halves = rng.integers(0, 1 << 32, size=(count, k, 2), dtype=np.uint64)
+    words = (halves[..., 0] << np.uint64(32)) | halves[..., 1]
+    if b < 64:
+        words &= np.uint64((1 << b) - 1)
+    pos = rng.integers(0, b, size=(count, k), dtype=np.uint64)
+    coin = rng.integers(0, 2, size=count, dtype=np.int64)
+    majority = np.bitwise_count(words).astype(np.int64) * 2 > b
+    indexed = ((words >> pos) & np.uint64(1)).astype(bool)
+    n_right = (majority == indexed).sum(axis=1)
+    wins = int((2 * n_right > k).sum())
+    ties = int(coin[2 * n_right == k].sum())
+    return wins + ties
+
+
+class Unrotated:
+    """A generator whose raw outputs come rotated by 32 bits. The kernel's own
+    rotation undoes it, so the kernel runs as if it had no rotation."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.bit_generator = self
+
+    def random_raw(self, size):
+        raw = self.rng.bit_generator.random_raw(size)
+        return (raw << np.uint64(32)) | (raw >> np.uint64(32))
+
+    def integers(self, *args, **kwargs):
+        return self.rng.integers(*args, **kwargs)
+
+
+# odd count * k, B = 1, blocks on both sides of a 32-bit half, one pass, a
+# ragged last pass and a whole batch of passes
+MAJORITY_GRID = [(count, k, seed) for count in (1, 7, 1000, 4999, 1 << 16) for k in (1, 2, 3, 25) for seed in (0, 5)]
+BLOCK_SIZES = (1, 3, 4, 31, 32, 33, 63, 64)
+
+
+@pytest.mark.parametrize("b", BLOCK_SIZES)
+def test_majority_kernel_matches_two_halves_per_word(b):
+    for count, k, seed in MAJORITY_GRID:
+        ref_rng, rng = _batch_rng(seed, 3), _batch_rng(seed, 3)
+        assert _majority_batch(rng, count, k, b) == ref_majority_batch(ref_rng, count, k, b), (count, k, seed)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_majority_identity_sees_a_missing_rotation():
+    cells = ((count, k, seed, b) for b in BLOCK_SIZES for count, k, seed in MAJORITY_GRID)
+    assert any(_majority_batch(Unrotated(_batch_rng(seed, 3)), count, k, b)
+               != ref_majority_batch(_batch_rng(seed, 3), count, k, b) for count, k, seed, b in cells)

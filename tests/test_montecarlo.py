@@ -2,6 +2,7 @@ import copy
 import math
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -26,7 +27,9 @@ from chainlab import (
 from chainlab.montecarlo import (
     VECTOR_BATCH,
     MonteCarloEstimate,
+    _batch_rng,
     _lowest,
+    _majority_batch,
     chain_instances,
     montecarlo_success_by_name,
     sample_chain_batch,
@@ -237,6 +240,17 @@ class TestBatchKernels:
         assert (sampled_bits_kernel(rng, strings, sigma, 8) == answer).all()
         right = int((sampled_bits_kernel(rng, strings, sigma, 0) == answer).sum())
         assert within_5se(right / count, 0.5, count)
+
+    def test_majority_batch_peak_memory(self):
+        # a batch holds its raw words and positions (13 MB each) and the
+        # arrays of one decoding pass, not a batch-sized array per step
+        tracemalloc.start()
+        try:
+            _majority_batch(_batch_rng(7, 0), VECTOR_BATCH, 25, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 << 20
 
 
 class TestByName:

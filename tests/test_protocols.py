@@ -325,6 +325,23 @@ class TestChainedMajority:
             assert a.output == b.output
             assert a.board.messages == b.board.messages
 
+    def test_shared_randomness_derived_once_per_run(self, monkeypatch):
+        n, k = 16, 3
+        labels = []
+        stream = SharedRandomness.stream
+        monkeypatch.setattr(SharedRandomness, "stream",
+                            lambda self, label: labels.append(label) or stream(self, label))
+        p = chained_majority_protocol(n, k, 4)
+        inst = sampled_instances(n, k, 1, seed=2)[0]
+        boards = {}
+        for seed in (1, 2, 1):
+            labels.clear()
+            board = run_chain_protocol(p, inst, SharedRandomness(seed)).board
+            assert len(labels) <= 2 * k + 1
+            assert boards.setdefault(seed, board) == board
+        assert boards[1].messages != boards[2].messages
+        assert run_chain_protocol(chained_majority_protocol(n, k, 4), inst, SharedRandomness(2)).board == boards[2]
+
     def test_batch_kernel_only_up_to_block_size_64(self):
         assert chained_majority_protocol(64, 3, 64).simulator == "majority"
         assert chained_majority_protocol(128, 3, 128).simulator is None
