@@ -18,9 +18,16 @@ from itertools import combinations
 
 from .errors import InvalidParameterError, ResourceLimitError
 from .info_theory import JointTable
-from .model import BalancedString, enumerate_balanced
+from .model import BalancedString, balanced_strings
 
 DEFAULT_ENUMERATION_BUDGET = 10_000_000
+
+
+def check_budget(work: str, required: int, unit: str) -> None:
+    """Raise ResourceLimitError before an exact enumeration that needs more than the budget."""
+    if required > DEFAULT_ENUMERATION_BUDGET:
+        message = f"{work} needs {required} {unit}, budget is {DEFAULT_ENUMERATION_BUDGET}"
+        raise ResourceLimitError(message, required=required, budget=DEFAULT_ENUMERATION_BUDGET)
 
 
 @dataclass(frozen=True)
@@ -122,22 +129,17 @@ def pmf_biased_index(n: int, theta, y: BalancedString, rho: int) -> Fraction:
     return Fraction(numerator) / (n * math.comb(n, n // 2))
 
 
-def _direct_table(n: int, theta: Fraction) -> dict[tuple[BalancedString, int], int]:
-    """Each answer bit w gets mass p_w, shared equally by the cells whose
-    indexed bit is w. With theta = p/q, over the common denominator
-    2q |valid_0| |valid_1| a cell with bit w weighs (q +- 2p) |valid_(1-w)|."""
-    strings = list(enumerate_balanced(n))
-    valid = {
-        w: [(y, rho) for y in strings for rho in range(1, n + 1) if y.bit(rho) == w]
-        for w in (0, 1)
-    }
+def cell_weights(theta: Fraction) -> tuple[int, int]:
+    """Integer weights, proportional to 1 -+ 2 theta with theta = p/q, of a
+    (string, index) cell whose indexed bit is 0 and 1: every balanced string
+    has n/2 cells of each bit, so each answer bit's mass is spread evenly."""
     p, q = theta.numerator, theta.denominator
-    table: dict[tuple[BalancedString, int], int] = {}
-    for w, sign in ((0, -1), (1, 1)):
-        weight = (q + sign * 2 * p) * len(valid[1 - w])
-        for key in valid[w]:
-            table[key] = weight
-    return table
+    return q - 2 * p, q + 2 * p
+
+
+def _direct_table(n: int, theta: Fraction) -> dict[tuple[BalancedString, int], int]:
+    weight_of_bit = cell_weights(theta)
+    return {(y, rho): weight_of_bit[w] for y in balanced_strings(n) for rho, w in enumerate(y.bits, 1)}
 
 
 def _structured_table(n: int, theta: Fraction) -> dict[tuple[BalancedString, int], int]:
@@ -171,12 +173,7 @@ def enumerate_support(
         build = _structured_table
     else:
         raise InvalidParameterError(f"variant must be 'direct' or 'structured', got {variant!r}")
-    if required > DEFAULT_ENUMERATION_BUDGET:
-        raise ResourceLimitError(
-            f"{variant} enumeration needs {required} points, budget is {DEFAULT_ENUMERATION_BUDGET}",
-            required=required,
-            budget=DEFAULT_ENUMERATION_BUDGET,
-        )
+    check_budget(f"{variant} enumeration", required, "points")
     return JointTable.from_weights(("string", "index"), build(n, theta))
 
 

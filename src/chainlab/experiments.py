@@ -184,7 +184,7 @@ def suite_pmf(ns: Sequence[int] = (2, 4, 6, 8), theta: Fraction | None = None) -
 def _message_function_cases(n: int, s: int, functions: int, seed: int):
     for j in range(functions):
         yield f"random-{j}", random_message_function(n, s, seed + j)
-    yield "truncation", truncation_message_function(s)
+    yield "truncation", truncation_message_function(n, s)
 
 
 def suite_biased_index(
@@ -200,13 +200,13 @@ def suite_biased_index(
     verify = verify_aug_biased_index_bound if aug else verify_biased_index_bound
     reports = []
     for n in ns:
-        full_fn, full_s = full_string_message_function(n)
+        full, full_s = full_string_message_function(n)
         for t in _grid_for(n, theta):
             for s in lengths:
-                for kind, fn in _message_function_cases(n, s, functions, seed):
-                    report = verify(n, t, fn, s)
+                for kind, messages in _message_function_cases(n, s, functions, seed):
+                    report = verify(n, t, messages, s)
                     reports.append(replace(report, params={**report.params, "message_function": kind}))
-            report = verify(n, t, full_fn, full_s)
+            report = verify(n, t, full, full_s)
             reports.append(replace(report, params={**report.params, "message_function": "full-string"}))
     return reports
 

@@ -16,16 +16,17 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from typing import Callable
+from typing import Sequence
 
 from .distributions import (
-    DEFAULT_ENUMERATION_BUDGET,
     BiasParam,
+    cell_weights,
+    check_budget,
     enumerate_support,
     sample_biased_structured,
     structured_pool_size,
 )
-from .errors import InvalidParameterError, ProtocolContractError, ResourceLimitError
+from .errors import InvalidParameterError, ProtocolContractError
 from .info_theory import (
     ENTROPY_TOLERANCE,
     JointTable,
@@ -36,7 +37,7 @@ from .info_theory import (
     log_binomial,
     total_variation,
 )
-from .model import BalancedString, BitString, balanced_strings
+from .model import BitString, balanced_strings
 from .protocols import (
     Board,
     ProtocolSpec,
@@ -49,8 +50,6 @@ from .protocols import (
     player_message,
 )
 from .report import VerificationReport
-
-MessageFunction = Callable[[BalancedString], BitString]
 
 
 # ---------------------------------------------------------------------------
@@ -151,15 +150,9 @@ def _support_runs(
     carries the number of (strings, indices) prefixes that lead to it under
     answer 0 and under answer 1; player i's index then fans out over the
     positions whose bit equals the answer. The decoder runs once per final
-    board."""
+    board, which is dropped as soon as it is decoded."""
     check_size(protocol, n, k)
-    required = _message_calls(n, protocol.message_lengths)
-    if required > DEFAULT_ENUMERATION_BUDGET:
-        raise ResourceLimitError(
-            f"joint enumeration needs {required} message calls, budget is {DEFAULT_ENUMERATION_BUDGET}",
-            required=required,
-            budget=DEFAULT_ENUMERATION_BUDGET,
-        )
+    check_budget("joint enumeration", _message_calls(n, protocol.message_lengths), "message calls")
     strings = balanced_strings(n)
     shared = SharedRandomness(shared_seed)
     boards: dict = {(): [Board(), 1, 1]}  # -> [board, weight under answer 0, under answer 1]
@@ -181,7 +174,8 @@ def _support_runs(
         boards = grown
     weights: dict[tuple, int] = {}
     hits = total = 0
-    for board, *answer_weights in boards.values():
+    while boards:
+        _, (board, *answer_weights) = boards.popitem()
         hits += answer_weights[decoder_output(protocol, board, shared)]
         for z, weight in enumerate(answer_weights):
             if weight:
@@ -275,34 +269,31 @@ def verify_chain_entropy_bound(
 # biased index bounds
 
 
-def _biased_joint(n: int, theta: Fraction, message_fn: MessageFunction, s: int, with_prefix: bool) -> JointTable:
-    # integer weights over a common denominator: (q +- 2p) per (y, rho) cell
-    p, q = theta.numerator, theta.denominator
-    weight_of_bit = (q - 2 * p, q + 2 * p)
+def _biased_joint(n: int, theta: Fraction, messages: Sequence[int], s: int, with_prefix: bool) -> JointTable:
+    """Joint table of (answer, message, index[, prefix]) with one integer
+    weight per (string, index) cell; messages[r] is the id of the r-th string
+    of balanced_strings(n)."""
+    check_budget("biased-index enumeration", math.comb(n, n // 2) * n, "points")
+    strings = balanced_strings(n)
+    if s < 0 or len(messages) != len(strings) or not all(isinstance(m, int) and 0 <= m < 2**s for m in messages):
+        raise ProtocolContractError(f"need one message id in [0, 2^{s}) per balanced string of length {n}")
+    weight_of_bit = cell_weights(theta)
     weights: dict[tuple, int] = {}
-    for y in balanced_strings(n):
-        message = message_fn(y)
-        if not isinstance(message, BitString) or len(message) != s:
-            raise ProtocolContractError(
-                f"message function must emit {s} bits, got {message!r} for '{y.text}'"
-            )
-        m, bits = message.bits, y.bits
-        for rho, w in enumerate(bits, 1):
-            weight = weight_of_bit[w]
-            if weight == 0:
-                continue
-            key = (w, m, rho, bits[: rho - 1]) if with_prefix else (w, m, rho)
-            weights[key] = weights.get(key, 0) + weight
+    for y, m in zip(strings, messages):
+        for rho, w in enumerate(y.bits, 1):
+            if weight_of_bit[w]:  # theta = 1/2 (-1/2) empties the cells of bit 0 (1)
+                key = (w, m, rho, y.bits[: rho - 1]) if with_prefix else (w, m, rho)
+                weights[key] = weights.get(key, 0) + weight_of_bit[w]
     labels = ("answer", "message", "index", "prefix") if with_prefix else ("answer", "message", "index")
     return JointTable.from_weights(labels, weights)
 
 
 def _biased_bound_report(
-    check: str, n: int, theta, message_fn: MessageFunction, s: int, with_prefix: bool
+    check: str, n: int, theta, messages: Sequence[int], s: int, with_prefix: bool
 ) -> VerificationReport:
     theta = BiasParam(Fraction(theta)).theta
     structured_pool_size(n, theta)  # grid precondition
-    joint = _biased_joint(n, theta, message_fn, s, with_prefix)
+    joint = _biased_joint(n, theta, messages, s, with_prefix)
     given = ("message", "index", "prefix") if with_prefix else ("message", "index")
     lhs = conditional_entropy(joint, "answer", given)
     h_message = entropy(joint.marginal(("message",)))
@@ -333,16 +324,19 @@ def _biased_bound_report(
     )
 
 
-def verify_biased_index_bound(n: int, theta, message_fn: MessageFunction, s: int) -> VerificationReport:
+def verify_biased_index_bound(n: int, theta, messages: Sequence[int], s: int) -> VerificationReport:
     """Check H(answer | message, index) against both printed variants of the
     single-message entropy bound; `passed` reflects the proof-chain variant
-    (prior - (2/n)(H(message) + 2 log n)), the stated variant is recorded."""
-    return _biased_bound_report("biased-index-entropy-bound", n, theta, message_fn, s, with_prefix=False)
+    (prior - (2/n)(H(message) + 2 log n)), the stated variant is recorded.
+    `messages` holds one id in [0, 2^s) per string of balanced_strings(n), in
+    rank order; any other length or id raises ProtocolContractError."""
+    return _biased_bound_report("biased-index-entropy-bound", n, theta, messages, s, with_prefix=False)
 
 
-def verify_aug_biased_index_bound(n: int, theta, message_fn: MessageFunction, s: int) -> VerificationReport:
-    """Augmented variant: condition additionally on the prefix before the index."""
-    return _biased_bound_report("augmented-index-entropy-bound", n, theta, message_fn, s, with_prefix=True)
+def verify_aug_biased_index_bound(n: int, theta, messages: Sequence[int], s: int) -> VerificationReport:
+    """Augmented variant: condition additionally on the prefix before the
+    index. `messages` follows the contract of verify_biased_index_bound."""
+    return _biased_bound_report("augmented-index-entropy-bound", n, theta, messages, s, with_prefix=True)
 
 
 def verify_entropy_given_pool(n: int, theta) -> VerificationReport:
@@ -461,30 +455,24 @@ def majority_vote_success(k: int, per_guess: Fraction) -> Fraction:
 # randomized test subjects
 
 
-def random_message_function(n: int, s: int, seed: int) -> MessageFunction:
-    """A uniformly random function from balanced strings to s-bit messages,
-    materialized from a seeded stream."""
-    rng = random.Random(derive_seed("message-fn", n, s, seed))
-    table = {
-        y: BitString(tuple(rng.randrange(2) for _ in range(s)))
-        for y in balanced_strings(n)
-    }
-    return lambda y: table[y]
+def random_message_function(n: int, s: int, seed: int) -> list[int]:
+    """A uniformly random s-bit message id per string of balanced_strings(n),
+    in rank order, drawn bit by bit from a seeded stream, first draw most
+    significant."""
+    draw = random.Random(derive_seed("message-fn", n, s, seed)).randrange
+    return [sum(draw(2) << j for j in range(s - 1, -1, -1)) for _ in range(math.comb(n, n // 2))]
 
 
-def truncation_message_function(s: int) -> MessageFunction:
-    return lambda y: BitString(y.bits[:s])
+def truncation_message_function(n: int, s: int) -> list[int]:
+    """The first s bits of each string of balanced_strings(n), as ids in rank order."""
+    return [int(y.text[:s] or "0", 2) for y in balanced_strings(n)]
 
 
-def full_string_message_function(n: int) -> tuple[MessageFunction, int]:
-    """An injective message function (the string's rank, binary-coded) and
-    its message length."""
-    ranks = {y: i for i, y in enumerate(balanced_strings(n))}
-    s = max(1, math.ceil(math.log2(len(ranks))))
-    def encode(y: BalancedString) -> BitString:
-        r = ranks[y]
-        return BitString(tuple((r >> (s - 1 - j)) & 1 for j in range(s)))
-    return encode, s
+def full_string_message_function(n: int) -> tuple[range, int]:
+    """An injective message function, each string's rank in
+    balanced_strings(n) as its id, and its message length."""
+    count = math.comb(n, n // 2)
+    return range(count), max(1, math.ceil(math.log2(count)))
 
 
 def _hash_bits(label: str, count: int) -> tuple[int, ...]:

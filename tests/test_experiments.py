@@ -331,6 +331,13 @@ class TestCli:
         monkeypatch.setattr(cli_module, "run_config", boom)
         assert cli_module.main(["verify", "--suite", "pmf"]) == 3
 
+    @pytest.mark.parametrize("suite", ["biased-index-bound", "aug-biased-index-bound"])
+    def test_biased_index_over_budget_exit_three_at_once(self, suite, tmp_path):
+        # C(22, 11) * 22 = 15,519,504 cells: refused before any table is built
+        start = time.perf_counter()
+        assert cli_main(["verify", "--suite", suite, "--n", "22", "--out", str(tmp_path / "report")]) == 3
+        assert time.perf_counter() - start < 5
+
     def test_unexpected_error_exit_four(self, monkeypatch):
         import chainlab.cli as cli_module
 

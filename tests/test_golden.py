@@ -36,6 +36,19 @@ GOLDEN = {
         ["verify", "--suite", "biased-index-bound", "--n", "4"],
         "1baf39bd56d454711c6621ce88711f492ec4f61bbaeb2636a699973eeec2958b",
     ),
+    # s = 3, the augmented suite on its own and chain accounting at n = 6
+    "verify-biased-index-bound-n6": (
+        ["verify", "--suite", "biased-index-bound", "--n", "6", "--seed", "3"],
+        "4f3a0718dbe3fab7d016509330549d6e1a815a6358276b2d3c5dfd737d64c9fe",
+    ),
+    "verify-aug-biased-index-bound-n6": (
+        ["verify", "--suite", "aug-biased-index-bound", "--n", "6", "--seed", "3"],
+        "7eba0ba7e2b9fcd8c7d561e4347dea9f6a6f1510a3ae55cea747701f7a5d2e3e",
+    ),
+    "verify-chain-entropy-n6": (
+        ["verify", "--suite", "chain-entropy", "--n", "6", "--seed", "3"],
+        "34e8b8efbc4ffef708c75bb2434158fe78dad4c47211b47023a5d5e99bba11fd",
+    ),
     # batch kernels: chained-majority (reduced form), truncation, sampled-bits
     "simulate-chained-majority": (
         ["simulate", "--protocol", "chained-majority", "--n", "64", "--k", "3",

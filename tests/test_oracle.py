@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter, defaultdict
 from dataclasses import replace
 from fractions import Fraction
@@ -35,7 +36,15 @@ from chainlab import (
     verify_entropy_given_pool,
 )
 from chainlab.distributions import DEFAULT_ENUMERATION_BUDGET, enumerate_support
-from chainlab.experiments import _fano_companion, suite_binomial_bounds, suite_entropy_pool, suite_majority, suite_pmf
+from chainlab.experiments import (
+    _fano_companion,
+    suite_biased_index,
+    suite_binomial_bounds,
+    suite_entropy_pool,
+    suite_majority,
+    suite_pmf,
+)
+from chainlab.model import balanced_strings
 from chainlab.montecarlo import MonteCarloEstimate
 from chainlab.oracle import (
     _support_runs,
@@ -321,6 +330,18 @@ class TestForwardPass:
         with pytest.raises(ProtocolContractError):
             exact_protocol_success(p, 4, 1)
 
+    def test_final_boards_freed_as_decoded(self):
+        # 7,200 final boards at n=6, k=2, t=6; holding them all until the
+        # decode loop ends peaks at about 4.6 MB
+        balanced_strings(6)
+        tracemalloc.start()
+        try:
+            exact_protocol_success(truncation_protocol(6, 2, 6), 6, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.8 * 2**20
+
 
 class TestPosteriorAnswerEntropy:
     def test_no_message_is_uniform(self):
@@ -418,15 +439,15 @@ class TestChainEntropyBound:
 
 class TestBiasedIndexBound:
     def test_empty_message_leaves_prior_entropy(self):
-        fn = truncation_message_function(0)
+        messages = truncation_message_function(4, 0)
         for theta in (0, Fraction(1, 6), Fraction(-1, 6)):
-            report = verify_biased_index_bound(4, theta, fn, 0)
+            report = verify_biased_index_bound(4, theta, messages, 0)
             assert report.passed
             assert report.lhs == pytest.approx(report.details["prior_entropy"], abs=TOL)
 
     def test_full_string_message_pins_answer(self):
-        fn, s = full_string_message_function(4)
-        report = verify_biased_index_bound(4, 0, fn, s)
+        messages, s = full_string_message_function(4)
+        report = verify_biased_index_bound(4, 0, messages, s)
         assert report.passed
         assert report.lhs == pytest.approx(0.0, abs=TOL)
         assert report.rhs <= 0
@@ -435,30 +456,66 @@ class TestBiasedIndexBound:
         for n in (4, 6):
             for theta in bias_grid(n):
                 for seed in range(3):
-                    fn = random_message_function(n, 2, seed)
-                    report = verify_biased_index_bound(n, theta, fn, 2)
+                    messages = random_message_function(n, 2, seed)
+                    report = verify_biased_index_bound(n, theta, messages, 2)
                     assert report.passed, (n, theta, seed)
 
     def test_off_grid_rejected(self):
         with pytest.raises(InvalidParameterError):
-            verify_biased_index_bound(4, Fraction(1, 5), truncation_message_function(1), 1)
+            verify_biased_index_bound(4, Fraction(1, 5), truncation_message_function(4, 1), 1)
 
     def test_message_function_determinism(self):
         a = random_message_function(4, 2, 9)
-        b = random_message_function(4, 2, 9)
-        for y in enumerate_balanced(4):
-            assert a(y) == b(y)
+        assert a == random_message_function(4, 2, 9)
+        assert a != random_message_function(4, 2, 10)
 
     def test_full_string_injective(self):
-        fn, _ = full_string_message_function(6)
-        images = {fn(y).text for y in enumerate_balanced(6)}
-        assert len(images) == 20
+        messages, s = full_string_message_function(6)
+        assert len(set(messages)) == len(messages) == 20
+        assert s == 5 and max(messages) < 2**s
+
+    def test_truncation_ids_are_leading_bits(self):
+        # 0011 0101 0110 1001 1010 1100
+        assert truncation_message_function(4, 2) == [0, 1, 1, 2, 2, 3]
+
+    def test_budget_checked_before_any_string(self):
+        with pytest.raises(ResourceLimitError) as err:
+            verify_biased_index_bound(22, 0, [], 1)
+        assert err.value.required == 15_519_504
+        assert err.value.budget == DEFAULT_ENUMERATION_BUDGET
+
+    @pytest.mark.parametrize("verify", [verify_biased_index_bound, verify_aug_biased_index_bound])
+    @pytest.mark.parametrize("fault", ["too-few", "too-many", "negative", "too-wide", "not-int"])
+    def test_message_ids_outside_contract_rejected(self, verify, fault):
+        messages = truncation_message_function(4, 2)
+        messages = {
+            "too-few": messages[:-1],
+            "too-many": messages + [0],
+            "negative": [-1] + messages[1:],
+            "too-wide": messages[:-1] + [4],
+            "not-int": [0.5] + messages[1:],
+        }[fault]
+        with pytest.raises(ProtocolContractError):
+            verify(4, 0, messages, 2)
+
+    def test_suite_builds_no_bitstring(self, monkeypatch):
+        balanced_strings(4)
+        built = []
+        real = BitString.__post_init__
+
+        def counted(self):
+            built.append(self)
+            real(self)
+
+        monkeypatch.setattr(BitString, "__post_init__", counted)
+        reports = suite_biased_index(ns=(4,), functions=2) + suite_biased_index(ns=(4,), functions=2, aug=True)
+        assert len(reports) == 2 * 5 * (3 * 3 + 1)
+        assert built == []
 
 
 class TestAugBiasedIndexBound:
     def test_empty_message_unbiased_matches_direct_computation(self):
-        fn = truncation_message_function(0)
-        report = verify_aug_biased_index_bound(4, 0, fn, 0)
+        report = verify_aug_biased_index_bound(4, 0, truncation_message_function(4, 0), 0)
         assert report.passed
 
         # independent recomputation of H(answer | index, prefix) at theta=0:
@@ -483,16 +540,16 @@ class TestAugBiasedIndexBound:
         assert report.details["slack_proof"] >= 0
 
     def test_full_string_message(self):
-        fn, s = full_string_message_function(4)
-        report = verify_aug_biased_index_bound(4, Fraction(1, 6), fn, s)
+        messages, s = full_string_message_function(4)
+        report = verify_aug_biased_index_bound(4, Fraction(1, 6), messages, s)
         assert report.passed
         assert report.lhs == pytest.approx(0.0, abs=TOL)
 
     def test_random_functions_proof_form(self):
         for theta in bias_grid(4):
             for seed in range(3):
-                fn = random_message_function(4, 2, seed)
-                report = verify_aug_biased_index_bound(4, theta, fn, 2)
+                messages = random_message_function(4, 2, seed)
+                report = verify_aug_biased_index_bound(4, theta, messages, 2)
                 assert report.passed, (theta, seed)
 
 
