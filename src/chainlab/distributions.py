@@ -1,20 +1,22 @@
-"""The biased index input: its sampler and exact probability tables.
+"""The biased index input: its batch sampler and exact probability tables.
 
 The law has two formulations: the direct one (draw the answer bit, then a
 conditioned string/index pair) and the structured one (draw a support set T,
 place the half-weight set inside it, draw the index from T). Both have exact
-(Y, rho) tables, which must coincide, and the package verifies that they do;
-samples are drawn from the structured one. The chained input is sampled by
-`montecarlo.sample_chain_batch`.
+(Y, rho) tables, which must coincide, and the package verifies that they do.
+`sample_biased_structured` draws the structured one as arrays from a
+caller-supplied numpy Generator, as `montecarlo.sample_chain_batch` does for
+the chained input.
 """
 from __future__ import annotations
 
 import csv
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+
+import numpy as np
 
 from .errors import InvalidParameterError, ResourceLimitError
 from .info_theory import JointTable
@@ -43,21 +45,6 @@ class BiasParam:
             raise InvalidParameterError(f"|theta| must be <= 1/2, got {theta}")
 
 
-@dataclass(frozen=True)
-class BiasedIndexSample:
-    """One draw of the biased index input.
-
-    `pool` is the restricted support set the index is drawn from and `chosen`
-    the half-size subset fixed to the biased value. Positions are 1-based.
-    """
-
-    answer: int
-    string: BalancedString
-    index: int
-    pool: frozenset[int]
-    chosen: frozenset[int]
-
-
 def bias_grid(n: int) -> list[Fraction]:
     """All biases realizable by an integer support-set size, sorted ascending.
 
@@ -71,7 +58,10 @@ def bias_grid(n: int) -> list[Fraction]:
 
 
 def structured_pool_size(n: int, theta) -> int:
-    """The support-set size b = n/(1+2|theta|); errors off-grid with the nearest grid values."""
+    """The support-set size b = n/(1+2|theta|); errors for an odd n or one
+    below 2, and off-grid with the nearest grid values."""
+    if n < 2 or n % 2 != 0:
+        raise InvalidParameterError(f"n must be even and >= 2, got {n}")
     theta = BiasParam(Fraction(theta)).theta
     b = Fraction(n) / (1 + 2 * abs(theta))
     if b.denominator != 1:
@@ -93,27 +83,25 @@ def structured_bits(n: int, chosen: set[int], theta: Fraction) -> tuple[int, ...
     return tuple(inside if i in chosen else 1 - inside for i in range(1, n + 1))
 
 
-def sample_biased_structured(n: int, theta, rng: random.Random) -> BiasedIndexSample:
-    """Draw from the structured formulation (grid biases only).
+def sample_biased_structured(
+    rng: np.random.Generator, count: int, n: int, theta
+) -> tuple[np.ndarray, np.ndarray]:
+    """`count` draws of the structured formulation (grid biases only) as
+    arrays: strings `(count, n)` bool and 1-based indices `(count,)`.
 
-    For theta >= 0 the chosen half-set is set to 1 inside the pool; for
-    theta < 0 the roles of the two bit values swap.
+    Each row orders its positions uniformly at random (argsort of uniform
+    keys). The first b positions are the pool, the first n/2 the chosen
+    half-set, which takes the biased value (1 for theta >= 0, 0 for
+    theta < 0) while all others take the opposite one, and the index is the
+    position at a uniform rank in [0, b).
     """
-    if n < 2 or n % 2 != 0:
-        raise InvalidParameterError(f"n must be even and >= 2, got {n}")
     theta = Fraction(theta)
     b = structured_pool_size(n, theta)
-    pool = sorted(rng.sample(range(1, n + 1), b))
-    chosen = sorted(rng.sample(pool, n // 2))
-    y = BalancedString(structured_bits(n, set(chosen), theta))
-    rho = pool[rng.randrange(b)]
-    return BiasedIndexSample(
-        answer=y.bit(rho),
-        string=y,
-        index=rho,
-        pool=frozenset(pool),
-        chosen=frozenset(chosen),
-    )
+    order = np.argsort(rng.random((count, n)), axis=1)
+    strings = np.full((count, n), theta < 0)
+    np.put_along_axis(strings, order[:, : n // 2], theta >= 0, axis=1)
+    indices = np.take_along_axis(order, rng.integers(0, b, size=(count, 1)), axis=1)[:, 0] + 1
+    return strings, indices
 
 
 def pmf_biased_index(n: int, theta, y: BalancedString, rho: int) -> Fraction:

@@ -8,6 +8,7 @@ report.
 from __future__ import annotations
 
 import csv
+import inspect
 import io
 import json
 import math
@@ -424,14 +425,18 @@ SuiteFn = Callable[..., list[VerificationReport]]
 
 @dataclass(frozen=True)
 class Suite:
-    """A named suite: its function, which run options (`ns`, `theta`, `seed`)
-    it takes, and its arguments in the default suite, which also passes on
-    the seed and, where `preset_theta` is set, the theta."""
+    """A named suite: its function and its arguments in the default suite,
+    which also passes on the seed and, where `preset_theta` is set, the
+    theta."""
 
     fn: SuiteFn
-    takes: tuple[str, ...]
     preset: Mapping[str, Any]
     preset_theta: bool = False
+
+    @property
+    def takes(self) -> tuple[str, ...]:
+        """The run options (`ns`, `theta`, `seed`) among the function's parameters."""
+        return tuple(p for p in ("ns", "theta", "seed") if p in inspect.signature(self.fn).parameters)
 
     def run(self, preset: Mapping[str, Any], **options) -> list[VerificationReport]:
         """Call the suite with `preset` plus those of `options` it takes and that are set."""
@@ -440,25 +445,19 @@ class Suite:
 
 # the presets keep the default suite fast while touching every check
 SUITES: dict[str, Suite] = {
-    "distribution-identity": Suite(
-        suite_distribution_identity, ("ns", "theta"), {"ns": (2, 4, 6)}, preset_theta=True),
-    "pmf": Suite(suite_pmf, ("ns", "theta"), {"ns": (2, 4, 6)}, preset_theta=True),
-    "biased-index-bound": Suite(
-        suite_biased_index, ("ns", "theta", "seed"), {"ns": (4,), "lengths": (1, 2), "functions": 5}),
+    "distribution-identity": Suite(suite_distribution_identity, {"ns": (2, 4, 6)}, preset_theta=True),
+    "pmf": Suite(suite_pmf, {"ns": (2, 4, 6)}, preset_theta=True),
+    "biased-index-bound": Suite(suite_biased_index, {"ns": (4,), "lengths": (1, 2), "functions": 5}),
     "aug-biased-index-bound": Suite(
-        partial(suite_biased_index, aug=True), ("ns", "theta", "seed"),
-        {"ns": (4,), "lengths": (1, 2), "functions": 5}),
-    "chain-entropy": Suite(
-        suite_chain_entropy, ("ns", "seed"), {"ns": (4,), "ks": (1, 2), "random_protocols": 5}),
-    "entropy-given-pool": Suite(
-        suite_entropy_pool, ("ns", "theta"), {"ns": (4, 8, 16, 32, 64), "sweep_to": 256}),
-    "majority": Suite(suite_majority, ("seed",), {"block_sizes": (1, 2, 4), "enum_n": 8}),
+        partial(suite_biased_index, aug=True), {"ns": (4,), "lengths": (1, 2), "functions": 5}),
+    "chain-entropy": Suite(suite_chain_entropy, {"ns": (4,), "ks": (1, 2), "random_protocols": 5}),
+    "entropy-given-pool": Suite(suite_entropy_pool, {"ns": (4, 8, 16, 32, 64), "sweep_to": 256}),
+    "majority": Suite(suite_majority, {"block_sizes": (1, 2, 4), "enum_n": 8}),
     # t=16 is excluded here: the central binomial term genuinely exceeds the
     # 2c bound at (t=16, c=1/16); the full suite reports that cell honestly
-    "anticoncentration": Suite(suite_anticoncentration, (), {"ts": (64, 256)}),
-    "binomial-bounds": Suite(suite_binomial_bounds, (), {"max_p": 64, "points": 16}),
-    "conditional-independence": Suite(
-        suite_conditional_independence, ("ns", "theta", "seed"), {"ns": (4,)}, preset_theta=True),
+    "anticoncentration": Suite(suite_anticoncentration, {"ts": (64, 256)}),
+    "binomial-bounds": Suite(suite_binomial_bounds, {"max_p": 64, "points": 16}),
+    "conditional-independence": Suite(suite_conditional_independence, {"ns": (4,)}, preset_theta=True),
 }
 
 

@@ -13,10 +13,11 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from collections import Counter
 from fractions import Fraction
 from itertools import product
 from typing import Sequence
+
+import numpy as np
 
 from .distributions import (
     BiasParam,
@@ -90,18 +91,21 @@ def verify_conditional_independence(n: int, theta, trials: int, seed: int = 0) -
         raise InvalidParameterError(f"trials must be >= 1, got {trials}")
     theta = Fraction(theta)
     exact = enumerate_support(n, theta, "structured").entries
-    rng = random.Random(derive_seed("cond-indep", n, theta, seed))
-    counts = Counter()
-    for _ in range(trials):
-        s = sample_biased_structured(n, theta, rng)
-        counts[(s.string, s.index)] += 1
-    outside = trials - sum(counts[key] for key in exact)
+    rng = np.random.default_rng(derive_seed("cond-indep", n, theta, seed))
+    strings, indices = sample_biased_structured(rng, trials, n, theta)
+    # a (string, index) cell as one integer: the string's bits, first most
+    # significant, times n plus the 0-based index
+    cells, counts = np.unique((strings @ (1 << np.arange(n - 1, -1, -1))) * n + indices - 1, return_counts=True)
+    tally = dict(zip(cells.tolist(), counts.tolist()))
+    outside = trials
     worst = 0.0
-    for key, p in exact.items():
+    for (y, rho), p in exact.items():
+        count = tally.get(int(y.text, 2) * n + rho - 1, 0)
+        outside -= count
         pf = float(p)
         se = math.sqrt(pf * (1 - pf) / trials)
         if se:
-            worst = max(worst, abs(counts[key] / trials - pf) / se)
+            worst = max(worst, abs(count / trials - pf) / se)
     return VerificationReport(
         check="conditional-independence",
         params={"n": n, "theta": theta, "trials": trials, "seed": seed},
@@ -424,6 +428,8 @@ def enumerated_majority_success(n: int, block_size: int) -> Fraction:
     """The same success probability by exhaustive enumeration of all strings
     and positions, exercising the real encode/decode path (no mask, identity
     permutation realizes the uniform-input law)."""
+    if n < 1:
+        raise InvalidParameterError(f"n must be >= 1, got {n}")
     if block_size < 1 or n % block_size != 0:
         raise InvalidParameterError(f"block size {block_size} must divide n={n}")
     mask = BitString((0,) * n)
@@ -441,6 +447,8 @@ def majority_vote_success(k: int, per_guess: Fraction) -> Fraction:
     """Success of a majority vote over k independent guesses, ties decided by
     a fair coin; the exact convolution oracle for the chained protocol."""
     q = Fraction(per_guess)
+    if k < 1 or not 0 <= q <= 1:
+        raise InvalidParameterError(f"need k >= 1 and per_guess in [0, 1], got k={k}, per_guess={q}")
     total = Fraction(0)
     for j in range(k + 1):
         term = math.comb(k, j) * q**j * (1 - q) ** (k - j)

@@ -1,6 +1,5 @@
 import io
 import math
-import random
 from collections import Counter
 from fractions import Fraction
 
@@ -127,21 +126,20 @@ class TestSampleChain:
 
 
 class TestSampleBiasedStructured:
+    """The structured sampler, `sample_biased_structured`, as arrays."""
+
     def test_full_bias_always_one(self):
-        rng = random.Random(1)
-        assert all(sample_biased_structured(4, Fraction(1, 2), rng).answer == 1 for _ in range(100))
+        strings, indices = sample_biased_structured(np.random.default_rng(1), 1000, 4, Fraction(1, 2))
+        assert strings[np.arange(1000), indices - 1].all()
 
     def test_full_negative_bias_always_zero(self):
-        rng = random.Random(2)
-        assert all(sample_biased_structured(4, Fraction(-1, 2), rng).answer == 0 for _ in range(100))
+        strings, indices = sample_biased_structured(np.random.default_rng(2), 1000, 4, Fraction(-1, 2))
+        assert not strings[np.arange(1000), indices - 1].any()
 
     def test_unbiased_n2_uniform(self):
-        rng = random.Random(3)
         trials = 40000
-        counts = Counter()
-        for _ in range(trials):
-            s = sample_biased_structured(2, 0, rng)
-            counts[(s.string.text, s.index)] += 1
+        strings, indices = sample_biased_structured(np.random.default_rng(3), trials, 2, 0)
+        counts = Counter(zip(map(bytes, strings), indices.tolist()))
         assert len(counts) == 4
         se = math.sqrt(0.25 * 0.75 / trials)
         for pair in counts:
@@ -149,65 +147,48 @@ class TestSampleBiasedStructured:
 
     def test_bias_out_of_range(self):
         with pytest.raises(InvalidParameterError):
-            sample_biased_structured(4, Fraction(2, 3), random.Random(0))
+            sample_biased_structured(np.random.default_rng(0), 10, 4, Fraction(2, 3))
 
     def test_off_grid_error_names_neighbors(self):
         with pytest.raises(InvalidParameterError) as err:
-            sample_biased_structured(4, Fraction(1, 3), random.Random(0))
+            sample_biased_structured(np.random.default_rng(0), 10, 4, Fraction(1, 3))
         message = str(err.value)
         assert "1/6" in message and "1/2" in message
 
+    @pytest.mark.parametrize("n", [5, 0])
+    def test_odd_or_too_small_n_rejected(self, n):
+        with pytest.raises(InvalidParameterError):
+            sample_biased_structured(np.random.default_rng(0), 10, n, 0)
+
     def test_sample_shape_invariants(self):
-        rng = random.Random(4)
-        for theta in (Fraction(1, 6), Fraction(-1, 6), Fraction(1, 2), 0):
-            b = int(Fraction(4) / (1 + 2 * abs(Fraction(theta))))
-            for _ in range(50):
-                s = sample_biased_structured(4, theta, rng)
-                assert len(s.pool) == b
-                assert len(s.chosen) == 2
-                assert s.chosen <= s.pool
-                assert s.index in s.pool
-                assert s.answer == s.string.bit(s.index)
+        rng = np.random.default_rng(4)
+        for n in (2, 4, 6, 8):
+            for theta in bias_grid(n):
+                strings, indices = sample_biased_structured(rng, 50, n, theta)
+                assert strings.shape == (50, n) and strings.dtype == bool
+                assert indices.shape == (50,)
+                assert (strings.sum(axis=1) == n // 2).all()
+                assert ((1 <= indices) & (indices <= n)).all()
 
     def test_unbiased_collapses_to_uniform_index(self):
-        rng = random.Random(5)
-        for _ in range(50):
-            s = sample_biased_structured(4, 0, rng)
-            assert s.pool == frozenset(range(1, 5))
+        # at theta = 0 the pool is every position, so the index is uniform on 1..n
+        trials = 40000
+        _, indices = sample_biased_structured(np.random.default_rng(5), trials, 4, 0)
+        se = math.sqrt(0.25 * 0.75 / trials)
+        for rho in range(1, 5):
+            assert abs((indices == rho).mean() - 0.25) <= 5 * se
 
     def test_frequencies_match_exact_table(self):
         theta = Fraction(1, 6)
         exact = enumerate_support(4, theta, "structured").entries
-        rng = random.Random(8)
         trials = 100000
-        counts = Counter()
-        for _ in range(trials):
-            s = sample_biased_structured(4, theta, rng)
-            counts[(s.string, s.index)] += 1
-        for key, p in exact.items():
+        strings, indices = sample_biased_structured(np.random.default_rng(8), trials, 4, theta)
+        counts = Counter(zip(("".join("01"[b] for b in row) for row in strings.tolist()), indices.tolist()))
+        assert sum(counts[(y.text, rho)] for y, rho in exact) == trials
+        for (y, rho), p in exact.items():
             pf = float(p)
             se = math.sqrt(pf * (1 - pf) / trials)
-            assert abs(counts[key] / trials - pf) <= 5 * se
-
-    def test_independence_given_fixed_pool(self):
-        # within any fixed pool, (string, index) must factorize
-        theta = Fraction(1, 6)
-        rng = random.Random(9)
-        trials = 100000
-        by_pool: dict = {}
-        for _ in range(trials):
-            s = sample_biased_structured(4, theta, rng)
-            by_pool.setdefault(s.pool, []).append((s.string.text, s.index))
-        for pool, draws in by_pool.items():
-            n_pool = len(draws)
-            joint = Counter(draws)
-            ys = Counter(y for y, _ in draws)
-            rhos = Counter(r for _, r in draws)
-            expected = {
-                (y, r): (ys[y] / n_pool) * (rhos[r] / n_pool) for y in ys for r in rhos
-            }
-            df = (len(ys) - 1) * (len(rhos) - 1)
-            assert chi2_stat(joint, expected, n_pool) <= chi2_quantile(df)
+            assert abs(counts[(y.text, rho)] / trials - pf) <= 5 * se
 
 
 class TestEnumerateSupport:

@@ -13,16 +13,16 @@ from chainlab.cli import main as cli_main
 GOLDEN = {
     "verify-default": (
         ["verify", "--suite", "default", "--seed", "3"],
-        "b3d598ea81ce0ac4888acbc8d98a7b9aa7ad533981164e2b15943bbc7be48cb5",
+        "d4109756d029078de8794e51d97553a3a2bb4b9fb016981d5246ee19dd7974ea",
     ),
     "verify-default-theta0": (
         ["verify", "--suite", "default", "--theta", "0", "--seed", "3"],
-        "0437582fbe0fab3efc34246468a641c57e4021875c0d27a25ef788373a0aa3d7",
+        "c5c2686ff4166f7fe224705fb93cb91b09ce7da18fcc77c163bf4ec33ebb3c18",
     ),
     # the named suite runs the same sampled check as the default suite, with its own seed
     "verify-conditional-independence": (
         ["verify", "--suite", "conditional-independence", "--seed", "3"],
-        "7e8c90ff6028571347bce6dde43e451e3fa8adceecc77698e501b34771ce8279",
+        "b3112c8fd9499af35076d7b54a96fe712b33448a6d549f81a232714c2bdb0e1c",
     ),
     "verify-pmf-n4": (
         ["verify", "--suite", "pmf", "--n", "4"],

@@ -1,10 +1,10 @@
 import math
 import tracemalloc
 from collections import Counter, defaultdict
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from chainlab import (
@@ -35,7 +35,7 @@ from chainlab import (
     verify_distribution_identity,
     verify_entropy_given_pool,
 )
-from chainlab.distributions import DEFAULT_ENUMERATION_BUDGET, enumerate_support
+from chainlab.distributions import DEFAULT_ENUMERATION_BUDGET, enumerate_support, structured_pool_size
 from chainlab.experiments import (
     _fano_companion,
     suite_biased_index,
@@ -202,36 +202,33 @@ class TestChecksCanFail:
     def test_index_outside_the_pool_fails_conditional_independence(self, monkeypatch):
         import chainlab.oracle as oracle_module
 
-        # at theta = 1/2 the pool is the chosen half-set, so a pair indexed
-        # outside it is outside the exact support; one draw in 100 is too few
-        # to move any support cell by 5 SE
+        # at theta = 1/2 the pool is the chosen half-set, the ones of the
+        # string, so a pair indexed at a zero is outside the exact support;
+        # one draw in 100 is too few to move any support cell by 5 SE
         real = oracle_module.sample_biased_structured
-        draws = iter(range(10**9))
 
-        def leaky(n, theta, rng):
-            sample = real(n, theta, rng)
-            if next(draws) % 100:
-                return sample
-            outside = min(set(range(1, n + 1)) - sample.pool)
-            return replace(sample, index=outside, answer=sample.string.bit(outside))
+        def leaky(rng, count, n, theta):
+            strings, indices = real(rng, count, n, theta)
+            indices[::100] = strings[::100].argmin(axis=1) + 1
+            return strings, indices
 
         monkeypatch.setattr(oracle_module, "sample_biased_structured", leaky)
         report = verify_conditional_independence(4, Fraction(1, 2), trials=20000, seed=1)
         assert report.lhs < 5
-        assert report.details["outside_support"] > 0
+        assert report.details["outside_support"] == 200
         assert report.passed is False
 
     def test_index_always_lowest_in_pool_fails_conditional_independence(self, monkeypatch):
         import chainlab.oracle as oracle_module
 
-        # every draw stays inside the support, but the index is no longer
-        # uniform on the pool, so the law is wrong
-        real = oracle_module.sample_biased_structured
-
-        def lowest(n, theta, rng):
-            sample = real(n, theta, rng)
-            index = min(sample.pool)
-            return replace(sample, index=index, answer=sample.string.bit(index))
+        # the structured draw with the index fixed at the lowest pool
+        # position: every draw stays inside the support, but the index is no
+        # longer uniform on the pool, so the law is wrong
+        def lowest(rng, count, n, theta):
+            order = np.argsort(rng.random((count, n)), axis=1)
+            strings = np.zeros((count, n), dtype=bool)
+            np.put_along_axis(strings, order[:, : n // 2], True, axis=1)  # theta > 0: the chosen are ones
+            return strings, order[:, : structured_pool_size(n, theta)].min(axis=1) + 1
 
         monkeypatch.setattr(oracle_module, "sample_biased_structured", lowest)
         report = verify_conditional_independence(4, Fraction(1, 6), trials=20000, seed=1)
@@ -571,6 +568,12 @@ class TestEntropyGivenPool:
         assert pos.lhs == neg.lhs
         assert pos.rhs == neg.rhs
 
+    @pytest.mark.parametrize("n", [5, 0])
+    def test_odd_or_too_small_n_rejected(self, n):
+        # no balanced string exists at odd n; n = 0 has no log2 n
+        with pytest.raises(InvalidParameterError):
+            verify_entropy_given_pool(n, 0)
+
     def test_sweep_small(self):
         checks, failures, min_slack = sweep_entropy_given_pool(64)
         assert failures == 0
@@ -617,6 +620,21 @@ class TestMajorityOracles:
 
     def test_vote_oracle_unbiased_guess(self):
         assert majority_vote_success(9, Fraction(1, 2)) == Fraction(1, 2)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_vote_oracle_without_guesses_rejected(self, k):
+        with pytest.raises(InvalidParameterError):
+            majority_vote_success(k, Fraction(11, 16))
+
+    @pytest.mark.parametrize("per_guess", [Fraction(3, 2), Fraction(-1, 4)])
+    def test_vote_oracle_guess_outside_unit_interval_rejected(self, per_guess):
+        with pytest.raises(InvalidParameterError):
+            majority_vote_success(3, per_guess)
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_enumeration_without_positions_rejected(self, n):
+        with pytest.raises(InvalidParameterError):
+            enumerated_majority_success(n, 2)
 
 
 class TestConditionalIndependence:
