@@ -48,7 +48,6 @@ from .oracle import (
     exact_majority_success,
     exact_protocol_success,
     majority_vote_success,
-    posterior_answer_entropy,
     verify_aug_biased_index_bound,
     verify_biased_index_bound,
     verify_chain_entropy_bound,

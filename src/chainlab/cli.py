@@ -85,7 +85,8 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     data: dict = {}
     if args.config:
         data = _load_config_file(args.config)
-    data.setdefault("mode", args.command)
+    if data.setdefault("mode", args.command) != args.command:
+        raise UsageError(f"the config file's mode {data['mode']!r} is not the subcommand {args.command!r}")
     names = {f.name for f in fields(ExperimentConfig)}
     data.update((key, value) for key, value in vars(args).items() if key in names and value is not None)
     if args.command == "verify":

@@ -21,7 +21,7 @@ from ._version import __version__
 from .distributions import bias_grid, enumerate_support, pmf_biased_index
 from .model import enumerate_balanced
 from .errors import InvalidParameterError, UsageError
-from .info_theory import binomial_anticoncentration, check_binomial_entropy_bounds
+from .info_theory import ENTROPY_TOLERANCE, binomial_anticoncentration, check_binomial_entropy_bounds
 from .oracle import (
     enumerated_majority_success,
     exact_majority_success,
@@ -83,6 +83,8 @@ class ExperimentConfig:
         unread = [f.name for f in fields(self) if f.name not in read and getattr(self, f.name) != f.default]
         if unread:
             raise UsageError(f"mode {self.mode!r} does not read the config fields {unread}")
+        if self.seed < 0:
+            raise UsageError(f"seed must be >= 0, got {self.seed}")
         if self.mode == "simulate":
             if not self.protocol or "name" not in self.protocol:
                 raise UsageError("simulate requires protocol.name")
@@ -254,6 +256,12 @@ def suite_chain_entropy(
     return reports
 
 
+def _sweep_report(check: str, params: dict, failures: int, tolerance, mode: str, details: dict) -> VerificationReport:
+    """A whole sweep as one check: its failure count must be zero."""
+    return VerificationReport(check=check, params=params, lhs=f"{failures} failures", rhs="0 failures",
+                              relation="==", passed=failures == 0, tolerance=tolerance, mode=mode, details=details)
+
+
 def suite_entropy_pool(
     ns: Sequence[int] = (4, 8, 16, 32, 64),
     theta: Fraction | None = None,
@@ -265,19 +273,8 @@ def suite_entropy_pool(
             reports.append(verify_entropy_given_pool(n, t))
     if sweep_to:
         checks, failures, min_slack = sweep_entropy_given_pool(sweep_to)
-        reports.append(
-            VerificationReport(
-                check="restricted-support-entropy-sweep",
-                params={"max_n": sweep_to},
-                lhs=f"{failures} failures",
-                rhs="0 failures",
-                relation="==",
-                passed=failures == 0,
-                tolerance=1e-9,
-                mode="float",
-                details={"checks": checks, "min_slack_bits": min_slack},
-            )
-        )
+        reports.append(_sweep_report("restricted-support-entropy-sweep", {"max_n": sweep_to}, failures,
+                                     ENTROPY_TOLERANCE, "float", {"checks": checks, "min_slack_bits": min_slack}))
     return reports
 
 
@@ -395,19 +392,8 @@ def sweep_binomial_bounds(max_p: int = 1024, points: int = 100) -> dict:
 
 def suite_binomial_bounds(max_p: int = 1024, points: int = 100) -> list[VerificationReport]:
     summary = sweep_binomial_bounds(max_p, points)
-    return [
-        VerificationReport(
-            check="binomial-entropy-bounds-sweep",
-            params={"max_p": max_p, "points": points},
-            lhs=f"{summary['corrected_failures']} failures",
-            rhs="0 failures",
-            relation="==",
-            passed=summary["corrected_failures"] == 0,
-            tolerance=0,
-            mode="exact",
-            details=summary,
-        )
-    ]
+    params = {"max_p": max_p, "points": points}
+    return [_sweep_report("binomial-entropy-bounds-sweep", params, summary["corrected_failures"], 0, "exact", summary)]
 
 
 def suite_conditional_independence(

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .distributions import check_budget
 from .errors import InvalidParameterError
 from .model import BitString, ChainInstance
 from .protocols import ProtocolSpec, SharedRandomness, build_protocol, check_size, run_chain_protocol
@@ -249,7 +250,9 @@ def montecarlo_success(
     seed: int,
     workers: int | None = None,
 ) -> MonteCarloEstimate:
-    """Estimate a protocol's success probability over the hard distribution."""
+    """Estimate a protocol's success probability over the hard distribution.
+    A trial's k * n string cells count against the enumeration budget before
+    any draw; the majority kernel draws no strings and is exempt."""
     if trials < 1:
         raise InvalidParameterError(f"trials must be >= 1, got {trials}")
     if seed < 0:
@@ -257,8 +260,10 @@ def montecarlo_success(
     check_size(protocol, n, k)
     if n < 2 or n % 2 != 0:
         raise InvalidParameterError(f"n must be even and >= 2, got {n}")
-    workers = resolve_workers(workers)
     tag = protocol.simulator
+    if tag != "majority":
+        check_budget("one Monte Carlo trial", k * n, "string cells")
+    workers = resolve_workers(workers)
     params = protocol.params if tag else {"protocol": protocol}
     tasks = [(tag, n, k, params, seed, index, min(VECTOR_BATCH, trials - start))
              for index, start in enumerate(range(0, trials, VECTOR_BATCH))]

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from typing import Sequence
@@ -120,6 +121,51 @@ def verify_conditional_independence(n: int, theta, trials: int, seed: int = 0) -
 
 
 # ---------------------------------------------------------------------------
+# entropy bounds
+
+
+def _entropy_bound_report(
+    check: str, params: dict, joint: JointTable, prior: float, k: int, stated_coeff: int
+) -> VerificationReport:
+    """The answer-entropy bound on an exact joint table whose first variable
+    is the answer and whose second is the messages: lhs = H(answer | every
+    other variable), h = H(messages), n = params["n"].
+
+    The proof-chain form prior - (2/n)(h + 2k log2 n) is the rhs and alone
+    decides `passed`; the stated form prior - (stated_coeff/n)(h + k log2 n)
+    is recorded. `vacuous` marks rhs <= 0, where no table can fail.
+    """
+    answer, messages, *rest = joint.labels
+    n = params["n"]
+    lhs = conditional_entropy(joint, answer, (messages, *rest))
+    h = entropy(joint.marginal((messages,)))
+    log_n = math.log2(n)
+    rhs = prior - (2 / n) * (h + 2 * k * log_n)
+    rhs_stated = prior - (stated_coeff / n) * (h + k * log_n)
+    proof_pass = lhs >= rhs - ENTROPY_TOLERANCE
+    return VerificationReport(
+        check=check,
+        params=params,
+        lhs=lhs,
+        rhs=rhs,
+        relation=">=",
+        passed=proof_pass,
+        tolerance=ENTROPY_TOLERANCE,
+        mode="float",
+        details={
+            "rhs_stated": rhs_stated,
+            "stated_pass": lhs >= rhs_stated - ENTROPY_TOLERANCE,
+            "proof_pass": proof_pass,
+            "prior_entropy": prior,
+            "h_messages": h,
+            "slack_proof": lhs - rhs,
+            "slack_stated": lhs - rhs_stated,
+            "vacuous": rhs <= 0,
+        },
+    )
+
+
+# ---------------------------------------------------------------------------
 # exact protocol enumeration
 
 
@@ -200,11 +246,6 @@ def enumerate_joint(
     return JointTable.from_weights(_JOINT_LABELS, weights)
 
 
-def posterior_answer_entropy(joint: JointTable) -> float:
-    """H(answer | board) from an enumerated joint table."""
-    return conditional_entropy(joint, "answer", ("messages", "reveals"))
-
-
 def exact_protocol_success(
     protocol: ProtocolSpec,
     n: int,
@@ -222,51 +263,21 @@ def verify_chain_entropy_bound(
     k: int,
     shared_seed: int = 0,
 ) -> VerificationReport:
-    """Answer-entropy accounting for a chained run.
-
-    Checks H(answer | transcript) against both printed variants of the lower
-    bound: the stated form 1 - (12/n)(H(messages) + k log n) and the
-    proof-chain form 1 - (2/n)(H(messages) + 2k log n). `passed` requires
-    both (the proof form implies the stated one). The exact success
-    probability and the estimator-entropy ceiling H2(success) are recorded so
-    callers can also assert the upper direction for better-than-even
-    protocols.
+    """Answer-entropy accounting for a chained run: H(answer | board) against
+    the bound 1 - (2/n)(H(messages) + 2k log n), with the stated form
+    1 - (12/n)(H(messages) + k log n) recorded (see _entropy_bound_report).
+    The exact success probability and the estimator-entropy ceiling
+    H2(success) are recorded so callers can also assert the upper direction
+    for better-than-even protocols.
     """
     weights, success = _support_runs(protocol, n, k, shared_seed)
-    joint = JointTable.from_weights(_JOINT_LABELS, weights)
-    lhs = posterior_answer_entropy(joint)
-    h_messages = entropy(joint.marginal(("messages",)))
-    log_n = math.log2(n)
-    rhs_stated = 1 - (12 / n) * (h_messages + k * log_n)
-    rhs_proof = 1 - (2 / n) * (h_messages + 2 * k * log_n)
-    stated_pass = lhs >= rhs_stated - ENTROPY_TOLERANCE
-    proof_pass = lhs >= rhs_proof - ENTROPY_TOLERANCE
-    fano_ceiling = None
-    fano_pass = None
-    if success > Fraction(1, 2):
-        fano_ceiling = binary_entropy(success)
-        fano_pass = lhs <= fano_ceiling + ENTROPY_TOLERANCE
-    return VerificationReport(
-        check="chain-entropy-accounting",
-        params={"protocol": protocol.name, "protocol_params": dict(protocol.params),
-                "n": n, "k": k, "seed": shared_seed},
-        lhs=lhs,
-        rhs=max(rhs_stated, rhs_proof),
-        relation=">=",
-        passed=stated_pass and proof_pass,
-        tolerance=ENTROPY_TOLERANCE,
-        mode="float",
-        details={
-            "rhs_stated": rhs_stated,
-            "rhs_proof": rhs_proof,
-            "stated_pass": stated_pass,
-            "proof_pass": proof_pass,
-            "h_messages": h_messages,
-            "success": success,
-            "fano_ceiling": fano_ceiling,
-            "fano_pass": fano_pass,
-        },
-    )
+    params = {"protocol": protocol.name, "protocol_params": dict(protocol.params), "n": n, "k": k, "seed": shared_seed}
+    report = _entropy_bound_report(
+        "chain-entropy-accounting", params, JointTable.from_weights(_JOINT_LABELS, weights), 1.0, k, 12)
+    ceiling = binary_entropy(success) if success > Fraction(1, 2) else None
+    fano_pass = None if ceiling is None else report.lhs <= ceiling + ENTROPY_TOLERANCE
+    details = {**report.details, "success": success, "fano_ceiling": ceiling, "fano_pass": fano_pass}
+    return replace(report, details=details)
 
 
 # ---------------------------------------------------------------------------
@@ -298,34 +309,8 @@ def _biased_bound_report(
     theta = BiasParam(Fraction(theta)).theta
     structured_pool_size(n, theta)  # grid precondition
     joint = _biased_joint(n, theta, messages, s, with_prefix)
-    given = ("message", "index", "prefix") if with_prefix else ("message", "index")
-    lhs = conditional_entropy(joint, "answer", given)
-    h_message = entropy(joint.marginal(("message",)))
-    prior = binary_entropy(Fraction(1, 2) + theta)
-    log_n = math.log2(n)
-    rhs_stated = prior - (2 / n) * (h_message + log_n)
-    rhs_proof = prior - (2 / n) * (h_message + 2 * log_n)
-    stated_pass = lhs >= rhs_stated - ENTROPY_TOLERANCE
-    proof_pass = lhs >= rhs_proof - ENTROPY_TOLERANCE
-    return VerificationReport(
-        check=check,
-        params={"n": n, "theta": theta, "message_bits": s},
-        lhs=lhs,
-        rhs=rhs_proof,
-        relation=">=",
-        passed=proof_pass,
-        tolerance=ENTROPY_TOLERANCE,
-        mode="float",
-        details={
-            "rhs_stated": rhs_stated,
-            "stated_pass": stated_pass,
-            "proof_pass": proof_pass,
-            "prior_entropy": prior,
-            "h_message": h_message,
-            "slack_proof": lhs - rhs_proof,
-            "slack_stated": lhs - rhs_stated,
-        },
-    )
+    params = {"n": n, "theta": theta, "message_bits": s}
+    return _entropy_bound_report(check, params, joint, binary_entropy(Fraction(1, 2) + theta), 1, 2)
 
 
 def verify_biased_index_bound(n: int, theta, messages: Sequence[int], s: int) -> VerificationReport:
@@ -349,7 +334,8 @@ def verify_entropy_given_pool(n: int, theta) -> VerificationReport:
 
     Negative biases use the mirrored construction, which swaps bit roles but
     leaves both sides unchanged. At |theta| = 1/2 the right side is
-    nonpositive and the claim is vacuous; reported as such.
+    nonpositive and the claim is vacuous; reported as such. Elsewhere
+    `vacuous` marks a right side <= 0, which no string law can fail.
     """
     theta = BiasParam(Fraction(theta)).theta
     b = structured_pool_size(n, theta)
@@ -376,7 +362,7 @@ def verify_entropy_given_pool(n: int, theta) -> VerificationReport:
         passed=lhs >= rhs - ENTROPY_TOLERANCE,
         tolerance=ENTROPY_TOLERANCE,
         mode="float",
-        details={"vacuous": False, "slack": lhs - rhs},
+        details={"vacuous": rhs <= 0, "slack": lhs - rhs},
     )
 
 
@@ -467,12 +453,16 @@ def random_message_function(n: int, s: int, seed: int) -> list[int]:
     """A uniformly random s-bit message id per string of balanced_strings(n),
     in rank order, drawn bit by bit from a seeded stream, first draw most
     significant."""
+    if s < 0:
+        raise InvalidParameterError(f"message length s must be >= 0, got {s}")
     draw = random.Random(derive_seed("message-fn", n, s, seed)).randrange
     return [sum(draw(2) << j for j in range(s - 1, -1, -1)) for _ in range(math.comb(n, n // 2))]
 
 
 def truncation_message_function(n: int, s: int) -> list[int]:
     """The first s bits of each string of balanced_strings(n), as ids in rank order."""
+    if s < 0:
+        raise InvalidParameterError(f"message length s must be >= 0, got {s}")
     return [int(y.text[:s] or "0", 2) for y in balanced_strings(n)]
 
 
@@ -496,6 +486,8 @@ def random_chain_protocol(n: int, k: int, max_message_bits: int, seed: int) -> P
     random function of its private string and the board so far, realized
     lazily through a keyed hash; the decoder is a random function of the
     final board, which holds its index."""
+    if max_message_bits < 0:
+        raise InvalidParameterError(f"max_message_bits must be >= 0, got {max_message_bits}")
     rng = random.Random(derive_seed("random-protocol-lengths", n, k, max_message_bits, seed))
     lengths = tuple(rng.randint(0, max_message_bits) for _ in range(k))
 

@@ -50,6 +50,10 @@ class TestConfig:
         with pytest.raises(UsageError):
             ExperimentConfig(mode="explore").validate()
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(UsageError, match="seed"):
+            ExperimentConfig(mode="verify", suite="pmf", seed=-1).validate()
+
     def test_field_the_mode_does_not_read_rejected(self):
         with pytest.raises(UsageError, match="seed"):
             ExperimentConfig(mode="table", suite="majority", sweep="B=1..4", seed=5).validate()
@@ -493,6 +497,45 @@ class TestCli:
         code = cli_main(["simulate", "--config", str(config_path), "--out", str(out)])
         assert code == 0
         assert json.loads(out.read_bytes())["result"]["estimate"] == 1.0
+
+    @pytest.mark.parametrize("subcommand,config", [
+        ("verify", {"mode": "table", "suite": "majority", "sweep": "B=1..2"}),
+        ("simulate", {"mode": "verify", "suite": "pmf", "n": 2}),
+    ])
+    def test_config_file_mode_other_than_subcommand_exit_two(self, tmp_path, capsys, subcommand, config):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        assert cli_main([subcommand, "--config", str(config_path)]) == 2
+        assert "subcommand" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suite", sorted(name for name, s in SUITES.items() if "seed" in s.takes) + ["default"])
+    def test_negative_seed_refused_before_any_suite_runs(self, monkeypatch, suite):
+        import chainlab.experiments as experiments
+
+        def never(*args, **kwargs):
+            raise AssertionError("a suite ran")
+
+        monkeypatch.setattr(experiments, "run_suite", never)
+        assert cli_main(["verify", "--suite", suite, "--seed", "-1"]) == 2
+
+    @pytest.mark.parametrize("protocol,n,k,params", [
+        ("truncation", 10**12, 1, ["--param", "t=1"]),
+        ("truncation", 2**80, 1, ["--param", "t=1"]),
+        ("trivial-forward", 64, 10**6, []),
+    ])
+    def test_trial_over_cell_budget_exit_three_at_once(self, capsys, protocol, n, k, params):
+        start = time.perf_counter()
+        assert cli_main(["simulate", "--protocol", protocol, "--n", str(n), "--k", str(k), *params,
+                         "--trials", "1"]) == 3
+        assert time.perf_counter() - start < 5
+        assert "string cells" in capsys.readouterr().err
+
+    def test_majority_kernel_takes_no_cell_budget(self, tmp_path):
+        # the reduced form draws no strings, so n = 10^12 costs one word per player
+        out = tmp_path / "report.json"
+        assert cli_main(["simulate", "--protocol", "chained-majority", "--n", str(10**12), "--k", "1",
+                         "--param", "B=64", "--trials", "1", "--out", str(out)]) == 0
+        assert json.loads(out.read_bytes())["result"]["trials"] == 1
 
     def test_config_file_flag_override(self, tmp_path):
         config_path = tmp_path / "config.json"

@@ -13,11 +13,11 @@ from chainlab.cli import main as cli_main
 GOLDEN = {
     "verify-default": (
         ["verify", "--suite", "default", "--seed", "3"],
-        "d4109756d029078de8794e51d97553a3a2bb4b9fb016981d5246ee19dd7974ea",
+        "a0175423803f0c6f5a057d4f2e5b677322be1ae62c70b164c1f4dfcc7d0705a2",
     ),
     "verify-default-theta0": (
         ["verify", "--suite", "default", "--theta", "0", "--seed", "3"],
-        "c5c2686ff4166f7fe224705fb93cb91b09ce7da18fcc77c163bf4ec33ebb3c18",
+        "5f1e89125b3e008cd6b596266846d6ab309dfedad53d5bf6bcee5557ede91b64",
     ),
     # the named suite runs the same sampled check as the default suite, with its own seed
     "verify-conditional-independence": (
@@ -30,24 +30,24 @@ GOLDEN = {
     ),
     "verify-chain-entropy-n4": (
         ["verify", "--suite", "chain-entropy", "--n", "4"],
-        "4cb31eee409996684abeb71d8a3f60fca5f109a65cc5896090111d8d5e84a4f7",
+        "7950a23e4397a7e30078f4313304cbf6a4a23c75ee4f96234ae84958cea790af",
     ),
     "verify-biased-index-bound-n4": (
         ["verify", "--suite", "biased-index-bound", "--n", "4"],
-        "1baf39bd56d454711c6621ce88711f492ec4f61bbaeb2636a699973eeec2958b",
+        "c25e6c727fbc1ee4d95f3a027856edc49762946348b35f784904881501cd7fb3",
     ),
     # s = 3, the augmented suite on its own and chain accounting at n = 6
     "verify-biased-index-bound-n6": (
         ["verify", "--suite", "biased-index-bound", "--n", "6", "--seed", "3"],
-        "4f3a0718dbe3fab7d016509330549d6e1a815a6358276b2d3c5dfd737d64c9fe",
+        "f3122477a8ed8939a9a692678f456d1cc9e27ea44d68f35a397fd7b63598870f",
     ),
     "verify-aug-biased-index-bound-n6": (
         ["verify", "--suite", "aug-biased-index-bound", "--n", "6", "--seed", "3"],
-        "7eba0ba7e2b9fcd8c7d561e4347dea9f6a6f1510a3ae55cea747701f7a5d2e3e",
+        "842b001de23bb03d8d47c6874ae770ada34cd72d3ed48da354e274a572c608da",
     ),
     "verify-chain-entropy-n6": (
         ["verify", "--suite", "chain-entropy", "--n", "6", "--seed", "3"],
-        "34e8b8efbc4ffef708c75bb2434158fe78dad4c47211b47023a5d5e99bba11fd",
+        "d81f4320d95b86b41fe3f61140b78f5a7c1164ec48d82ff96dba133053d2829c",
     ),
     # batch kernels: chained-majority (reduced form), truncation, sampled-bits
     "simulate-chained-majority": (

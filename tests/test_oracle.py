@@ -18,12 +18,12 @@ from chainlab import (
     SharedRandomness,
     bias_grid,
     chained_majority_protocol,
+    conditional_entropy,
     enumerate_balanced,
     enumerate_joint,
     exact_majority_success,
     exact_protocol_success,
     majority_vote_success,
-    posterior_answer_entropy,
     run_chain_protocol,
     sampled_bits_protocol,
     trivial_forward_protocol,
@@ -38,8 +38,10 @@ from chainlab import (
 from chainlab.distributions import DEFAULT_ENUMERATION_BUDGET, enumerate_support, structured_pool_size
 from chainlab.experiments import (
     _fano_companion,
+    run_suite,
     suite_biased_index,
     suite_binomial_bounds,
+    suite_chain_entropy,
     suite_entropy_pool,
     suite_majority,
     suite_pmf,
@@ -47,6 +49,7 @@ from chainlab.experiments import (
 from chainlab.model import balanced_strings
 from chainlab.montecarlo import MonteCarloEstimate
 from chainlab.oracle import (
+    _entropy_bound_report,
     _support_runs,
     enumerated_majority_success,
     full_string_message_function,
@@ -343,15 +346,15 @@ class TestForwardPass:
 class TestPosteriorAnswerEntropy:
     def test_no_message_is_uniform(self):
         joint = enumerate_joint(constant_protocol(4, 1), 4, 1)
-        assert posterior_answer_entropy(joint) == pytest.approx(1.0, abs=TOL)
+        assert conditional_entropy(joint, "answer", ("messages", "reveals")) == pytest.approx(1.0, abs=TOL)
 
     def test_trivial_forward_reveals_answer(self):
         joint = enumerate_joint(trivial_forward_protocol(4, 1), 4, 1)
-        assert posterior_answer_entropy(joint) == pytest.approx(0.0, abs=TOL)
+        assert conditional_entropy(joint, "answer", ("messages", "reveals")) == pytest.approx(0.0, abs=TOL)
 
     def test_truncation_matches_direct_slice_computation(self):
         joint = enumerate_joint(truncation_protocol(4, 1, 2), 4, 1)
-        value = posterior_answer_entropy(joint)
+        value = conditional_entropy(joint, "answer", ("messages", "reveals"))
         assert 0 < value < 1
 
         # independent recomputation: raw counting over the 24-point support
@@ -374,7 +377,7 @@ class TestPosteriorAnswerEntropy:
 
     def test_monotone_in_truncation_length(self):
         values = [
-            posterior_answer_entropy(enumerate_joint(truncation_protocol(4, 1, t), 4, 1))
+            conditional_entropy(enumerate_joint(truncation_protocol(4, 1, t), 4, 1), "answer", ("messages", "reveals"))
             for t in range(5)
         ]
         for a, b in zip(values, values[1:]):
@@ -432,6 +435,55 @@ class TestChainEntropyBound:
     def test_exact_success_via_oracle(self):
         assert exact_protocol_success(truncation_protocol(4, 1, 2), 4, 1) == Fraction(3, 4)
         assert exact_protocol_success(trivial_forward_protocol(4, 2), 4, 2) == 1
+
+
+class TestEntropyBoundReport:
+    """One builder serves chain accounting and both biased-index bounds."""
+
+    def test_three_checks_share_one_detail_schema(self):
+        messages = truncation_message_function(4, 1)
+        plain = verify_biased_index_bound(4, 0, messages, 1)
+        aug = verify_aug_biased_index_bound(4, 0, messages, 1)
+        chain = verify_chain_entropy_bound(truncation_protocol(4, 1, 2), 4, 1)
+        keys = {"rhs_stated", "stated_pass", "proof_pass", "prior_entropy", "h_messages",
+                "slack_proof", "slack_stated", "vacuous"}
+        assert set(plain.details) == set(aug.details) == keys
+        assert set(chain.details) == keys | {"success", "fano_ceiling", "fano_pass"}
+
+    @pytest.mark.parametrize("n,k", [(4, 1), (4, 2), (6, 1), (6, 2)])
+    def test_chain_verdict_is_the_proof_form(self, n, k):
+        # the proof form lies above the stated one by (10h + 8k log2 n)/n, so it decides alone
+        subjects = [truncation_protocol(n, k, t) for t in range(n + 1)]
+        subjects += [random_chain_protocol(n, k, 3, seed) for seed in range(3)]
+        for protocol in subjects:
+            report = verify_chain_entropy_bound(protocol, n, k)
+            assert report.passed == report.details["proof_pass"]
+            assert report.details["rhs_stated"] < report.rhs
+
+    def test_default_suite_entropy_bounds_are_all_vacuous(self):
+        checks = ("biased-index-entropy-bound", "augmented-index-entropy-bound", "chain-entropy-accounting")
+        reports = [r for r in run_suite("default", seed=3) if r.check in checks]
+        assert len(reports) == 150
+        assert all(r.rhs <= 0 and r.details["vacuous"] is True for r in reports)
+
+    def test_builder_fails_where_the_bound_bites(self):
+        # at n = 64 a one-bit message that fixes the answer leaves lhs 0 below
+        # rhs = 1 - (2/64)(1 + 2 log2 64) = 19/32
+        joint = JointTable.from_weights(("answer", "messages"), {(0, 0): 1, (1, 1): 1})
+        report = _entropy_bound_report("hand-built", {"n": 64}, joint, 1.0, 1, 2)
+        assert (report.lhs, report.rhs) == (0.0, 0.59375)
+        assert report.passed is False
+        assert report.details["vacuous"] is False
+
+    @pytest.mark.parametrize("build", [
+        lambda: random_chain_protocol(4, 1, -1, 0),
+        lambda: suite_chain_entropy(max_message_bits=-1),
+        lambda: truncation_message_function(4, -1),
+        lambda: random_message_function(4, -1, 0),
+    ], ids=["random-protocol", "chain-suite", "truncation-ids", "random-ids"])
+    def test_negative_message_length_rejected(self, build):
+        with pytest.raises(InvalidParameterError, match=">= 0"):
+            build()
 
 
 class TestBiasedIndexBound:
@@ -561,6 +613,11 @@ class TestEntropyGivenPool:
         report = verify_entropy_given_pool(4, Fraction(1, 2))
         assert report.passed
         assert report.relation == "vacuous"
+
+    def test_nonpositive_rhs_labelled_vacuous(self):
+        # rhs = 4 - 2 log2 4 = 0 at n=4, theta=0: no string law can fail it
+        assert verify_entropy_given_pool(4, 0).details["vacuous"] is True
+        assert verify_entropy_given_pool(64, 0).details["vacuous"] is False
 
     def test_negative_bias_mirrors_positive(self):
         pos = verify_entropy_given_pool(8, Fraction(1, 6))
