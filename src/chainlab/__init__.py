@@ -11,10 +11,7 @@ from .model import (
     BalancedString,
     BitString,
     ChainInstance,
-    enumerate_balanced,
-    instance_from_json,
-    instance_to_json,
-    validate_instance,
+    balanced_strings,
 )
 from .distributions import (
     bias_grid,

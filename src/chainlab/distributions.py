@@ -10,9 +10,7 @@ the chained input.
 """
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -32,17 +30,13 @@ def check_budget(work: str, required: int, unit: str) -> None:
         raise ResourceLimitError(message, required=required, budget=DEFAULT_ENUMERATION_BUDGET)
 
 
-@dataclass(frozen=True)
-class BiasParam:
-    """Answer-bit bias; the answer is 1 with probability 1/2 + theta."""
-
-    theta: Fraction
-
-    def __post_init__(self):
-        theta = Fraction(self.theta)
-        object.__setattr__(self, "theta", theta)
-        if abs(theta) > Fraction(1, 2):
-            raise InvalidParameterError(f"|theta| must be <= 1/2, got {theta}")
+def bias(theta) -> Fraction:
+    """The answer-bit bias theta as a Fraction (the answer is 1 with
+    probability 1/2 + theta), checked to satisfy |theta| <= 1/2."""
+    theta = Fraction(theta)
+    if abs(theta) > Fraction(1, 2):
+        raise InvalidParameterError(f"|theta| must be <= 1/2, got {theta}")
+    return theta
 
 
 def bias_grid(n: int) -> list[Fraction]:
@@ -62,7 +56,7 @@ def structured_pool_size(n: int, theta) -> int:
     below 2, and off-grid with the nearest grid values."""
     if n < 2 or n % 2 != 0:
         raise InvalidParameterError(f"n must be even and >= 2, got {n}")
-    theta = BiasParam(Fraction(theta)).theta
+    theta = bias(theta)
     b = Fraction(n) / (1 + 2 * abs(theta))
     if b.denominator != 1:
         grid = bias_grid(n)
@@ -73,14 +67,6 @@ def structured_pool_size(n: int, theta) -> int:
             f"(n/(1+2|theta|) = {b} is not an integer); nearest grid values: {below}, {above}"
         )
     return int(b)
-
-
-def structured_bits(n: int, chosen: set[int], theta: Fraction) -> tuple[int, ...]:
-    """Bits of the structured string: positions in the chosen half-set take
-    the biased value (1 for theta >= 0, 0 for theta < 0), all others the
-    opposite one."""
-    inside = 1 if theta >= 0 else 0
-    return tuple(inside if i in chosen else 1 - inside for i in range(1, n + 1))
 
 
 def sample_biased_structured(
@@ -106,7 +92,7 @@ def sample_biased_structured(
 
 def pmf_biased_index(n: int, theta, y: BalancedString, rho: int) -> Fraction:
     """Exact probability of (y, rho) under the biased index input distribution."""
-    theta = BiasParam(Fraction(theta)).theta
+    theta = bias(theta)
     if len(y) != n or n % 2 != 0:
         raise InvalidParameterError(f"string length {len(y)} does not match even n={n}")
     if y.ones() != n // 2:
@@ -131,12 +117,14 @@ def _direct_table(n: int, theta: Fraction) -> dict[tuple[BalancedString, int], i
 
 
 def _structured_table(n: int, theta: Fraction) -> dict[tuple[BalancedString, int], int]:
+    """Positions in the chosen half-set take the biased value (1 for
+    theta >= 0, 0 for theta < 0), all others the opposite one."""
     b = structured_pool_size(n, theta)
-    half = n // 2
+    inside = 1 if theta >= 0 else 0
     weights: dict[tuple[BalancedString, int], int] = {}
     for pool in combinations(range(1, n + 1), b):
-        for chosen in combinations(pool, half):
-            y = BalancedString(structured_bits(n, set(chosen), theta))
+        for chosen in map(set, combinations(pool, n // 2)):
+            y = BalancedString(tuple(inside if i in chosen else 1 - inside for i in range(1, n + 1)))
             for rho in pool:
                 key = (y, rho)
                 weights[key] = weights.get(key, 0) + 1
@@ -151,7 +139,7 @@ def enumerate_support(
     """Exact (string, index) table of integer weights under either formulation."""
     if n < 2 or n % 2 != 0:
         raise InvalidParameterError(f"n must be even and >= 2, got {n}")
-    theta = BiasParam(Fraction(theta)).theta
+    theta = bias(theta)
     if variant == "direct":
         required = math.comb(n, n // 2) * n
         build = _direct_table
@@ -164,10 +152,3 @@ def enumerate_support(
     check_budget(f"{variant} enumeration", required, "points")
     return JointTable.from_weights(("string", "index"), build(n, theta))
 
-
-def write_support_csv(table: JointTable, fileobj) -> None:
-    """CSV of exact `num,den` cell probabilities, sorted by (string text, index)."""
-    writer = csv.writer(fileobj, lineterminator="\n")
-    writer.writerow(["outcome_Y", "outcome_rho", "prob_num", "prob_den"])
-    for (y, rho), p in sorted(table.entries.items(), key=lambda e: (e[0][0].text, e[0][1])):
-        writer.writerow([y.text, rho, p.numerator, p.denominator])

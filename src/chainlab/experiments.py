@@ -19,7 +19,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 from ._version import __version__
 from .distributions import bias_grid, enumerate_support, pmf_biased_index
-from .model import enumerate_balanced
+from .model import balanced_strings
 from .errors import InvalidParameterError, UsageError
 from .info_theory import ENTROPY_TOLERANCE, binomial_anticoncentration, check_binomial_entropy_bounds
 from .oracle import (
@@ -158,7 +158,7 @@ def suite_pmf(ns: Sequence[int] = (2, 4, 6, 8), theta: Fraction | None = None) -
     """Enumerated direct tables must match the closed-form cell probability exactly."""
     reports = []
     for n in ns:
-        strings = list(enumerate_balanced(n))
+        strings = balanced_strings(n)
         for t in _grid_for(n, theta):
             table = enumerate_support(n, t, "direct").entries
             mismatches = 0
@@ -452,8 +452,10 @@ def run_suite(name: str, n: int | None = None, theta: Fraction | None = None, se
 
     An n, theta or nonzero seed that the suite would not use is a usage
     error, not ignored: the default suite runs its preset sizes, so it takes
-    no n.
+    no n. A negative seed is refused before any suite runs.
     """
+    if seed < 0:
+        raise UsageError(f"seed must be >= 0, got {seed}")
     if name == "default":
         if n is not None:
             raise UsageError("the default suite runs preset sizes and takes no n; name a suite to pick n")

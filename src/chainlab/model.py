@@ -1,15 +1,13 @@
-"""Ground types: bit strings, problem instances, and the JSON instance format.
+"""Ground types: bit strings, balanced strings and chain instances.
 
 Positions are 1-based everywhere in the public API; the leftmost character of
 a string literal like "0110" is position 1.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterator
 
 from .errors import InvalidParameterError
 
@@ -19,8 +17,7 @@ class BitString:
     """Immutable sequence of bits.
 
     Accepts any iterable of 0/1 values, including a text literal such as
-    "0110". Zero-length strings are allowed: they occur as empty messages and
-    as the prefix before position 1.
+    "0110". Zero-length strings are allowed: they occur as empty messages.
     """
 
     bits: tuple[int, ...]
@@ -30,10 +27,6 @@ class BitString:
         if any(b not in (0, 1) for b in coerced):
             raise InvalidParameterError(f"bits must be 0 or 1, got {self.bits!r}")
         object.__setattr__(self, "bits", coerced)
-
-    @classmethod
-    def from_text(cls, text: str) -> "BitString":
-        return cls(tuple(int(c) for c in text))
 
     @property
     def text(self) -> str:
@@ -51,19 +44,8 @@ class BitString:
             raise IndexError(f"position {pos} out of range for length {len(self.bits)}")
         return self.bits[pos - 1]
 
-    def prefix(self, pos: int) -> "BitString":
-        """The pos-1 bits strictly before 1-based position `pos`."""
-        if not 1 <= pos <= len(self.bits):
-            raise IndexError(f"position {pos} out of range for length {len(self.bits)}")
-        return BitString(self.bits[: pos - 1])
-
     def ones(self) -> int:
         return sum(self.bits)
-
-    def __xor__(self, other: "BitString") -> "BitString":
-        if len(self) != len(other):
-            raise InvalidParameterError("xor requires equal lengths")
-        return BitString(tuple(a ^ b for a, b in zip(self.bits, other.bits)))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}('{self.text}')"
@@ -84,8 +66,9 @@ class BalancedString(BitString):
             )
 
 
-def enumerate_balanced(n: int) -> Iterator[BalancedString]:
-    """All balanced strings of length n in lexicographic order.
+@lru_cache(maxsize=8)
+def balanced_strings(n: int) -> tuple[BalancedString, ...]:
+    """All balanced strings of length n in lexicographic order, built once per n.
 
     Iterating zero-position combinations in lexicographic order yields the
     strings themselves in lexicographic order (earlier zeros make a smaller
@@ -93,16 +76,8 @@ def enumerate_balanced(n: int) -> Iterator[BalancedString]:
     """
     if n < 2 or n % 2 != 0:
         raise InvalidParameterError(f"n must be even and >= 2, got {n}")
-    for zero_positions in combinations(range(n), n // 2):
-        zeros = set(zero_positions)
-        yield BalancedString(tuple(0 if i in zeros else 1 for i in range(n)))
-
-
-@lru_cache(maxsize=8)
-def balanced_strings(n: int) -> tuple[BalancedString, ...]:
-    """`enumerate_balanced(n)` as a tuple built once per n, for loops that
-    walk the same support many times."""
-    return tuple(enumerate_balanced(n))
+    return tuple(BalancedString(tuple(0 if i in zeros else 1 for i in range(n)))
+                 for zeros in map(set, combinations(range(n), n // 2)))
 
 
 @dataclass(frozen=True)
@@ -110,9 +85,8 @@ class ChainInstance:
     """k index instances over length-n strings sharing one answer bit.
 
     Shape constraints (lengths, ranges, parity of n) are enforced at
-    construction; the semantic constraints (balance, shared answer) are
-    checked by `validate_instance` so that files can be loaded and then
-    judged rather than rejected while parsing.
+    construction; the semantic ones (balance, shared answer) are left to
+    whoever draws the instance.
     """
 
     n: int
@@ -136,49 +110,3 @@ class ChainInstance:
             raise InvalidParameterError("indices must lie in 1..n")
         if self.answer not in (0, 1):
             raise InvalidParameterError(f"answer must be a bit, got {self.answer}")
-
-    def prefix_for(self, i: int) -> BitString:
-        """The prefix of string i before its own index (1-based i)."""
-        return self.strings[i - 1].prefix(self.indices[i - 1])
-
-
-def validate_instance(inst: ChainInstance) -> bool:
-    """True iff every string is balanced and all indexed bits equal the answer."""
-    half = inst.n // 2
-    for s, idx in zip(inst.strings, inst.indices):
-        if s.ones() != half:
-            return False
-        if s.bit(idx) != inst.answer:
-            return False
-    return True
-
-
-def instance_to_json_dict(inst: ChainInstance) -> dict:
-    return {
-        "n": inst.n,
-        "k": inst.k,
-        "z": inst.answer,
-        "strings": [s.text for s in inst.strings],
-        "indices": list(inst.indices),
-    }
-
-
-def instance_from_json_dict(data: dict) -> ChainInstance:
-    try:
-        return ChainInstance(
-            n=int(data["n"]),
-            k=int(data["k"]),
-            strings=tuple(BitString.from_text(s) for s in data["strings"]),
-            indices=tuple(int(i) for i in data["indices"]),
-            answer=int(data["z"]),
-        )
-    except KeyError as exc:
-        raise InvalidParameterError(f"instance file missing field {exc}") from exc
-
-
-def instance_to_json(inst: ChainInstance) -> str:
-    return json.dumps(instance_to_json_dict(inst), sort_keys=True)
-
-
-def instance_from_json(text: str) -> ChainInstance:
-    return instance_from_json_dict(json.loads(text))

@@ -284,4 +284,8 @@ def montecarlo_success_by_name(
     seed: int,
     workers: int | None = None,
 ) -> MonteCarloEstimate:
+    """`montecarlo_success` of a registered protocol. Every trial holds k
+    indices (k block words for the majority kernel), so k counts against the
+    enumeration budget before the protocol and its k declared lengths are built."""
+    check_budget("one Monte Carlo trial", k, "players")
     return montecarlo_success(build_protocol(name, n, k, params), n, k, trials, seed, workers=workers)

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .distributions import (
-    BiasParam,
+    bias,
     cell_weights,
     check_budget,
     enumerate_support,
@@ -62,7 +62,7 @@ def verify_distribution_identity(n: int, theta) -> VerificationReport:
     """Exact total-variation distance between the two biased-index formulations."""
     if n > 10:
         raise InvalidParameterError(f"identity check is exact-enumeration only, n={n} > 10")
-    theta = BiasParam(Fraction(theta)).theta
+    theta = bias(theta)
     direct = enumerate_support(n, theta, "direct")
     structured = enumerate_support(n, theta, "structured")
     distance = total_variation(direct, structured)
@@ -75,7 +75,7 @@ def verify_distribution_identity(n: int, theta) -> VerificationReport:
         passed=distance == 0,
         tolerance=0,
         mode="exact",
-        details={"support_direct": len(direct.entries), "support_structured": len(structured.entries)},
+        details={"support_direct": len(direct.weights), "support_structured": len(structured.weights)},
     )
 
 
@@ -306,7 +306,7 @@ def _biased_joint(n: int, theta: Fraction, messages: Sequence[int], s: int, with
 def _biased_bound_report(
     check: str, n: int, theta, messages: Sequence[int], s: int, with_prefix: bool
 ) -> VerificationReport:
-    theta = BiasParam(Fraction(theta)).theta
+    theta = bias(theta)
     structured_pool_size(n, theta)  # grid precondition
     joint = _biased_joint(n, theta, messages, s, with_prefix)
     params = {"n": n, "theta": theta, "message_bits": s}
@@ -337,7 +337,7 @@ def verify_entropy_given_pool(n: int, theta) -> VerificationReport:
     nonpositive and the claim is vacuous; reported as such. Elsewhere
     `vacuous` marks a right side <= 0, which no string law can fail.
     """
-    theta = BiasParam(Fraction(theta)).theta
+    theta = bias(theta)
     b = structured_pool_size(n, theta)
     if abs(theta) == Fraction(1, 2):
         return VerificationReport(

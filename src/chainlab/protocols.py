@@ -1,11 +1,10 @@
 """Blackboard execution engine and the concrete one-way protocols.
 
 Players send fixed-length messages in ascending order; after player i's
-message, instance i's index (and, in the augmented variant, its prefix) is
-revealed to the board at no cost. A protocol's `message_fn(i, string, board,
-shared)` sees only player i's string and the board of players 1..i-1, and its
-`decode_fn(board, shared)` only the final board: one-way causality holds by
-construction.
+message, instance i's index is revealed to the board at no cost. A
+protocol's `message_fn(i, string, board, shared)` sees only player i's
+string and the board of players 1..i-1, and its `decode_fn(board, shared)`
+only the final board: one-way causality holds by construction.
 """
 from __future__ import annotations
 
@@ -56,11 +55,10 @@ class SharedRandomness:
 @dataclass(frozen=True)
 class Board:
     """Immutable blackboard snapshot. Entry i-1 of each tuple is player i's
-    message, then its index and (augmented variant only) prefix."""
+    message, then its index."""
 
     messages: tuple[BitString, ...] = ()
     indices: tuple[int, ...] = ()
-    prefixes: tuple[BitString, ...] = ()
 
     def message(self, i: int) -> BitString:
         return _entry(self.messages, i, "message")
@@ -68,24 +66,15 @@ class Board:
     def index(self, i: int) -> int:
         return _entry(self.indices, i, "index")
 
-    def prefix(self, i: int) -> BitString:
-        return _entry(self.prefixes, i, "prefix")
-
     def key(self) -> tuple:
         """Hashable view of the contents: one bit tuple per message, then
-        the indices and one bit tuple per prefix."""
-        return (
-            tuple(m.bits for m in self.messages),
-            (self.indices, tuple(p.bits for p in self.prefixes)),
-        )
+        the indices."""
+        return tuple(m.bits for m in self.messages), self.indices
 
     def fingerprint(self) -> str:
-        """The contents as text: `M1:..;M2:..;index1:v;[prefix1:..;]index2:v..`."""
+        """The contents as text: `M1:..;M2:..;index1:v;index2:v..`."""
         parts = [f"M{i}:{m.text}" for i, m in enumerate(self.messages, 1)]
-        for i, sigma in enumerate(self.indices, 1):
-            parts.append(f"index{i}:{sigma}")
-            if self.prefixes:
-                parts.append(f"prefix{i}:{self.prefixes[i - 1].text}")
+        parts += [f"index{i}:{sigma}" for i, sigma in enumerate(self.indices, 1)]
         return ";".join(parts)
 
 
@@ -124,10 +113,6 @@ class ProtocolSpec:
             raise InvalidParameterError(f"k must be >= 1, got {self.k}")
         if len(self.message_lengths) != self.k:
             raise InvalidParameterError("need one declared message length per player")
-
-    @property
-    def total_bits(self) -> int:
-        return sum(self.message_lengths)
 
 
 @dataclass(frozen=True)
@@ -168,19 +153,16 @@ def decoder_output(protocol: ProtocolSpec, board: Board, shared: SharedRandomnes
     return output
 
 
-def run_chain_protocol(
-    protocol: ProtocolSpec, inst: ChainInstance, shared: SharedRandomness, aug: bool = False
-) -> RunResult:
+def run_chain_protocol(protocol: ProtocolSpec, inst: ChainInstance, shared: SharedRandomness) -> RunResult:
     """Execute players 1..k in order; player i holds string i and sees the
     board of players 1..i-1. Each index is revealed for free after its player
-    speaks; with `aug` (the augmented variant) so is the instance's prefix."""
+    speaks."""
     check_size(protocol, inst.n, inst.k)
-    prefixes = tuple(inst.prefix_for(i) for i in range(1, inst.k + 1)) if aug else ()
     messages: tuple[BitString, ...] = ()
     for i in range(1, inst.k + 1):
-        board = Board(messages, inst.indices[: i - 1], prefixes[: i - 1])
+        board = Board(messages, inst.indices[: i - 1])
         messages += (player_message(protocol, i, inst.strings[i - 1], board, shared),)
-    board = Board(messages, inst.indices, prefixes)
+    board = Board(messages, inst.indices)
     output = decoder_output(protocol, board, shared)
     return RunResult(board=board, output=output, correct=output == inst.answer)
 
@@ -339,23 +321,6 @@ def truncation_protocol(n: int, k: int, t: int) -> ProtocolSpec:
         name="truncation", n=n, k=k, message_lengths=(t,) * k,
         message_fn=message, decode_fn=decode, params={"t": t},
         simulator="truncation",
-    )
-
-
-def constant_protocol(n: int, k: int, bit: int = 0) -> ProtocolSpec:
-    """Zero-communication baseline: everyone silent, decoder outputs `bit`."""
-    if bit not in (0, 1):
-        raise InvalidParameterError(f"bit must be 0 or 1, got {bit}")
-
-    def message(i: int, string: BitString, board: Board, shared: SharedRandomness) -> BitString:
-        return BitString(())
-
-    def decode(board: Board, shared: SharedRandomness) -> int:
-        return bit
-
-    return ProtocolSpec(
-        name="constant", n=n, k=k, message_lengths=(0,) * k,
-        message_fn=message, decode_fn=decode, params={"bit": bit},
     )
 
 

@@ -1,4 +1,3 @@
-import io
 import math
 from collections import Counter
 from fractions import Fraction
@@ -11,17 +10,16 @@ from chainlab import (
     InvalidParameterError,
     ResourceLimitError,
     bias_grid,
-    enumerate_balanced,
+    balanced_strings,
     enumerate_support,
     pmf_biased_index,
     sample_biased_structured,
-    validate_instance,
 )
-from chainlab.distributions import DEFAULT_ENUMERATION_BUDGET, write_support_csv
+from chainlab.distributions import DEFAULT_ENUMERATION_BUDGET
 from chainlab.info_theory import total_variation
 from chainlab.montecarlo import chain_instances, sample_chain_batch
 
-from util import chi2_quantile, chi2_stat
+from util import chi2_quantile, chi2_stat, validate_instance
 
 
 class TestBiasGrid:
@@ -61,7 +59,7 @@ class TestPmf:
     def test_sums_to_one(self):
         total = sum(
             pmf_biased_index(4, Fraction(1, 4), y, rho)
-            for y in enumerate_balanced(4)
+            for y in balanced_strings(4)
             for rho in range(1, 5)
         )
         assert total == 1
@@ -212,7 +210,7 @@ class TestEnumerateSupport:
     def test_direct_matches_pmf(self):
         for theta in bias_grid(6):
             table = enumerate_support(6, theta, "direct").entries
-            for y in enumerate_balanced(6):
+            for y in balanced_strings(6):
                 for rho in range(1, 7):
                     assert table.get((y, rho), Fraction(0)) == pmf_biased_index(6, theta, y, rho)
 
@@ -230,12 +228,3 @@ class TestEnumerateSupport:
     def test_bad_variant(self):
         with pytest.raises(InvalidParameterError):
             enumerate_support(4, 0, "other")
-
-    def test_csv_export(self):
-        table = enumerate_support(2, 0, "direct")
-        buffer = io.StringIO()
-        write_support_csv(table, buffer)
-        lines = buffer.getvalue().splitlines()
-        assert lines[0] == "outcome_Y,outcome_rho,prob_num,prob_den"
-        assert lines[1] == "01,1,1,4"
-        assert len(lines) == 5

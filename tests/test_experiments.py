@@ -186,6 +186,17 @@ class TestSuites:
         with pytest.raises(UsageError):
             run_suite("nope")
 
+    @pytest.mark.parametrize("name,n", [("biased-index-bound", 4), ("default", None)])
+    def test_negative_seed_refused_before_any_suite_runs(self, monkeypatch, name, n):
+        import chainlab.experiments as experiments
+
+        def never(*args, **kwargs):
+            raise AssertionError("a suite ran")
+
+        monkeypatch.setattr(experiments.Suite, "run", never)
+        with pytest.raises(UsageError, match="seed"):
+            run_suite(name, n=n, seed=-1)
+
     def test_restricted_to_one_n(self):
         reports = run_suite("distribution-identity", n=4)
         assert {r.params["n"] for r in reports} == {4}
@@ -529,6 +540,18 @@ class TestCli:
                          "--trials", "1"]) == 3
         assert time.perf_counter() - start < 5
         assert "string cells" in capsys.readouterr().err
+
+    def test_trial_over_player_budget_exit_three_before_protocol_is_built(self, monkeypatch, capsys):
+        # 2 * 10^7 players: trivial-forward's declared lengths alone would be a 160 MB tuple
+        import chainlab.montecarlo as montecarlo
+
+        def never(*args, **kwargs):
+            raise AssertionError("the protocol was built")
+
+        monkeypatch.setattr(montecarlo, "build_protocol", never)
+        assert cli_main(["simulate", "--protocol", "trivial-forward", "--n", "64", "--k", str(2 * 10**7),
+                         "--trials", "1"]) == 3
+        assert "players" in capsys.readouterr().err
 
     def test_majority_kernel_takes_no_cell_budget(self, tmp_path):
         # the reduced form draws no strings, so n = 10^12 costs one word per player

@@ -23,7 +23,7 @@ from chainlab import (
 )
 from chainlab import oracle
 from chainlab.distributions import enumerate_support
-from chainlab.model import BalancedString, balanced_strings, enumerate_balanced
+from chainlab.model import BalancedString, balanced_strings
 from chainlab.oracle import full_string_message_function, random_message_function, truncation_message_function
 from chainlab.protocols import derive_seed
 
@@ -54,7 +54,7 @@ def ref_direct_table(n, theta):
     """Each answer bit w gets mass p_w, shared equally by the cells whose
     indexed bit is w. With theta = p/q, over the common denominator
     2q |valid_0| |valid_1| a cell with bit w weighs (q +- 2p) |valid_(1-w)|."""
-    strings = list(enumerate_balanced(n))
+    strings = balanced_strings(n)
     valid = {
         w: [(y, rho) for y in strings for rho in range(1, n + 1) if y.bit(rho) == w]
         for w in (0, 1)

@@ -36,7 +36,9 @@ from chainlab.montecarlo import (
     sampled_bits_kernel,
     truncation_kernel,
 )
-from chainlab.protocols import SharedRandomness, constant_protocol, run_chain_protocol
+from chainlab.protocols import SharedRandomness, run_chain_protocol
+
+from util import constant_protocol
 
 
 def within_5se(estimate: float, exact: float, trials: int) -> bool:

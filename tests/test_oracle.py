@@ -19,7 +19,6 @@ from chainlab import (
     bias_grid,
     chained_majority_protocol,
     conditional_entropy,
-    enumerate_balanced,
     enumerate_joint,
     exact_majority_success,
     exact_protocol_success,
@@ -58,7 +57,8 @@ from chainlab.oracle import (
     sweep_entropy_given_pool,
     truncation_message_function,
 )
-from chainlab.protocols import constant_protocol
+
+from util import constant_protocol
 
 TOL = 1e-9
 
@@ -282,7 +282,7 @@ class TestEnumerateJoint:
 
 def _chain_support(n, k):
     """All (answer, strings, indices) with positive probability; uniform weight each."""
-    strings = list(enumerate_balanced(n))
+    strings = balanced_strings(n)
     for z in (0, 1):
         valid = [(y, s) for y in strings for s in range(1, n + 1) if y.bit(s) == z]
         for combo in product(valid, repeat=k):
@@ -359,7 +359,7 @@ class TestPosteriorAnswerEntropy:
 
         # independent recomputation: raw counting over the 24-point support
         slices = defaultdict(Counter)
-        for y in enumerate_balanced(4):
+        for y in balanced_strings(4):
             for sigma in range(1, 5):
                 z = y.bit(sigma)
                 transcript = (y.bits[:2], sigma)
@@ -570,9 +570,9 @@ class TestAugBiasedIndexBound:
         # independent recomputation of H(answer | index, prefix) at theta=0:
         # uniform weights over the 24-point support, plain counting
         cells = defaultdict(Counter)
-        for y in enumerate_balanced(4):
+        for y in balanced_strings(4):
             for rho in range(1, 5):
-                cells[(rho, y.prefix(rho).bits)][y.bit(rho)] += 1
+                cells[(rho, y.bits[:rho - 1])][y.bit(rho)] += 1
         total = sum(sum(c.values()) for c in cells.values())
         expected = 0.0
         for counter in cells.values():

@@ -13,9 +13,9 @@ from chainlab import (
     ProtocolContractError,
     ProtocolSpec,
     SharedRandomness,
+    balanced_strings,
     build_protocol,
     chained_majority_protocol,
-    enumerate_balanced,
     index_majority_decode,
     index_majority_encode,
     run_chain_protocol,
@@ -24,9 +24,9 @@ from chainlab import (
     truncation_protocol,
 )
 from chainlab.montecarlo import chain_instances, sample_chain_batch
-from chainlab.protocols import Board, constant_protocol
+from chainlab.protocols import Board
 
-from util import chi2_quantile, chi2_stat
+from util import chi2_quantile, chi2_stat, constant_protocol
 
 
 def sampled_instances(n, k, count, seed):
@@ -36,7 +36,7 @@ def sampled_instances(n, k, count, seed):
 
 
 def all_instances(n, k):
-    strings = list(enumerate_balanced(n))
+    strings = balanced_strings(n)
     for z in (0, 1):
         valid = [(y, s) for y in strings for s in range(1, n + 1) if y.bit(s) == z]
         for combo in product(valid, repeat=k):
@@ -77,7 +77,7 @@ class TestEngine:
         for inst in sampled_instances(6, 2, 50, seed=0):
             result = run_chain_protocol(p, inst, SharedRandomness(1))
             assert result.correct
-            assert sum(len(m) for m in result.board.messages) == p.total_bits == 12
+            assert sum(len(m) for m in result.board.messages) == sum(p.message_lengths) == 12
 
     def test_trivial_forward_board_message(self):
         inst = ChainInstance(2, 1, (BitString("10"),), (1,), 1)
@@ -87,7 +87,7 @@ class TestEngine:
 
     def test_last_only_mode(self):
         p = trivial_forward_protocol(4, 3, mode="last-only")
-        assert p.total_bits == 4
+        assert p.message_lengths == (0, 0, 4)
         for inst in sampled_instances(4, 3, 20, seed=1):
             assert run_chain_protocol(p, inst, SharedRandomness(2)).correct
 
@@ -112,7 +112,6 @@ class TestEngine:
         result = run_chain_protocol(truncation_protocol(4, 2, 2), inst, SharedRandomness(0))
         assert result.board.indices == inst.indices
         assert [result.board.index(i) for i in (1, 2)] == list(inst.indices)
-        assert result.board.prefixes == ()
 
     @pytest.mark.parametrize("build", [
         lambda: truncation_protocol(4, 2, 2),
@@ -136,25 +135,24 @@ class TestEngine:
                 first_message[key] = m1
 
     def test_board_key_is_hashable_view(self):
-        board = Board((BitString("10"),), (2,), (BitString("1"),))
-        assert board.key() == (((1, 0),), ((2,), ((1,),)))
+        board = Board((BitString("10"),), (2,))
+        assert board.key() == (((1, 0),), (2,))
         hash(board.key())
 
     @pytest.mark.parametrize("i", [0, -1, 2])
     def test_board_lookup_outside_players_raises(self, i):
         # a bare tuple lookup would return the last entry at i = 0 and -1
-        board = Board((BitString("10"),), (2,), (BitString("1"),))
-        for read in (board.message, board.index, board.prefix):
+        board = Board((BitString("10"),), (2,))
+        for read in (board.message, board.index):
             with pytest.raises(KeyError):
                 read(i)
 
     def test_board_fingerprint_text(self):
-        board = Board((BitString("10"), BitString(())), (2, 3), (BitString("1"), BitString("01")))
-        assert board.fingerprint() == "M1:10;M2:;index1:2;prefix1:1;index2:3;prefix2:01"
+        board = Board((BitString("10"), BitString(())), (2, 3))
+        assert board.fingerprint() == "M1:10;M2:;index1:2;index2:3"
         assert Board((BitString("1"),), (2,)).fingerprint() == "M1:1;index1:2"
 
-    @pytest.mark.parametrize("aug", [False, True])
-    def test_each_player_sees_exactly_the_earlier_players(self, aug):
+    def test_each_player_sees_exactly_the_earlier_players(self):
         seen = []
 
         def message(i, string, board, shared):
@@ -170,15 +168,13 @@ class TestEngine:
             message_fn=message, decode_fn=decode,
         )
         inst = next(all_instances(4, 3))
-        run_chain_protocol(p, inst, SharedRandomness(0), aug=aug)
+        run_chain_protocol(p, inst, SharedRandomness(0))
         assert [entry[0] for entry in seen] == [1, 2, 3, "decode"]
-        prefixes = tuple(inst.prefix_for(i) for i in (1, 2, 3))
         for spoken, (who, string, board) in enumerate(seen):
             if who != "decode":
                 assert string == inst.strings[who - 1]
             assert len(board.messages) == spoken
             assert board.indices == inst.indices[:spoken]
-            assert board.prefixes == (prefixes[:spoken] if aug else ())
 
     def test_message_lengths_constant_across_inputs(self):
         for p in (
@@ -190,55 +186,6 @@ class TestEngine:
                 result = run_chain_protocol(p, inst, SharedRandomness(3))
                 lengths = tuple(len(m) for m in result.board.messages)
                 assert lengths == p.message_lengths
-
-
-class TestAugEngine:
-    def test_trivial_forward_correct(self):
-        p = trivial_forward_protocol(4, 2)
-        for inst in sampled_instances(4, 2, 30, seed=2):
-            assert run_chain_protocol(p, inst, SharedRandomness(1), aug=True).correct
-
-    def test_transcript_contains_k_prefixes_and_k_indices(self):
-        inst = next(all_instances(4, 3))
-        result = run_chain_protocol(truncation_protocol(4, 3, 1), inst, SharedRandomness(0), aug=True)
-        assert result.board.indices == inst.indices
-        assert result.board.prefixes == tuple(inst.prefix_for(i) for i in (1, 2, 3))
-
-    def test_decode_sees_last_prefix(self):
-        # decoder outputs the parity of its prefix when the index is past 1
-        def decode(board, shared):
-            if board.index(1) > 1:
-                return sum(board.prefix(1).bits) % 2
-            return 0
-
-        p = ProtocolSpec(
-            name="prefix-parity", n=4, k=1, message_lengths=(0,),
-            message_fn=lambda i, string, board, shared: BitString(()),
-            decode_fn=decode,
-        )
-        inst = ChainInstance(4, 1, (BitString("0110"),), (3,), 1)
-        result = run_chain_protocol(p, inst, SharedRandomness(0), aug=True)
-        assert result.output == (0 + 1) % 2
-
-    def test_players_hold_previous_prefix(self):
-        # player 2 must see X_1(<sigma_1) on the board; echo it as the message
-        def message(i, string, board, shared):
-            if i == 2:
-                bits = board.prefix(1).bits
-                return BitString(bits + (0,) * (4 - len(bits)))
-            return BitString((0,) * 4)
-
-        p = ProtocolSpec(
-            name="echo-prefix", n=4, k=2, message_lengths=(4, 4),
-            message_fn=message,
-            decode_fn=lambda board, shared: 0,
-        )
-        inst = ChainInstance(
-            4, 2, (BitString("0110"), BitString("1010")), (3, 1), 1
-        )
-        result = run_chain_protocol(p, inst, SharedRandomness(0), aug=True)
-        padded = inst.prefix_for(1).bits + (0,) * (4 - 2)
-        assert result.board.messages[1] == BitString(padded)
 
 
 class TestIndexMajorityCoding:
@@ -309,7 +256,7 @@ class TestIndexMajorityCoding:
 
 class TestChainedMajority:
     def test_total_bits(self):
-        assert chained_majority_protocol(16, 2, 4).total_bits == 8
+        assert sum(chained_majority_protocol(16, 2, 4).message_lengths) == 8
 
     def test_block_one_always_correct(self):
         p = chained_majority_protocol(4, 2, 1)
@@ -413,7 +360,7 @@ class TestSampledBits:
 class TestConstantProtocol:
     def test_zero_bits_and_fixed_output(self):
         p = constant_protocol(4, 2, 0)
-        assert p.total_bits == 0
+        assert p.message_lengths == (0, 0)
         for inst in all_instances(4, 2):
             result = run_chain_protocol(p, inst, SharedRandomness(0))
             assert result.output == 0

@@ -1,5 +1,9 @@
-"""Shared test helpers: chi-square machinery for empirical distribution checks."""
+"""Shared test helpers: chi-square machinery for empirical distribution
+checks, an instance validator and a zero-communication protocol."""
 import math
+
+from chainlab.model import BitString, ChainInstance
+from chainlab.protocols import ProtocolSpec
 
 
 def chi2_quantile(df: int, q: float = 0.999) -> float:
@@ -17,3 +21,18 @@ def chi2_stat(observed: dict, expected: dict, total: int) -> float:
         if e > 0:
             stat += (o - e) ** 2 / e
     return stat
+
+
+def validate_instance(inst: ChainInstance) -> bool:
+    """True iff every string is balanced and all indexed bits equal the answer."""
+    return all(s.ones() == inst.n // 2 and s.bit(idx) == inst.answer
+               for s, idx in zip(inst.strings, inst.indices))
+
+
+def constant_protocol(n: int, k: int, bit: int = 0) -> ProtocolSpec:
+    """Zero-communication baseline: everyone silent, decoder outputs `bit`."""
+    return ProtocolSpec(
+        name="constant", n=n, k=k, message_lengths=(0,) * k,
+        message_fn=lambda i, string, board, shared: BitString(()),
+        decode_fn=lambda board, shared: bit, params={"bit": bit},
+    )
