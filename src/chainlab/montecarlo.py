@@ -19,8 +19,9 @@ with the kernel of the protocol's simulator tag (`ProtocolSpec.simulator`):
   reference the numpy kernels are tested against.
 - "majority" (chained-majority with B <= 64): `_majority_batch` draws the
   protocol's reduced form, without strings: one raw 64-bit output per block
-  word, decoded in passes of MAJORITY_ROWS trials, so a batch holds its
-  words and positions and little else.
+  word and one position per word, drawn and decoded a pass of
+  MAJORITY_CELLS (trial, player) cells at a time by two cursors on the
+  batch stream, so its memory does not grow with k.
 
 `numpy.random` is imported by the first batch, not by the package.
 """
@@ -42,8 +43,8 @@ VECTOR_BATCH = 1 << 16
 
 CHUNK_CELLS = 1 << 13
 
-# trials per decoding pass of `_majority_batch`: its word arrays stay in cache
-MAJORITY_ROWS = 1 << 11
+# (trial, player) cells per pass of `_majority_batch`: its arrays stay in cache
+MAJORITY_CELLS = 1 << 15
 
 WORKERS_ENV = "CHAINLAB_WORKERS"
 
@@ -163,6 +164,22 @@ def sampled_bits_kernel(rng: np.random.Generator, strings: np.ndarray, sigma: np
     return np.where(hit, bit, coin)
 
 
+def _advanced(rng: np.random.Generator, outputs: int) -> np.random.Generator:
+    """A second cursor on `rng`'s PCG64 stream, `outputs` raw outputs ahead."""
+    bit_generator = np.random.PCG64()
+    bit_generator.state = rng.bit_generator.state
+    return np.random.Generator(bit_generator.advance(outputs))
+
+
+def _positions(cursor: np.random.Generator, rows: int, k: int, b: int) -> np.ndarray:
+    """`cursor.integers(0, b, size=(rows, k), dtype=np.uint64)`, read from raw
+    outputs when b is a power of two and the cell count is even."""
+    if b > 1 and b & (b - 1) == 0 and rows * k % 2 == 0:
+        halves = cursor.bit_generator.random_raw(rows * k // 2).view(np.uint32)
+        return (halves >> np.uint32(33 - b.bit_length())).reshape(rows, k)
+    return cursor.integers(0, b, size=(rows, k), dtype=np.uint64)
+
+
 def _majority_batch(rng: np.random.Generator, count: int, k: int, block_size: int) -> int:
     """Success count for one batch of the block-majority family, drawn in
     its reduced form, without strings.
@@ -179,32 +196,41 @@ def _majority_batch(rng: np.random.Generator, count: int, k: int, block_size: in
     1/2, sampled as one coin per trial. Tests check this against the engine
     (B > 64 has no kernel) and the exact oracle.
 
-    The block words are the draws of `rng.integers(0, 1 << 32, size=(count,
-    k, 2), dtype=np.uint64)` joined as `first << 32 | second`, taken from one
-    raw 64-bit output each. PCG64 serves a 32-bit draw as the low half of a
-    64-bit output and buffers the high half for the next one, so each word is
-    its raw output rotated by 32 bits; count * k * 2 halves leave nothing
-    buffered, so the positions and coins drawn next are unchanged too. The
-    golden digest of `simulate-chained-majority` pins the counts: a numpy
-    release that serves the halves in another order turns it red. After the
-    draws, the words are decoded in passes of MAJORITY_ROWS trials.
+    The batch stream holds count * k raw 64-bit outputs, one per block word,
+    then the positions, then the coins: the draws of `rng.integers(0, 1 << 32,
+    size=(count, k, 2), dtype=np.uint64)`, with each word `first << 32 |
+    second`, then `rng.integers(0, B, size=(count, k), dtype=np.uint64)` and
+    `rng.integers(0, 2, size=count, dtype=np.int64)`. PCG64 serves a 32-bit
+    draw as the low half of an output, so a word is its raw output rotated by
+    32 bits: the kernel keeps the raw output and reads bit (pos + 32) mod 64
+    under the block mask rotated once. Two cursors read the stream a pass at a
+    time: `rng` reads the words, and a copy advanced by count * k outputs
+    (PCG64 jumps ahead in O(log) steps) reads the positions, then the coins,
+    and hands its state back to `rng`. Bounded draws taken pass by pass equal
+    one draw, since the buffered 32-bit half lives in the bit generator. For B
+    a power of two, numpy's position is the top log2 B bits of a 32-bit half,
+    low half first, with no rejection, so a pass with an even cell count (every
+    pass but the last has one) reads positions from raw outputs. The identity test
+    against the two-halves draw (count and final state) and the golden digest
+    of `simulate-chained-majority` turn red if numpy changes this draw order.
     """
-    b = block_size
-    raw = rng.bit_generator.random_raw(count * k).reshape(count, k)
-    pos = rng.integers(0, b, size=(count, k), dtype=np.uint64)
-    coin = rng.integers(0, 2, size=count, dtype=np.int64)
-    half = np.uint64(32)
-    successes = 0
-    for start in range(0, count, MAJORITY_ROWS):
-        rows = slice(start, start + MAJORITY_ROWS)
-        words = (raw[rows] << half) | (raw[rows] >> half)
-        if b < 64:
-            words &= np.uint64((1 << b) - 1)
-        majority = np.bitwise_count(words) > b // 2
-        words >>= pos[rows]
-        n_right = (majority == (words & np.uint64(1)).astype(bool)).sum(axis=1)
-        successes += int((2 * n_right > k).sum()) + int(coin[rows][2 * n_right == k].sum())
-    return successes
+    cursor = _advanced(rng, count * k)
+    rows = max(2, MAJORITY_CELLS // k & -2)  # even, so only the last pass can hold an odd cell count
+    mask = (1 << block_size) - 1
+    mask = np.uint64((mask << 32 | mask >> 32) & ((1 << 64) - 1))
+    n_right = np.empty(count, dtype=np.uint8 if k < 256 else np.int64)
+    for start in range(0, count, rows):
+        words = rng.bit_generator.random_raw(min(rows, count - start) * k).reshape(-1, k)
+        if block_size < 64:
+            words &= mask
+        majority = np.bitwise_count(words) > block_size // 2
+        indexed = (words >> (_positions(cursor, len(words), k, block_size) ^ 32)) & np.uint64(1)
+        right = majority == indexed.astype(bool)
+        np.einsum("ij->i", right.view(np.uint8), dtype=n_right.dtype, out=n_right[start:start + len(words)])
+    coin = cursor.integers(0, 2, size=count, dtype=np.int64)
+    rng.bit_generator.state = cursor.bit_generator.state
+    n_right = n_right.astype(np.int64)
+    return int((2 * n_right > k).sum()) + int(coin[2 * n_right == k].sum())
 
 
 def chain_instances(strings: np.ndarray, sigma: np.ndarray) -> list[ChainInstance]:

@@ -1,6 +1,9 @@
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from dataclasses import fields
 from fractions import Fraction
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chainlab
 from chainlab import ExperimentConfig, UsageError, emit_report, run_config, run_suite
 from chainlab.cli import _build_parser
 from chainlab.cli import main as cli_main
@@ -242,6 +246,13 @@ SIMULATE_SMALL = ["simulate", "--protocol", "truncation", "--n", "4", "--k", "1"
 
 
 class TestCli:
+    def test_python_dash_m_runs_the_cli(self):
+        src = str(Path(chainlab.__file__).resolve().parents[1])
+        run = subprocess.run([sys.executable, "-m", "chainlab", "--help"], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert run.returncode == 0, run.stderr
+        assert "simulate" in run.stdout
+
     def test_simulate_writes_report(self, tmp_path):
         out = tmp_path / "report.json"
         code = cli_main([

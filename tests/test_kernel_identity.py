@@ -7,7 +7,8 @@ the reduced rational. Every comparison is float `==`, not approx.
 
 The block-majority reference draws each block word as two 32-bit halves and
 decodes the whole batch at once. The kernel must give the same success count
-and leave the generator in the same state.
+and leave the generator in the same state, and each mutant of its reading of
+numpy's draw order must miss one or the other somewhere on the grid.
 """
 import math
 from fractions import Fraction
@@ -20,7 +21,8 @@ from hypothesis import strategies as st
 
 from chainlab import InvalidParameterError, JointTable, binary_entropy, conditional_entropy, entropy
 from chainlab.info_theory import binary_entropy_ratio
-from chainlab.montecarlo import _batch_rng, _majority_batch
+from chainlab import montecarlo
+from chainlab.montecarlo import MAJORITY_CELLS, _batch_rng, _majority_batch
 
 
 def ref_cells(weights):
@@ -134,9 +136,8 @@ def ref_majority_batch(rng, count, k, block_size):
     return wins + ties
 
 
-class Unrotated:
-    """A generator whose raw outputs come rotated by 32 bits. The kernel's own
-    rotation undoes it, so the kernel runs as if it had no rotation."""
+class SwappedHalves:
+    """A cursor whose raw outputs come with their 32-bit halves swapped."""
 
     def __init__(self, rng):
         self.rng = rng
@@ -150,10 +151,18 @@ class Unrotated:
         return self.rng.integers(*args, **kwargs)
 
 
-# odd count * k, B = 1, blocks on both sides of a 32-bit half, one pass, a
-# ragged last pass and a whole batch of passes
-MAJORITY_GRID = [(count, k, seed) for count in (1, 7, 1000, 4999, 1 << 16) for k in (1, 2, 3, 25) for seed in (0, 5)]
-BLOCK_SIZES = (1, 3, 4, 31, 32, 33, 63, 64)
+# odd count * k, B = 1, blocks on both sides of a 32-bit half, powers of two
+# (positions read from raw outputs), one pass, a ragged last pass, a batch of
+# passes, an odd MAJORITY_CELLS // k (k = 7) and the tally dtypes either side
+# of k = 256
+MAJORITY_GRID = [(count, k, seed) for count in (1, 7, 1000, 4999, 1 << 16) for k in (1, 2, 3, 7, 25)
+                 for seed in (0, 5)]
+MAJORITY_GRID += [(count, k, seed) for count in (7, 1001) for k in (255, 256, 300) for seed in (0, 5)]
+# exactly one pass, and one pass plus one row: its last pass has an odd cell
+# count, so a buffered 32-bit half is left for the coins
+MAJORITY_GRID += [(rows + extra, k, seed) for k in (3, 25) for rows in [MAJORITY_CELLS // k & -2]
+                  for extra in (0, 1) for seed in (0, 5)]
+BLOCK_SIZES = (1, 2, 3, 4, 16, 31, 32, 33, 63, 64)
 
 
 @pytest.mark.parametrize("b", BLOCK_SIZES)
@@ -164,7 +173,31 @@ def test_majority_kernel_matches_two_halves_per_word(b):
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-def test_majority_identity_sees_a_missing_rotation():
-    cells = ((count, k, seed, b) for b in BLOCK_SIZES for count, k, seed in MAJORITY_GRID)
-    assert any(_majority_batch(Unrotated(_batch_rng(seed, 3)), count, k, b)
-               != ref_majority_batch(_batch_rng(seed, 3), count, k, b) for count, k, seed, b in cells)
+def identity_fails_somewhere():
+    """Whether the kernel misses the reference's count or final generator
+    state on some cell of the grid."""
+    for b in BLOCK_SIZES:
+        for count, k, seed in MAJORITY_GRID:
+            ref_rng, rng = _batch_rng(seed, 3), _batch_rng(seed, 3)
+            if (_majority_batch(rng, count, k, b) != ref_majority_batch(ref_rng, count, k, b)
+                    or rng.bit_generator.state != ref_rng.bit_generator.state):
+                return True
+    return False
+
+
+def test_majority_identity_sees_a_missing_rotation(monkeypatch):
+    # the kernel XORs each position with 32; pre-XORing makes it read bit pos
+    positions = montecarlo._positions
+    monkeypatch.setattr(montecarlo, "_positions", lambda *args: positions(*args) ^ 32)
+    assert identity_fails_somewhere()
+
+
+def test_majority_identity_sees_high_half_first(monkeypatch):
+    positions = montecarlo._positions
+    monkeypatch.setattr(montecarlo, "_positions", lambda cursor, *args: positions(SwappedHalves(cursor), *args))
+    assert identity_fails_somewhere()
+
+
+def test_majority_identity_sees_positions_drawn_without_the_advance(monkeypatch):
+    monkeypatch.setattr(montecarlo, "_advanced", lambda rng, outputs: rng)
+    assert identity_fails_somewhere()

@@ -244,15 +244,16 @@ class TestBatchKernels:
         assert within_5se(right / count, 0.5, count)
 
     def test_majority_batch_peak_memory(self):
-        # a batch holds its raw words and positions (13 MB each) and the
-        # arrays of one decoding pass, not a batch-sized array per step
-        tracemalloc.start()
-        try:
-            _majority_batch(_batch_rng(7, 0), VECTOR_BATCH, 25, 64)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 32 << 20
+        # a batch holds its per-trial tallies and coins (0.5 MB each) and the
+        # arrays of one pass of MAJORITY_CELLS cells, whatever k is
+        for k in (25, 400):
+            tracemalloc.start()
+            try:
+                _majority_batch(_batch_rng(7, 0), VECTOR_BATCH, k, 64)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4 << 20, k
 
 
 class TestByName:
