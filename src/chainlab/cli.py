@@ -18,6 +18,9 @@ from .errors import InvalidParameterError, ResourceLimitError, UsageError
 from .experiments import ExperimentConfig, emit_report, run_config
 from .montecarlo import WORKERS_ENV
 
+# argparse reads "-1/6" as a flag, so a negative bias is given with "="
+THETA_HELP = "bias as a rational, e.g. 1/6; write a negative one as --theta=-1/6"
+
 
 def _parse_params(pairs: list[str]) -> dict:
     params = {}
@@ -60,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", parents=[common], help="run an exact verification suite")
     verify.add_argument("--suite", default=None, help="suite name (default: 'default')")
     verify.add_argument("--n", type=int, default=None)
-    verify.add_argument("--theta", default=None, help="bias as a rational, e.g. 1/6")
+    verify.add_argument("--theta", default=None, help=THETA_HELP)
     verify.add_argument("--seed", type=int, default=None)
 
     simulate = sub.add_parser("simulate", parents=[common], help="Monte Carlo protocol success")
@@ -76,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
     table = sub.add_parser("table", parents=[common], help="plot-ready long-format tables")
     table.add_argument("--suite", default=None)
     table.add_argument("--sweep", default=None, help="e.g. n=4..64, B=1..64:*2, t=16..1024:*4")
-    table.add_argument("--theta", default=None)
+    table.add_argument("--theta", default=None, help=THETA_HELP)
 
     return parser
 

@@ -12,13 +12,13 @@ import inspect
 import io
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
 from functools import partial
 from typing import Any, Callable, Mapping, Sequence
 
 from ._version import __version__
-from .distributions import bias_grid, enumerate_support, pmf_biased_index
+from .distributions import bias_grid, enumerate_support, pmf_biased_index, structured_pool_size
 from .model import balanced_strings
 from .errors import InvalidParameterError, UsageError
 from .info_theory import ENTROPY_TOLERANCE, binomial_anticoncentration, check_binomial_entropy_bounds
@@ -135,15 +135,12 @@ class ExperimentConfig:
 # verification suites
 
 
-def _grid_for(n: int, theta: Fraction | None, below_half: bool = False) -> list[Fraction]:
-    grid = bias_grid(n)
-    if theta is not None:
-        if theta not in grid:
-            raise InvalidParameterError(f"theta={theta} not on the bias grid for n={n}")
-        grid = [theta]
-    if below_half:
-        grid = [t for t in grid if abs(t) < Fraction(1, 2)]
-    return grid
+def _grid_for(n: int, theta: Fraction | None) -> list[Fraction]:
+    """The bias grid of n, or only `theta`, which must lie on it."""
+    if theta is None:
+        return bias_grid(n)
+    structured_pool_size(n, theta)
+    return [theta]
 
 
 def suite_distribution_identity(ns: Sequence[int] = (2, 4, 6, 8), theta: Fraction | None = None) -> list[VerificationReport]:
@@ -269,7 +266,7 @@ def suite_entropy_pool(
 ) -> list[VerificationReport]:
     reports = []
     for n in ns:
-        for t in _grid_for(n, theta, below_half=True):
+        for t in _grid_for(n, theta):
             reports.append(verify_entropy_given_pool(n, t))
     if sweep_to:
         checks, failures, min_slack = sweep_entropy_given_pool(sweep_to)
@@ -412,12 +409,10 @@ SuiteFn = Callable[..., list[VerificationReport]]
 @dataclass(frozen=True)
 class Suite:
     """A named suite: its function and its arguments in the default suite,
-    which also passes on the seed and, where `preset_theta` is set, the
-    theta."""
+    which also passes on the seed and the theta to a suite that takes them."""
 
     fn: SuiteFn
     preset: Mapping[str, Any]
-    preset_theta: bool = False
 
     @property
     def takes(self) -> tuple[str, ...]:
@@ -431,8 +426,8 @@ class Suite:
 
 # the presets keep the default suite fast while touching every check
 SUITES: dict[str, Suite] = {
-    "distribution-identity": Suite(suite_distribution_identity, {"ns": (2, 4, 6)}, preset_theta=True),
-    "pmf": Suite(suite_pmf, {"ns": (2, 4, 6)}, preset_theta=True),
+    "distribution-identity": Suite(suite_distribution_identity, {"ns": (2, 4, 6)}),
+    "pmf": Suite(suite_pmf, {"ns": (2, 4, 6)}),
     "biased-index-bound": Suite(suite_biased_index, {"ns": (4,), "lengths": (1, 2), "functions": 5}),
     "aug-biased-index-bound": Suite(
         partial(suite_biased_index, aug=True), {"ns": (4,), "lengths": (1, 2), "functions": 5}),
@@ -443,7 +438,7 @@ SUITES: dict[str, Suite] = {
     # 2c bound at (t=16, c=1/16); the full suite reports that cell honestly
     "anticoncentration": Suite(suite_anticoncentration, {"ts": (64, 256)}),
     "binomial-bounds": Suite(suite_binomial_bounds, {"max_p": 64, "points": 16}),
-    "conditional-independence": Suite(suite_conditional_independence, {"ns": (4,)}, preset_theta=True),
+    "conditional-independence": Suite(suite_conditional_independence, {"ns": (4,)}),
 }
 
 
@@ -462,7 +457,7 @@ def run_suite(name: str, n: int | None = None, theta: Fraction | None = None, se
         return [
             report
             for suite in SUITES.values()
-            for report in suite.run(suite.preset, theta=theta if suite.preset_theta else None, seed=seed)
+            for report in suite.run(suite.preset, theta=theta, seed=seed)
         ]
     if name not in SUITES:
         raise UsageError(f"unknown suite {name!r}; available: {sorted(SUITES) + ['default']}")
@@ -616,13 +611,7 @@ def run_config(config: ExperimentConfig, workers: int | None = None) -> tuple[di
             config.seed,
             workers=workers,
         )
-        payload["result"] = {
-            "successes": est.successes,
-            "trials": est.trials,
-            "estimate": est.estimate,
-            "ci_halfwidth": est.ci_halfwidth,
-            "seed": est.seed,
-        }
+        payload["result"] = asdict(est)
         return payload, 0
     if config.mode == "verify":
         reports = run_suite(config.suite, n=config.n, theta=config.theta, seed=config.seed)

@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import re
 import subprocess
@@ -132,8 +133,13 @@ class TestTables:
         assert columns[0] == "check"
         ns = {row[1] for row in rows}
         assert ns == {4, 6, 8}
-        # one row per (n, theta below half), both signs
-        assert sum(1 for row in rows if row[1] == 4) == 3  # -1/6, 0, 1/6
+        # one row per (n, theta), both signs, the vacuous +-1/2 included
+        assert sum(1 for row in rows if row[1] == 4) == 5  # -1/2, -1/6, 0, 1/6, 1/2
+
+    def test_entropy_pool_rows_at_half_bias(self):
+        _, rows = table_rows("entropy-given-pool", "n=4..8", theta=Fraction(1, 2))
+        assert [(row[1], row[2]) for row in rows] == [(4, "1/2"), (6, "1/2"), (8, "1/2")]
+        assert all(row[6] for row in rows)
 
     def test_majority_rows(self):
         _, rows = table_rows("majority", "B=1..4:*2")
@@ -210,6 +216,14 @@ class TestSuites:
         reports = run_suite("pmf", n=4, theta=Fraction(1, 6))
         assert len(reports) == 1
         assert reports[0].passed
+
+    def test_default_suite_passes_theta_to_every_suite_that_takes_it(self):
+        reports = run_suite("default", theta=Fraction(0), seed=3)
+        thetas = {r.params["theta"] for r in reports if "theta" in r.params}
+        assert thetas == {0}
+        checks = {r.check for r in reports if "theta" in r.params}
+        assert {"biased-index-entropy-bound", "augmented-index-entropy-bound",
+                "restricted-support-entropy", "conditional-independence"} <= checks
 
     def test_anticoncentration_suite_reports_the_known_failure(self):
         config = ExperimentConfig(mode="verify", suite="anticoncentration")
@@ -289,6 +303,22 @@ class TestCli:
         code = cli_main(["verify", "--suite", "distribution-identity", "--n", "4", "--out", str(out)])
         assert code == 0
         assert json.loads(out.read_bytes())["passed"] is True
+
+    def test_half_bias_entropy_pool_checks_vacuous_bounds(self, tmp_path):
+        out = tmp_path / "half.json"
+        assert cli_main(["verify", "--suite", "entropy-given-pool", "--theta", "1/2", "--out", str(out)]) == 0
+        checks = json.loads(out.read_bytes())["checks"]
+        assert [c["params"]["n"] for c in checks] == [4, 8, 16, 32, 64]
+        for c in checks:
+            assert (c["check"], c["relation"], c["pass"]) == ("restricted-support-entropy", ">=", True)
+            assert c["details"]["vacuous"] is True
+            assert c["rhs"] == pytest.approx(-2 * math.log2(c["params"]["n"]))
+
+    def test_negative_theta_with_equals_sign(self, tmp_path):
+        # argparse reads a bare "-1/6" as a flag; "--theta=-1/6" is the documented form
+        out = tmp_path / "neg.json"
+        assert cli_main(["verify", "--suite", "pmf", "--n", "4", "--theta=-1/6", "--out", str(out)]) == 0
+        assert [c["params"]["theta"] for c in json.loads(out.read_bytes())["checks"]] == ["-1/6"]
 
     def test_verify_reports_failure_with_exit_one(self, tmp_path):
         out = tmp_path / "anti.json"
@@ -609,11 +639,15 @@ class TestDrift:
                 assert flags["protocol"] == ["--protocol"]
 
     @staticmethod
-    def _readme_names(label: str) -> set[str]:
+    def _readme_names(label: str, end: str = ".") -> set[str]:
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        listing = readme.split(f"{label}:", 1)[1].split(".", 1)[0]
+        listing = readme.split(label, 1)[1].split(end, 1)[0]
         return set(re.findall(r"`([^`]+)`", re.sub(r"\([^)]*\)", "", listing)))
 
     def test_readme_lists_every_suite_and_protocol(self):
-        assert self._readme_names("Suites") == {*SUITES, "default"}
-        assert self._readme_names("Protocols") == set(PROTOCOLS)
+        assert self._readme_names("Suites:") == {*SUITES, "default"}
+        assert self._readme_names("Protocols:") == set(PROTOCOLS)
+
+    def test_readme_lists_the_seeded_suites(self):
+        seeded = {name for name, suite in SUITES.items() if "seed" in suite.takes} | {"default"}
+        assert self._readme_names("The seeded suites are", end=";") == seeded

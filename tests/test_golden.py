@@ -13,11 +13,11 @@ from chainlab.cli import main as cli_main
 GOLDEN = {
     "verify-default": (
         ["verify", "--suite", "default", "--seed", "3"],
-        "a0175423803f0c6f5a057d4f2e5b677322be1ae62c70b164c1f4dfcc7d0705a2",
+        "5088d7755f6af5003bfd1bc1a794fd9b6557c062b261f03ee895798b2fe0850d",
     ),
     "verify-default-theta0": (
         ["verify", "--suite", "default", "--theta", "0", "--seed", "3"],
-        "5f1e89125b3e008cd6b596266846d6ab309dfedad53d5bf6bcee5557ede91b64",
+        "b9d2d2e3c2528929214fc615e6b951960e76290bd118bcd14537f9d327621276",
     ),
     # the named suite runs the same sampled check as the default suite, with its own seed
     "verify-conditional-independence": (
@@ -73,7 +73,7 @@ GOLDEN = {
     ),
     "table-entropy-given-pool": (
         ["table", "--suite", "entropy-given-pool", "--sweep", "n=4..16", "--format", "csv"],
-        "caacdcd7283e6eaa860bb3df048b7f4c97ecdef5c3d43c66c27e8a1c78d8a616",
+        "3acea42171438530e4b0823d30259379c1591c60d190ccdd41bb6b2211b06896",
     ),
 }
 

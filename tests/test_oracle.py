@@ -76,9 +76,11 @@ class TestDistributionIdentity:
         assert report.lhs == 0
         assert report.mode == "exact"
 
-    def test_large_n_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            verify_distribution_identity(12, 0)
+    def test_size_bounded_by_the_budget(self):
+        assert verify_distribution_identity(12, 0).passed
+        # theta = 1/6 at n = 16 needs 10,810,800 structured points
+        with pytest.raises(ResourceLimitError):
+            verify_distribution_identity(16, Fraction(1, 6))
 
     def test_off_grid_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -509,9 +511,12 @@ class TestBiasedIndexBound:
                     report = verify_biased_index_bound(n, theta, messages, 2)
                     assert report.passed, (n, theta, seed)
 
-    def test_off_grid_rejected(self):
+    def test_off_grid_bias_holds(self):
+        # the direct law takes any |theta| <= 1/2, on the grid or off it
+        report = verify_biased_index_bound(4, Fraction(1, 5), truncation_message_function(4, 1), 1)
+        assert report.passed
         with pytest.raises(InvalidParameterError):
-            verify_biased_index_bound(4, Fraction(1, 5), truncation_message_function(4, 1), 1)
+            verify_biased_index_bound(4, Fraction(3, 5), truncation_message_function(4, 1), 1)
 
     def test_message_function_determinism(self):
         a = random_message_function(4, 2, 9)
@@ -612,7 +617,9 @@ class TestEntropyGivenPool:
     def test_half_bias_vacuous(self):
         report = verify_entropy_given_pool(4, Fraction(1, 2))
         assert report.passed
-        assert report.relation == "vacuous"
+        assert (report.relation, report.lhs) == (">=", 0.0)
+        assert report.details["vacuous"] is True
+        assert report.rhs == pytest.approx(-2 * math.log2(4))
 
     def test_nonpositive_rhs_labelled_vacuous(self):
         # rhs = 4 - 2 log2 4 = 0 at n=4, theta=0: no string law can fail it
