@@ -35,6 +35,7 @@ from .protocols import (
     chained_majority_protocol,
     index_majority_decode,
     index_majority_encode,
+    index_majority_protocol,
     run_chain_protocol,
     sampled_bits_protocol,
     trivial_forward_protocol,
@@ -43,7 +44,6 @@ from .protocols import (
 from .oracle import (
     enumerate_joint,
     exact_majority_success,
-    exact_protocol_success,
     majority_vote_success,
     verify_aug_biased_index_bound,
     verify_biased_index_bound,

@@ -16,7 +16,6 @@ from dataclasses import fields
 
 from .errors import InvalidParameterError, ResourceLimitError, UsageError
 from .experiments import ExperimentConfig, emit_report, run_config
-from .montecarlo import WORKERS_ENV
 
 # argparse reads "-1/6" as a flag, so a negative bias is given with "="
 THETA_HELP = "bias as a rational, e.g. 1/6; write a negative one as --theta=-1/6"
@@ -74,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--param", action="append", default=[], metavar="KEY=VAL")
     simulate.add_argument("--seed", type=int, default=None)
     simulate.add_argument("--workers", type=int, default=None,
-                          help=f"worker processes (default: ${WORKERS_ENV} or all cores)")
+                          help="worker processes (default: all cores)")
 
     table = sub.add_parser("table", parents=[common], help="plot-ready long-format tables")
     table.add_argument("--suite", default=None)
@@ -115,8 +114,11 @@ def main(argv: list[str] | None = None) -> int:
         elapsed = time.monotonic() - started
         body = emit_report(payload, config.format)
         if config.out:
-            with open(config.out, "wb") as fh:
-                fh.write(body)
+            try:
+                with open(config.out, "wb") as fh:
+                    fh.write(body)
+            except OSError as exc:
+                raise UsageError(f"cannot write {config.out}: {exc.strerror}") from exc
         else:
             sys.stdout.buffer.write(body)
             sys.stdout.buffer.flush()

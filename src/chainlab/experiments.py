@@ -18,7 +18,7 @@ from functools import partial
 from typing import Any, Callable, Mapping, Sequence
 
 from ._version import __version__
-from .distributions import bias_grid, enumerate_support, pmf_biased_index, structured_pool_size
+from .distributions import bias_grid, check_budget, enumerate_support, pmf_biased_index, structured_pool_size
 from .model import balanced_strings
 from .errors import InvalidParameterError, UsageError
 from .info_theory import ENTROPY_TOLERANCE, binomial_anticoncentration, check_binomial_entropy_bounds
@@ -498,6 +498,7 @@ def parse_sweep(spec: str) -> tuple[str, list[int]]:
     else:
         if step < 1:
             raise UsageError("sweep step must be >= 1")
+        check_budget(f"sweep {spec!r}", len(range(low, high + 1, step)), "values")
         values = list(range(low, high + 1, step))
     if not values:
         raise UsageError(f"sweep {spec!r} produces no values")

@@ -46,9 +46,6 @@ CHUNK_CELLS = 1 << 13
 # (trial, player) cells per pass of `_majority_batch`: its arrays stay in cache
 MAJORITY_CELLS = 1 << 15
 
-WORKERS_ENV = "CHAINLAB_WORKERS"
-
-
 @dataclass(frozen=True)
 class MonteCarloEstimate:
     successes: int
@@ -67,24 +64,6 @@ class MonteCarloEstimate:
             ci_halfwidth=1.96 * math.sqrt(p * (1 - p) / trials),
             seed=seed,
         )
-
-
-def resolve_workers(workers: int | None = None) -> int:
-    """Worker processes for the batch kernels: `workers`, else $CHAINLAB_WORKERS,
-    else every core. A count below 1 is refused, not clamped."""
-    source = "workers"
-    if workers is None:
-        env = os.environ.get(WORKERS_ENV)
-        if not env:
-            return os.cpu_count() or 1
-        source = WORKERS_ENV
-        try:
-            workers = int(env)
-        except ValueError:
-            raise InvalidParameterError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
-    if workers < 1:
-        raise InvalidParameterError(f"{source} must be >= 1, got {workers}")
-    return workers
 
 
 def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
@@ -278,7 +257,8 @@ def montecarlo_success(
 ) -> MonteCarloEstimate:
     """Estimate a protocol's success probability over the hard distribution.
     A trial's k * n string cells count against the enumeration budget before
-    any draw; the majority kernel draws no strings and is exempt."""
+    any draw; the majority kernel draws no strings and is exempt. `workers`
+    defaults to every core; a count below 1 is refused, not clamped."""
     if trials < 1:
         raise InvalidParameterError(f"trials must be >= 1, got {trials}")
     if seed < 0:
@@ -289,7 +269,10 @@ def montecarlo_success(
     tag = protocol.simulator
     if tag != "majority":
         check_budget("one Monte Carlo trial", k * n, "string cells")
-    workers = resolve_workers(workers)
+    if workers is None:
+        workers = os.cpu_count() or 1
+    elif workers < 1:
+        raise InvalidParameterError(f"workers must be >= 1, got {workers}")
     params = protocol.params if tag else {"protocol": protocol}
     tasks = [(tag, n, k, params, seed, index, min(VECTOR_BATCH, trials - start))
              for index, start in enumerate(range(0, trials, VECTOR_BATCH))]

@@ -172,11 +172,8 @@ def _entropy_bound_report(
 # exact protocol enumeration
 
 
-_JOINT_LABELS = ("answer", "messages", "reveals")
-
-
 def _message_calls(n: int, lengths: tuple[int, ...]) -> int:
-    """Upper bound on the message calls of `_support_runs`: every balanced
+    """Upper bound on the message calls of `enumerate_joint`: every balanced
     string is tried on every board its player can see, and player i's
     message and index multiply the boards by at most min(2^L_i, C(n, n/2)) * n."""
     strings = math.comb(n, n // 2)
@@ -188,14 +185,15 @@ def _message_calls(n: int, lengths: tuple[int, ...]) -> int:
     return calls
 
 
-def _support_runs(
+def enumerate_joint(
     protocol: ProtocolSpec,
     n: int,
     k: int,
-    shared_seed: int,
-) -> tuple[dict[tuple, int], Fraction]:
-    """The integer weights of (answer, board) outcomes, keyed as
-    _JOINT_LABELS, and the exact success probability.
+    shared_seed: int = 0,
+) -> tuple[JointTable, Fraction]:
+    """Exact joint law of (answer, messages, reveals) under the hard
+    distribution and the exact success probability, with the protocol made
+    deterministic by fixing its shared seed.
 
     Built one player at a time: a message depends only on its sender's string
     and the board so far, so one message call per (board, string) serves
@@ -234,30 +232,7 @@ def _support_runs(
             if weight:
                 weights[(z, *board.key())] = weight
                 total += weight
-    return weights, Fraction(hits, total)
-
-
-def enumerate_joint(
-    protocol: ProtocolSpec,
-    n: int,
-    k: int,
-    shared_seed: int = 0,
-) -> JointTable:
-    """Exact joint law of (answer, board) under the hard distribution, with
-    the protocol made deterministic by fixing its shared seed."""
-    weights, _ = _support_runs(protocol, n, k, shared_seed)
-    return JointTable.from_weights(_JOINT_LABELS, weights)
-
-
-def exact_protocol_success(
-    protocol: ProtocolSpec,
-    n: int,
-    k: int,
-    shared_seed: int = 0,
-) -> Fraction:
-    """Exact success probability under the hard distribution at a fixed shared seed."""
-    _, success = _support_runs(protocol, n, k, shared_seed)
-    return success
+    return JointTable.from_weights(("answer", "messages", "reveals"), weights), Fraction(hits, total)
 
 
 def verify_chain_entropy_bound(
@@ -273,10 +248,9 @@ def verify_chain_entropy_bound(
     H2(success) are recorded so callers can also assert the upper direction
     for better-than-even protocols.
     """
-    weights, success = _support_runs(protocol, n, k, shared_seed)
+    joint, success = enumerate_joint(protocol, n, k, shared_seed)
     params = {"protocol": protocol.name, "protocol_params": dict(protocol.params), "n": n, "k": k, "seed": shared_seed}
-    report = _entropy_bound_report(
-        "chain-entropy-accounting", params, JointTable.from_weights(_JOINT_LABELS, weights), 1.0, k, 12)
+    report = _entropy_bound_report("chain-entropy-accounting", params, joint, 1.0, k, 12)
     ceiling = binary_entropy(success) if success > Fraction(1, 2) else None
     fano_pass = None if ceiling is None else report.lhs <= ceiling + ENTROPY_TOLERANCE
     details = {**report.details, "success": success, "fano_ceiling": ceiling, "fano_pass": fano_pass}
@@ -407,6 +381,7 @@ def enumerated_majority_success(n: int, block_size: int) -> Fraction:
         raise InvalidParameterError(f"n must be >= 1, got {n}")
     if block_size < 1 or n % block_size != 0:
         raise InvalidParameterError(f"block size {block_size} must divide n={n}")
+    check_budget("majority enumeration", 2**n * n, "points")
     mask = BitString((0,) * n)
     identity = tuple(range(1, n + 1))
     hits = 0

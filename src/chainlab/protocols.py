@@ -324,51 +324,21 @@ def truncation_protocol(n: int, k: int, t: int) -> ProtocolSpec:
     )
 
 
-def _int_param(protocol: str, params: Mapping[str, Any], key: str) -> int:
-    """A required integer parameter; text is parsed, anything else is rejected."""
-    if key not in params:
-        raise InvalidParameterError(f"{protocol} requires parameter {key}")
-    value = params[key]
-    if isinstance(value, str):
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    elif isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise InvalidParameterError(f"{protocol} parameter {key} must be an integer, got {value!r}")
-
-
-def _build_trivial(n, k, params):
-    return trivial_forward_protocol(n, k, mode=params.get("mode", "all"))
-
-
-def _build_sampled(n, k, params):
-    return sampled_bits_protocol(n, k, _int_param("sampled-bits", params, "m"))
-
-
-def _build_index_majority(n, k, params):
+def index_majority_protocol(n: int, k: int, block_size: int) -> ProtocolSpec:
     """The single-instance block-majority protocol: chained-majority at k=1."""
     if k != 1:
         raise InvalidParameterError(f"index-majority is a single-instance protocol, got k={k}")
-    block_size = _int_param("index-majority", params, "B")
     return replace(chained_majority_protocol(n, 1, block_size), name="index-majority")
 
 
-def _build_chained_majority(n, k, params):
-    return chained_majority_protocol(n, k, _int_param("chained-majority", params, "B"))
-
-
-def _build_truncation(n, k, params):
-    return truncation_protocol(n, k, _int_param("truncation", params, "t"))
-
-
+# name -> (constructor, its one parameter, that parameter's default); a
+# parameter without a default is a required integer, given as an int or as text
 PROTOCOLS = {
-    "trivial-forward": (_build_trivial, {"mode"}),
-    "sampled-bits": (_build_sampled, {"m"}),
-    "index-majority": (_build_index_majority, {"B"}),
-    "chained-majority": (_build_chained_majority, {"B"}),
-    "truncation": (_build_truncation, {"t"}),
+    "trivial-forward": (trivial_forward_protocol, "mode", "all"),
+    "sampled-bits": (sampled_bits_protocol, "m", None),
+    "index-majority": (index_majority_protocol, "B", None),
+    "chained-majority": (chained_majority_protocol, "B", None),
+    "truncation": (truncation_protocol, "t", None),
 }
 
 
@@ -379,8 +349,18 @@ def build_protocol(name: str, n: int, k: int, params: Mapping[str, Any] | None =
             f"unknown protocol {name!r}; registered: {sorted(PROTOCOLS)}"
         )
     params = dict(params or {})
-    builder, allowed = PROTOCOLS[name]
-    unknown = set(params) - allowed
+    constructor, key, default = PROTOCOLS[name]
+    unknown = set(params) - {key}
     if unknown:
         raise InvalidParameterError(f"unknown parameters for {name}: {sorted(unknown)}")
-    return builder(n, k, params)
+    value = params.get(key, default)
+    if default is None:
+        if key not in params:
+            raise InvalidParameterError(f"{name} requires parameter {key}")
+        try:
+            if isinstance(value, bool) or not isinstance(value, (int, str)):
+                raise ValueError
+            value = int(value)
+        except ValueError:
+            raise InvalidParameterError(f"{name} parameter {key} must be an integer, got {value!r}") from None
+    return constructor(n, k, value)

@@ -183,8 +183,7 @@ def test_c10_non_accumulation():
     assert ok
 
 
-def test_c11_determinism(tmp_path, monkeypatch):
-    monkeypatch.delenv("CHAINLAB_WORKERS", raising=False)
+def test_c11_determinism(tmp_path):
     verify_args = ["verify", "--suite", "majority", "--seed", "3"]
     a, b = tmp_path / "v1.json", tmp_path / "v2.json"
     assert cli_main(verify_args + ["--out", str(a)]) == 0

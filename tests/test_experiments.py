@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
@@ -117,6 +118,17 @@ class TestSweepParsing:
         assert parsed_name == name
         assert all(low <= v <= high for v in values)
         assert all(a < b for a, b in zip(values, values[1:]))
+
+    def test_oversized_sweep_refused_before_its_list(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError) as err:
+                parse_sweep("B=1..1000000000000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err.value.required == 10**12
+        assert peak < 2**20
 
     @given(st.text(alphabet="nt=.:*-0123456789x ", max_size=9))
     def test_bad_specs_raise_only_usage_error(self, spec):
@@ -325,6 +337,12 @@ class TestCli:
         code = cli_main(["verify", "--suite", "anticoncentration", "--out", str(out)])
         assert code == 1
 
+    @pytest.mark.parametrize("target", ["missing/x.json", "."])
+    def test_unwritable_out_exit_two(self, tmp_path, capsys, target):
+        out = tmp_path / target
+        assert cli_main(["verify", "--suite", "pmf", "--n", "2", "--out", str(out)]) == 2
+        assert f"usage error: cannot write {out}" in capsys.readouterr().err
+
     def test_usage_error_exit_two(self):
         assert cli_main(["simulate", "--n", "4", "--k", "1", "--trials", "10"]) == 2
 
@@ -463,34 +481,17 @@ class TestCli:
     def test_negative_seed_on_majority_verify_exit_two(self):
         assert cli_main(["verify", "--suite", "majority", "--seed", "-1"]) == 2
 
-    def test_non_integer_workers_env_exit_two(self, monkeypatch, capsys):
-        monkeypatch.setenv("CHAINLAB_WORKERS", "abc")
-        assert cli_main([
-            "simulate", "--protocol", "chained-majority", "--n", "64", "--k", "3",
-            "--param", "B=64", "--trials", "100",
-        ]) == 2
-        assert "CHAINLAB_WORKERS" in capsys.readouterr().err
-
     @pytest.mark.parametrize("protocol,param", [("chained-majority", "B=64"), ("trivial-forward", "mode=all")])
     @pytest.mark.parametrize("workers", ["0", "-3"])
-    def test_worker_count_below_one_exit_two(self, monkeypatch, capsys, protocol, param, workers):
-        monkeypatch.delenv("CHAINLAB_WORKERS", raising=False)
+    def test_worker_count_below_one_exit_two(self, capsys, protocol, param, workers):
         assert cli_main([
             "simulate", "--protocol", protocol, "--n", "64", "--k", "3",
             "--param", param, "--trials", "100", "--workers", workers,
         ]) == 2
         assert "workers must be >= 1" in capsys.readouterr().err
 
-    def test_zero_workers_env_exit_two(self, monkeypatch, capsys):
-        monkeypatch.setenv("CHAINLAB_WORKERS", "0")
-        assert cli_main([
-            "simulate", "--protocol", "truncation", "--n", "64", "--k", "3",
-            "--param", "t=8", "--trials", "100",
-        ]) == 2
-        assert "CHAINLAB_WORKERS must be >= 1" in capsys.readouterr().err
-
     # Flags are drawn mostly valid, so that many examples reach an engine path
-    # with one junk value (a negative seed, a junk CHAINLAB_WORKERS) among them.
+    # with one junk value (a negative seed, a junk --workers) among them.
     @given(
         st.sampled_from([("trivial-forward", "mode", ["all", "last-only"]), ("sampled-bits", "m", ["1", "4"]),
                          ("index-majority", "B", ["1", "4"]), ("chained-majority", "B", ["1", "4", "64"]),
@@ -512,13 +513,9 @@ class TestCli:
         args = [
             "simulate", "--protocol", name, "--param", f"{'x' if junk_key else key}={value}",
             "--n", str(n), "--k", str(k), "--trials", str(trials), "--seed", str(seed),
+            *([] if workers is None else ["--workers", workers]),
         ]
-        with pytest.MonkeyPatch.context() as mp:
-            if workers is None:
-                mp.delenv("CHAINLAB_WORKERS", raising=False)
-            else:
-                mp.setenv("CHAINLAB_WORKERS", workers)
-            assert cli_main(args) in (0, 1, 2, 3)
+        assert cli_main(args) in (0, 1, 2, 3)
 
     def test_config_field_type_exit_two(self, tmp_path):
         config_path = tmp_path / "config.json"

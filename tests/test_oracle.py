@@ -21,7 +21,6 @@ from chainlab import (
     conditional_entropy,
     enumerate_joint,
     exact_majority_success,
-    exact_protocol_success,
     majority_vote_success,
     run_chain_protocol,
     sampled_bits_protocol,
@@ -49,7 +48,6 @@ from chainlab.model import balanced_strings
 from chainlab.montecarlo import MonteCarloEstimate
 from chainlab.oracle import (
     _entropy_bound_report,
-    _support_runs,
     enumerated_majority_success,
     full_string_message_function,
     random_chain_protocol,
@@ -253,13 +251,13 @@ class TestChecksCanFail:
 
 class TestEnumerateJoint:
     def test_support_n2_k1(self):
-        joint = enumerate_joint(trivial_forward_protocol(2, 1), 2, 1)
+        joint, _ = enumerate_joint(trivial_forward_protocol(2, 1), 2, 1)
         # 2 answers x 2 valid (string, index) pairs each, transcripts all distinct
         assert len(joint.entries) == 4
         assert sum(joint.entries.values()) == 1
 
     def test_no_message_transcript_is_indices_only(self):
-        joint = enumerate_joint(constant_protocol(2, 1), 2, 1)
+        joint, _ = enumerate_joint(constant_protocol(2, 1), 2, 1)
         messages = {m for _, m, _ in joint.entries}
         assert messages == {((),)}
 
@@ -273,12 +271,12 @@ class TestEnumerateJoint:
 
     def test_random_protocol_n8_k3_enumerates(self):
         # 2 * 280^3 support points, over the budget when each ran the engine
-        joint = enumerate_joint(random_chain_protocol(8, 3, 3, 0), 8, 3)
+        joint, _ = enumerate_joint(random_chain_protocol(8, 3, 3, 0), 8, 3)
         assert joint.total == 2 * 280**3
         assert joint.marginal(("answer",)).entries == {(0,): Fraction(1, 2), (1,): Fraction(1, 2)}
 
     def test_total_probability_exact(self):
-        joint = enumerate_joint(truncation_protocol(4, 2, 2), 4, 2)
+        joint, _ = enumerate_joint(truncation_protocol(4, 2, 2), 4, 2)
         assert sum(joint.entries.values()) == 1
 
 
@@ -317,7 +315,8 @@ class TestForwardPass:
     @pytest.mark.parametrize("n,k", [(4, 1), (4, 2), (6, 2)])
     def test_matches_scalar_engine(self, n, k):
         for protocol in _pass_subjects(n, k):
-            assert _support_runs(protocol, n, k, 3) == _engine_runs(protocol, n, k, 3), protocol.name
+            joint, success = enumerate_joint(protocol, n, k, 3)
+            assert (dict(joint.weights), success) == _engine_runs(protocol, n, k, 3), protocol.name
 
     @pytest.mark.parametrize("break_", ["size", "length", "output"])
     def test_contract_checked_on_both_paths(self, break_):
@@ -330,7 +329,7 @@ class TestForwardPass:
         with pytest.raises(ProtocolContractError):
             run_chain_protocol(p, inst, SharedRandomness(0))
         with pytest.raises(ProtocolContractError):
-            exact_protocol_success(p, 4, 1)
+            enumerate_joint(p, 4, 1)
 
     def test_final_boards_freed_as_decoded(self):
         # 7,200 final boards at n=6, k=2, t=6; holding them all until the
@@ -338,7 +337,7 @@ class TestForwardPass:
         balanced_strings(6)
         tracemalloc.start()
         try:
-            exact_protocol_success(truncation_protocol(6, 2, 6), 6, 2)
+            enumerate_joint(truncation_protocol(6, 2, 6), 6, 2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -347,15 +346,15 @@ class TestForwardPass:
 
 class TestPosteriorAnswerEntropy:
     def test_no_message_is_uniform(self):
-        joint = enumerate_joint(constant_protocol(4, 1), 4, 1)
+        joint, _ = enumerate_joint(constant_protocol(4, 1), 4, 1)
         assert conditional_entropy(joint, "answer", ("messages", "reveals")) == pytest.approx(1.0, abs=TOL)
 
     def test_trivial_forward_reveals_answer(self):
-        joint = enumerate_joint(trivial_forward_protocol(4, 1), 4, 1)
+        joint, _ = enumerate_joint(trivial_forward_protocol(4, 1), 4, 1)
         assert conditional_entropy(joint, "answer", ("messages", "reveals")) == pytest.approx(0.0, abs=TOL)
 
     def test_truncation_matches_direct_slice_computation(self):
-        joint = enumerate_joint(truncation_protocol(4, 1, 2), 4, 1)
+        joint, _ = enumerate_joint(truncation_protocol(4, 1, 2), 4, 1)
         value = conditional_entropy(joint, "answer", ("messages", "reveals"))
         assert 0 < value < 1
 
@@ -379,7 +378,7 @@ class TestPosteriorAnswerEntropy:
 
     def test_monotone_in_truncation_length(self):
         values = [
-            conditional_entropy(enumerate_joint(truncation_protocol(4, 1, t), 4, 1), "answer", ("messages", "reveals"))
+            conditional_entropy(enumerate_joint(truncation_protocol(4, 1, t), 4, 1)[0], "answer", ("messages", "reveals"))
             for t in range(5)
         ]
         for a, b in zip(values, values[1:]):
@@ -435,8 +434,8 @@ class TestChainEntropyBound:
         assert _fano_companion(report) is None
 
     def test_exact_success_via_oracle(self):
-        assert exact_protocol_success(truncation_protocol(4, 1, 2), 4, 1) == Fraction(3, 4)
-        assert exact_protocol_success(trivial_forward_protocol(4, 2), 4, 2) == 1
+        assert enumerate_joint(truncation_protocol(4, 1, 2), 4, 1)[1] == Fraction(3, 4)
+        assert enumerate_joint(trivial_forward_protocol(4, 2), 4, 2)[1] == 1
 
 
 class TestEntropyBoundReport:
@@ -699,6 +698,14 @@ class TestMajorityOracles:
     def test_enumeration_without_positions_rejected(self, n):
         with pytest.raises(InvalidParameterError):
             enumerated_majority_success(n, 2)
+
+    def test_enumeration_over_budget_refused_before_any_encode(self, monkeypatch):
+        import chainlab.oracle as oracle_module
+
+        monkeypatch.setattr(oracle_module, "index_majority_encode", lambda *args: pytest.fail("encoded"))
+        with pytest.raises(ResourceLimitError) as err:
+            enumerated_majority_success(24, 4)
+        assert err.value.required == 2**24 * 24
 
 
 class TestConditionalIndependence:
