@@ -73,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--param", action="append", default=[], metavar="KEY=VAL")
     simulate.add_argument("--seed", type=int, default=None)
     simulate.add_argument("--workers", type=int, default=None,
-                          help="worker processes (default: all cores)")
+                          help="worker processes (default: every core this process may use)")
 
     table = sub.add_parser("table", parents=[common], help="plot-ready long-format tables")
     table.add_argument("--suite", default=None)

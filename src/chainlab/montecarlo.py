@@ -12,8 +12,9 @@ indices, strings as bits) in chunks of about CHUNK_CELLS string bits, in
 order, which bounds memory whatever the batch size, and decodes each chunk
 with the kernel of the protocol's simulator tag (`ProtocolSpec.simulator`):
 
-- "truncation" and "sampled-bits": numpy kernels that compute the messages
-  from the strings and decode them in the order the scalar protocol does.
+- "truncation" and "sampled-bits": numpy kernels that decode in the order
+  the scalar protocol does, reading from the strings only the indexed cell
+  of the player the decoder reads.
 - none: `engine_kernel` runs the engine on each row, in the calling process
   (protocol functions are closures and cannot be pickled). It is the
   reference the numpy kernels are tested against.
@@ -22,6 +23,15 @@ with the kernel of the protocol's simulator tag (`ProtocolSpec.simulator`):
   word and one position per word, drawn and decoded a pass of
   MAJORITY_CELLS (trial, player) cells at a time by two cursors on the
   batch stream, so its memory does not grow with k.
+
+Both string-path stages select by comparing keys, not by sorting them. A
+string's ones are the keys at or below its row's (n/2)-th smallest
+(`_lowest`), and a sampled-bits index is published iff fewer than m keys of
+its row rank below its own. Both break ties alike: of two equal keys, the one
+at the lower position ranks lower. Uniform double keys tie with probability
+about n^2 / 2^54 per row; barring such a tie, the draws, counts and report
+digests are those of the `argpartition` selection and message gather these
+stages replaced.
 
 `numpy.random` is imported by the first batch, not by the package.
 """
@@ -72,12 +82,20 @@ def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
 
 def _lowest(keys: np.ndarray, size: int) -> np.ndarray:
     """Mask of the `size` smallest keys of each row (last axis) of a 3-d
-    array: exactly `size` per row, ties or not."""
-    mask = np.zeros(keys.shape, dtype=bool)
-    if size:
-        count, k, _ = keys.shape
-        chosen = np.argpartition(keys, size - 1, axis=-1)[..., :size]
-        mask[np.arange(count)[:, None, None], np.arange(k)[:, None], chosen] = True
+    array: exactly `size` per row, keys tied with the row's `size`-th
+    smallest going to the lower positions. The mask holds the keys at or
+    below that threshold; only a tie at the threshold gives a row more than
+    `size`, and only such rows are selected again, in a stable order."""
+    if not size:
+        return np.zeros(keys.shape, dtype=bool)
+    count, k, n = keys.shape
+    mask = keys <= np.partition(keys, size - 1, axis=-1)[..., size - 1:size]
+    if np.count_nonzero(mask) != count * k * size:
+        tied = np.count_nonzero(mask, axis=-1) > size
+        chosen = np.argsort(keys[tied], axis=-1, kind="stable")[:, :size]
+        rows = np.zeros((len(chosen), n), dtype=bool)
+        np.put_along_axis(rows, chosen, True, axis=-1)
+        mask[tied] = rows
     return mask
 
 
@@ -126,21 +144,29 @@ def truncation_kernel(rng: np.random.Generator, strings: np.ndarray, sigma: np.n
 
 def sampled_bits_kernel(rng: np.random.Generator, strings: np.ndarray, sigma: np.ndarray, m: int) -> np.ndarray:
     """Decoder outputs of `sampled_bits_protocol` on a batch: every (trial,
-    player) publishes its bits at m distinct positions drawn from `rng`, in
-    position order; the decoder reads the first index among its player's
-    positions, else one coin per trial, also drawn from `rng`."""
+    player) publishes its bits at the m positions of its lowest keys (`_lowest`
+    of one uniform key per position, drawn from `rng`), in position order; the
+    decoder reads the first index among its player's positions, else one coin
+    per trial, also drawn from `rng`.
+
+    The index is published iff fewer than m keys of its row rank below the
+    index's key: keys strictly below it, plus keys equal to it at a lower
+    position (`_lowest`'s tie rule), counted only when some row holds such a
+    tie. A published index's message bit sits at its rank among the published
+    positions, which is the string's bit at the index, so no message is built."""
     count, k, n = strings.shape
-    published = _lowest(rng.random((count, k, n)), m)
+    keys = rng.random((count, k, n))
     coin = rng.integers(0, 2, size=count)
     if m == 0:
         return coin
     rows = np.arange(count)
-    messages = strings[published].reshape(count, k, m)
-    hit, player = _first_readable(published[rows[:, None], np.arange(k), sigma - 1])
-    # the decoder's bit sits at the rank of the index among the published positions
-    slot = published[rows, player].cumsum(axis=-1)[rows, sigma[rows, player] - 1] - 1
-    bit = messages[rows, player, np.maximum(slot, 0)]
-    return np.where(hit, bit, coin)
+    key = keys[rows[:, None], np.arange(k), sigma - 1][..., None]
+    rank = (keys < key).sum(axis=-1)
+    tied = keys == key
+    if np.count_nonzero(tied) != count * k:
+        rank += (tied & (np.arange(n) < sigma[..., None] - 1)).sum(axis=-1)
+    hit, player = _first_readable(rank < m)
+    return np.where(hit, strings[rows, player, sigma[rows, player] - 1], coin)
 
 
 def _advanced(rng: np.random.Generator, outputs: int) -> np.random.Generator:
@@ -258,7 +284,8 @@ def montecarlo_success(
     """Estimate a protocol's success probability over the hard distribution.
     A trial's k * n string cells count against the enumeration budget before
     any draw; the majority kernel draws no strings and is exempt. `workers`
-    defaults to every core; a count below 1 is refused, not clamped."""
+    defaults to every core this process may run on; a count below 1 is
+    refused, not clamped."""
     if trials < 1:
         raise InvalidParameterError(f"trials must be >= 1, got {trials}")
     if seed < 0:
@@ -270,7 +297,7 @@ def montecarlo_success(
     if tag != "majority":
         check_budget("one Monte Carlo trial", k * n, "string cells")
     if workers is None:
-        workers = os.cpu_count() or 1
+        workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     elif workers < 1:
         raise InvalidParameterError(f"workers must be >= 1, got {workers}")
     params = protocol.params if tag else {"protocol": protocol}

@@ -9,7 +9,14 @@ The block-majority reference draws each block word as two 32-bit halves and
 decodes the whole batch at once. The kernel must give the same success count
 and leave the generator in the same state, and each mutant of its reading of
 numpy's draw order must miss one or the other somewhere on the grid.
+
+The string-path reference selects a row's lowest keys by `argpartition` and a
+scatter, and the sampled-bits reference builds every published message and
+finds the decoder's bit by a running count. The threshold sampler and the
+index-only kernel must give the same arrays and outputs and leave the
+generator in the same state, and a mutant of either comparison must miss.
 """
+import inspect
 import math
 from fractions import Fraction
 from itertools import product
@@ -22,7 +29,7 @@ from hypothesis import strategies as st
 from chainlab import InvalidParameterError, JointTable, binary_entropy, conditional_entropy, entropy
 from chainlab.info_theory import binary_entropy_ratio
 from chainlab import montecarlo
-from chainlab.montecarlo import MAJORITY_CELLS, _batch_rng, _majority_batch
+from chainlab.montecarlo import MAJORITY_CELLS, _batch_rng, _first_readable, _majority_batch
 
 
 def ref_cells(weights):
@@ -201,3 +208,83 @@ def test_majority_identity_sees_high_half_first(monkeypatch):
 def test_majority_identity_sees_positions_drawn_without_the_advance(monkeypatch):
     monkeypatch.setattr(montecarlo, "_advanced", lambda rng, outputs: rng)
     assert identity_fails_somewhere()
+
+
+def ref_lowest(keys, size):
+    mask = np.zeros(keys.shape, dtype=bool)
+    if size:
+        count, k, _ = keys.shape
+        chosen = np.argpartition(keys, size - 1, axis=-1)[..., :size]
+        mask[np.arange(count)[:, None, None], np.arange(k)[:, None], chosen] = True
+    return mask
+
+
+def ref_sample_chain_batch(rng, count, n, k):
+    answer = rng.integers(0, 2, size=count)
+    sigma = rng.integers(1, n + 1, size=(count, k))
+    keys = rng.random((count, k, n))
+    keys[np.arange(count)[:, None], np.arange(k), sigma - 1] = np.where(answer, -1.0, 2.0)[:, None]
+    return answer, sigma, ref_lowest(keys, n // 2)
+
+
+def ref_sampled_bits_kernel(rng, strings, sigma, m):
+    count, k, n = strings.shape
+    published = ref_lowest(rng.random((count, k, n)), m)
+    coin = rng.integers(0, 2, size=count)
+    if m == 0:
+        return coin
+    rows = np.arange(count)
+    messages = strings[published].reshape(count, k, m)
+    hit, player = _first_readable(published[rows[:, None], np.arange(k), sigma - 1])
+    slot = published[rows, player].cumsum(axis=-1)[rows, sigma[rows, player] - 1] - 1
+    bit = messages[rows, player, np.maximum(slot, 0)]
+    return np.where(hit, bit, coin)
+
+
+STRING_GRID = [(count, n, k) for n in range(2, 129, 2) for k in (1, 2, 3, 25) for count in (1, 5, 37, 300)]
+
+
+def same(got, expected):
+    return got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
+def string_path_miss():
+    """The first grid cell, (count, n, k, m) with m None for the sampler,
+    where the sampler or the sampled-bits kernel misses the reference's
+    arrays, outputs or final generator state; None when there is none."""
+    for count, n, k in STRING_GRID:
+        ref_rng, rng = _batch_rng(n, k), _batch_rng(n, k)
+        expected = ref_sample_chain_batch(ref_rng, count, n, k)
+        drawn = montecarlo.sample_chain_batch(rng, count, n, k)
+        if not all(map(same, drawn, expected)) or rng.bit_generator.state != ref_rng.bit_generator.state:
+            return count, n, k, None
+        _, sigma, strings = expected
+        for m in sorted({0, 1, n // 2, n}):
+            outputs = montecarlo.sampled_bits_kernel(rng, strings, sigma, m)
+            if (not same(outputs, ref_sampled_bits_kernel(ref_rng, strings, sigma, m))
+                    or rng.bit_generator.state != ref_rng.bit_generator.state):
+                return count, n, k, m
+    return None
+
+
+def test_string_path_matches_argpartition_and_scatter():
+    assert string_path_miss() is None
+
+
+def mutate(monkeypatch, name, old, new):
+    """Replace `montecarlo.<name>` by its own source with `old` written as `new`."""
+    source = inspect.getsource(getattr(montecarlo, name))
+    assert source.count(old) == 1
+    namespace = dict(vars(montecarlo))
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(montecarlo, name, namespace[name])
+
+
+def test_string_path_identity_sees_a_strict_threshold(monkeypatch):
+    mutate(monkeypatch, "_lowest", "keys <= np.partition", "keys < np.partition")
+    assert string_path_miss() is not None
+
+
+def test_string_path_identity_sees_a_rank_that_counts_equal_keys(monkeypatch):
+    mutate(monkeypatch, "sampled_bits_kernel", "(keys < key)", "(keys <= key)")
+    assert string_path_miss() is not None

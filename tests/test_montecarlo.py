@@ -107,6 +107,16 @@ class TestDeterminism:
         two = montecarlo_success(protocol, 4, 2, 1200, seed=5, workers=2)
         assert one == two
 
+    def test_default_workers_are_the_cores_this_process_may_use(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started for a process bound to one core")
+
+        monkeypatch.setattr(montecarlo_module.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(montecarlo_module, "ProcessPoolExecutor", no_pool)
+        protocol = truncation_protocol(4, 2, 1)
+        assert montecarlo_success(protocol, 4, 2, VECTOR_BATCH + 1, seed=5) == montecarlo_success(
+            protocol, 4, 2, VECTOR_BATCH + 1, seed=5, workers=1)
+
     def test_odd_n_is_refused_on_every_path(self):
         for protocol in (truncation_protocol(3, 1, 1), chained_majority_protocol(3, 1, 1), constant_protocol(3, 1)):
             with pytest.raises(InvalidParameterError):
@@ -189,6 +199,33 @@ class PublishedPositions(SharedRandomness):
         return self.fallback
 
 
+class TiedKeys:
+    """A generator whose uniform keys are 0 or 1, so most rows hold ties
+    (the sampler's forced keys, -1 and 2, stay unique); its other draws are
+    `rng`'s."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def random(self, shape):
+        return self.rng.integers(0, 2, size=shape).astype(float)
+
+    def integers(self, *args, **kwargs):
+        return self.rng.integers(*args, **kwargs)
+
+
+def sampled_bits_on_the_engine(rng, strings, sigma, m):
+    """`sampled_bits_protocol` on the engine, row by row, on the published
+    positions and coins that `sampled_bits_kernel` draws next from `rng`."""
+    _, k, n = strings.shape
+    replay = copy.deepcopy(rng)
+    published = _lowest(replay.random(strings.shape), m)
+    coins = replay.integers(0, 2, size=len(sigma))
+    protocol = sampled_bits_protocol(n, k, m)
+    return [run_chain_protocol(protocol, inst, PublishedPositions(pub, coin)).output
+            for inst, pub, coin in zip(chain_instances(strings, sigma), published, coins)]
+
+
 class TestBatchKernels:
     @pytest.mark.parametrize("n,k", [(2, 1), (4, 3), (8, 2), (64, 25)])
     def test_sampled_rows_are_balanced_with_the_answer_at_the_index(self, n, k):
@@ -222,17 +259,28 @@ class TestBatchKernels:
     @pytest.mark.parametrize("n,k", [(2, 1), (4, 3), (8, 2)])
     def test_sampled_bits_kernel_matches_the_engine_row_by_row(self, n, k):
         rng = np.random.default_rng(10 * n + k)
-        answer, sigma, strings = sample_chain_batch(rng, 200, n, k)
+        _, sigma, strings = sample_chain_batch(rng, 200, n, k)
         for m in sorted({0, 1, n // 2, n}):
-            # replay the kernel's draws: published positions, then one coin per trial
-            replay = copy.deepcopy(rng)
-            published = _lowest(replay.random(strings.shape), m)
-            coins = replay.integers(0, 2, size=len(answer))
-            outputs = sampled_bits_kernel(rng, strings, sigma, m)
-            protocol = sampled_bits_protocol(n, k, m)
-            expected = [run_chain_protocol(protocol, inst, PublishedPositions(pub, coin)).output
-                        for inst, pub, coin in zip(chain_instances(strings, sigma), published, coins)]
-            assert outputs.tolist() == expected
+            expected = sampled_bits_on_the_engine(rng, strings, sigma, m)
+            assert sampled_bits_kernel(rng, strings, sigma, m).tolist() == expected
+
+    def test_tied_keys_go_to_the_lower_positions(self):
+        keys = np.random.default_rng(3).integers(0, 3, size=(40, 3, 8)).astype(float)
+        for size in range(9):
+            mask = _lowest(keys, size)
+            assert (mask.sum(axis=-1) == size).all()
+            for row, chosen in zip(keys.reshape(-1, 8), mask.reshape(-1, 8)):
+                stable = sorted(range(8), key=lambda j: (row[j], j))
+                assert np.flatnonzero(chosen).tolist() == sorted(stable[:size])
+        # the sampler and the sampled-bits kernel share that rule
+        for n, k in ((4, 3), (8, 2)):
+            rng = TiedKeys(np.random.default_rng(n + k))
+            answer, sigma, strings = sample_chain_batch(rng, 200, n, k)
+            assert (strings.sum(axis=-1) == n // 2).all()
+            assert (np.take_along_axis(strings, sigma[..., None] - 1, axis=-1)[..., 0] == answer[:, None]).all()
+            for m in range(n + 1):
+                expected = sampled_bits_on_the_engine(rng, strings, sigma, m)
+                assert sampled_bits_kernel(rng, strings, sigma, m).tolist() == expected
 
     def test_sampled_bits_kernel_extremes_match_the_closed_form(self):
         # success = 1/2 + (1/2)(1 - (1 - m/n)^k): 1 at m=n, 1/2 at m=0
