@@ -21,8 +21,9 @@ from ._version import __version__
 from .distributions import bias_grid, check_budget, enumerate_support, pmf_biased_index, structured_pool_size
 from .model import balanced_strings
 from .errors import InvalidParameterError, UsageError
-from .info_theory import ENTROPY_TOLERANCE, binomial_anticoncentration, check_binomial_entropy_bounds
+from .info_theory import ENTROPY_TOLERANCE, binomial_anticoncentration, binomial_bound_verdicts
 from .oracle import (
+    biased_index_bound_reports,
     enumerated_majority_success,
     exact_majority_success,
     full_string_message_function,
@@ -30,8 +31,6 @@ from .oracle import (
     random_message_function,
     sweep_entropy_given_pool,
     truncation_message_function,
-    verify_aug_biased_index_bound,
-    verify_biased_index_bound,
     verify_chain_entropy_bound,
     verify_conditional_independence,
     verify_distribution_identity,
@@ -181,10 +180,14 @@ def suite_pmf(ns: Sequence[int] = (2, 4, 6, 8), theta: Fraction | None = None) -
     return reports
 
 
-def _message_function_cases(n: int, s: int, functions: int, seed: int):
-    for j in range(functions):
-        yield f"random-{j}", random_message_function(n, s, seed + j)
-    yield "truncation", truncation_message_function(n, s)
+def _message_function_cases(n: int, lengths: Sequence[int], functions: int, seed: int):
+    """(kind, message ids, s) one message function at a time: per s the
+    random functions and truncation, then the full-string function."""
+    for s in lengths:
+        for j in range(functions):
+            yield f"random-{j}", random_message_function(n, s, seed + j), s
+        yield "truncation", truncation_message_function(n, s), s
+    yield "full-string", *full_string_message_function(n)
 
 
 def suite_biased_index(
@@ -196,18 +199,17 @@ def suite_biased_index(
     theta: Fraction | None = None,
 ) -> list[VerificationReport]:
     """Single-message entropy bound over random, truncation, and full-string
-    message functions (the full-string case once per (n, theta))."""
-    verify = verify_aug_biased_index_bound if aug else verify_biased_index_bound
+    message functions (the full-string case once per (n, theta)), in the
+    order theta, s, function. Each message function is drawn and tallied
+    once for the whole grid, and only one tally is held at a time."""
     reports = []
     for n in ns:
-        full, full_s = full_string_message_function(n)
-        for t in _grid_for(n, theta):
-            for s in lengths:
-                for kind, messages in _message_function_cases(n, s, functions, seed):
-                    report = verify(n, t, messages, s)
-                    reports.append(replace(report, params={**report.params, "message_function": kind}))
-            report = verify(n, t, full, full_s)
-            reports.append(replace(report, params={**report.params, "message_function": "full-string"}))
+        grid = _grid_for(n, theta)
+        rows: list[list[VerificationReport]] = [[] for _ in grid]  # one row of cases per theta
+        for kind, messages, s in _message_function_cases(n, lengths, functions, seed):
+            for row, report in zip(rows, biased_index_bound_reports(n, grid, messages, s, aug)):
+                row.append(replace(report, params={**report.params, "message_function": kind}))
+        reports += [report for row in rows for report in row]
     return reports
 
 
@@ -371,13 +373,13 @@ def sweep_binomial_bounds(max_p: int = 1024, points: int = 100) -> dict:
     failing_examples: list[tuple[int, int]] = []
     for p in range(2, max_p + 1):
         for q in _q_grid(p, points):
-            report = check_binomial_entropy_bounds(p, q)
+            verdicts = binomial_bound_verdicts(p, q)
             checks += 1
-            if not report.passed:
+            if not verdicts.passed:
                 corrected_failures += 1
                 if len(failing_examples) < 20:
                     failing_examples.append((p, q))
-            if not report.details["printed_form_pass"]:
+            if not verdicts.printed_form_pass:
                 printed_failures += 1
     return {
         "checks": checks,

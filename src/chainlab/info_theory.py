@@ -194,6 +194,34 @@ def _bounds_hold(p: int, q: int, sqrt_numerators: Sequence[int]) -> list[tuple[b
     return [(_pi_at_least(r2 * v, den * 8), _pi_at_most(r2 * v, den * 2)) for v in sqrt_numerators]
 
 
+class BinomialBoundVerdicts(NamedTuple):
+    """Exact verdicts of the entropy-form binomial bounds at one (p, q): the
+    lower and upper bound with p under the square root, and with the printed
+    variant's 2q there."""
+
+    lower_pass: bool | None
+    upper_pass: bool | None
+    printed_form_lower_pass: bool | None
+    printed_form_upper_pass: bool | None
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.lower_pass) and bool(self.upper_pass)
+
+    @property
+    def printed_form_pass(self) -> bool:
+        return bool(self.printed_form_lower_pass) and bool(self.printed_form_upper_pass)
+
+
+def binomial_bound_verdicts(p: int, q: int) -> BinomialBoundVerdicts:
+    """The verdicts of check_binomial_entropy_bounds(p, q) alone, without
+    its logs or its report; sweeps read only these."""
+    if not 1 <= q <= p - 1:
+        raise InvalidParameterError(f"need 1 <= q <= p-1, got p={p}, q={q}")
+    (lower_p, upper_p), (lower_n, upper_n) = _bounds_hold(p, q, (p, 2 * q))
+    return BinomialBoundVerdicts(lower_p, upper_p, lower_n, upper_n)
+
+
 def check_binomial_entropy_bounds(p: int, q: int) -> VerificationReport:
     """Check the entropy-form binomial coefficient bounds by exact arithmetic.
 
@@ -202,31 +230,22 @@ def check_binomial_entropy_bounds(p: int, q: int) -> VerificationReport:
     to 2q, matching both in-scope uses of the bound, where q is half the
     ambient string length; its result is recorded but does not drive `pass`.
     """
-    if not 1 <= q <= p - 1:
-        raise InvalidParameterError(f"need 1 <= q <= p-1, got p={p}, q={q}")
-    (lower_p, upper_p), (lower_n, upper_n) = _bounds_hold(p, q, (p, 2 * q))
+    verdicts = binomial_bound_verdicts(p, q)
     log_c = log_binomial(p, q)
     h_term = p * binary_entropy(Fraction(q, p))
     denom = math.log2(8 * math.pi * q * (p - q))
     lower_log = h_term + 0.5 * (math.log2(p) - denom)
     upper_log = h_term + 0.5 * (math.log2(p) - math.log2(2 * math.pi * q * (p - q)))
-    passed = bool(lower_p) and bool(upper_p)
     return VerificationReport(
         check="binomial-entropy-bounds",
         params={"p": p, "q": q},
         lhs=log_c,
         rhs={"lower": lower_log, "upper": upper_log},
         relation="between",
-        passed=passed,
+        passed=verdicts.passed,
         tolerance=None,
         mode="exact",
-        details={
-            "lower_pass": lower_p,
-            "upper_pass": upper_p,
-            "printed_form_lower_pass": lower_n,
-            "printed_form_upper_pass": upper_n,
-            "printed_form_pass": bool(lower_n) and bool(upper_n),
-        },
+        details={**verdicts._asdict(), "printed_form_pass": verdicts.printed_form_pass},
     )
 
 

@@ -261,32 +261,49 @@ def verify_chain_entropy_bound(
 # biased index bounds
 
 
-def _biased_joint(n: int, theta: Fraction, messages: Sequence[int], s: int, with_prefix: bool) -> JointTable:
-    """Joint table of (answer, message, index[, prefix]) with one integer
-    weight per (string, index) cell; messages[r] is the id of the r-th string
-    of balanced_strings(n)."""
+def _biased_tally(n: int, messages: Sequence[int], s: int, with_prefix: bool) -> tuple:
+    """The bias-free step of a biased-index table: (labels, keys, counts),
+    each (string, index) cell counted once per key (answer, message,
+    index[, prefix]). messages[r] is the id of the r-th string of
+    balanced_strings(n). A suite keeps the tally for the whole bias grid, so
+    keys and counts are kept as two aligned tuples, about a quarter of the
+    memory of the dict they are counted in."""
     check_budget("biased-index enumeration", math.comb(n, n // 2) * n, "points")
     strings = balanced_strings(n)
     if s < 0 or len(messages) != len(strings) or not all(isinstance(m, int) and 0 <= m < 2**s for m in messages):
         raise ProtocolContractError(f"need one message id in [0, 2^{s}) per balanced string of length {n}")
-    weight_of_bit = cell_weights(theta)
-    weights: dict[tuple, int] = {}
+    counts: dict[tuple, int] = {}
     for y, m in zip(strings, messages):
-        for rho, w in enumerate(y.bits, 1):
-            if weight_of_bit[w]:  # theta = 1/2 (-1/2) empties the cells of bit 0 (1)
-                key = (w, m, rho, y.bits[: rho - 1]) if with_prefix else (w, m, rho)
-                weights[key] = weights.get(key, 0) + weight_of_bit[w]
+        bits = y.bits
+        for rho, w in enumerate(bits, 1):
+            key = (w, m, rho, bits[: rho - 1]) if with_prefix else (w, m, rho)
+            counts[key] = counts.get(key, 0) + 1
     labels = ("answer", "message", "index", "prefix") if with_prefix else ("answer", "message", "index")
-    return JointTable.from_weights(labels, weights)
+    return labels, tuple(counts), tuple(counts.values())
 
 
-def _biased_bound_report(
-    check: str, n: int, theta, messages: Sequence[int], s: int, with_prefix: bool
-) -> VerificationReport:
-    theta = bias(theta)
-    joint = _biased_joint(n, theta, messages, s, with_prefix)
-    params = {"n": n, "theta": theta, "message_bits": s}
-    return _entropy_bound_report(check, params, joint, binary_entropy(Fraction(1, 2) + theta), 1, 2)
+def _biased_joint(theta: Fraction, tally: tuple) -> JointTable:
+    """The biased-index table at theta: each count of the tally times the
+    integer weight of its answer bit (theta = 1/2 (-1/2) empties bit 0 (1))."""
+    labels, keys, counts = tally
+    weight_of_bit = cell_weights(theta)
+    return JointTable.from_weights(labels, {key: c * weight_of_bit[key[0]] for key, c in zip(keys, counts)})
+
+
+def biased_index_bound_reports(
+    n: int, thetas: Sequence, messages: Sequence[int], s: int, aug: bool = False
+) -> list[VerificationReport]:
+    """verify_biased_index_bound(n, theta, messages, s), or the augmented
+    check if `aug`, for each theta of `thetas` in order: the message ids are
+    checked and tallied once, then weighted per theta."""
+    thetas = [bias(t) for t in thetas]
+    tally = _biased_tally(n, messages, s, with_prefix=aug)
+    check = "augmented-index-entropy-bound" if aug else "biased-index-entropy-bound"
+    return [
+        _entropy_bound_report(check, {"n": n, "theta": t, "message_bits": s}, _biased_joint(t, tally),
+                              binary_entropy(Fraction(1, 2) + t), 1, 2)
+        for t in thetas
+    ]
 
 
 def verify_biased_index_bound(n: int, theta, messages: Sequence[int], s: int) -> VerificationReport:
@@ -295,13 +312,15 @@ def verify_biased_index_bound(n: int, theta, messages: Sequence[int], s: int) ->
     (prior - (2/n)(H(message) + 2 log n)), the stated variant is recorded.
     `messages` holds one id in [0, 2^s) per string of balanced_strings(n), in
     rank order; any other length or id raises ProtocolContractError."""
-    return _biased_bound_report("biased-index-entropy-bound", n, theta, messages, s, with_prefix=False)
+    (report,) = biased_index_bound_reports(n, (theta,), messages, s)
+    return report
 
 
 def verify_aug_biased_index_bound(n: int, theta, messages: Sequence[int], s: int) -> VerificationReport:
     """Augmented variant: condition additionally on the prefix before the
     index. `messages` follows the contract of verify_biased_index_bound."""
-    return _biased_bound_report("augmented-index-entropy-bound", n, theta, messages, s, with_prefix=True)
+    (report,) = biased_index_bound_reports(n, (theta,), messages, s, aug=True)
+    return report
 
 
 def verify_entropy_given_pool(n: int, theta) -> VerificationReport:

@@ -245,6 +245,11 @@ class TestSuites:
         assert len(failing) == 1
         assert failing[0]["params"] == {"t": 16, "c": "1/16"}
 
+    def test_binomial_sweep_counts(self):
+        assert sweep_binomial_bounds(128, 16) == {
+            "checks": 1912, "corrected_failures": 0, "printed_failures": 952, "corrected_failing_examples": [],
+        }
+
     def test_binomial_sweeps_that_check_nothing_are_refused(self):
         assert sweep_binomial_bounds(3, 2)["checks"] == 3
         for max_p, points in ((8, 1), (8, 0), (1, 100), (-1, 100)):

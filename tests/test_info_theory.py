@@ -15,7 +15,7 @@ from chainlab import (
     entropy,
     log_binomial,
 )
-from chainlab.info_theory import total_variation
+from chainlab.info_theory import binomial_bound_verdicts, total_variation
 
 TOL = 1e-9
 
@@ -208,6 +208,21 @@ class TestBinomialEntropyBounds:
     def test_precondition(self):
         with pytest.raises(InvalidParameterError):
             check_binomial_entropy_bounds(4, 0)
+        for q in (0, 4):
+            with pytest.raises(InvalidParameterError):
+                binomial_bound_verdicts(4, q)
+
+    def test_verdicts_are_the_reports_verdicts(self):
+        printed_failures = 0
+        for p in range(2, 65):
+            for q in range(1, p):
+                report = check_binomial_entropy_bounds(p, q)
+                verdicts = binomial_bound_verdicts(p, q)
+                assert verdicts.passed is report.passed is True, (p, q)
+                assert verdicts.printed_form_pass is report.details["printed_form_pass"], (p, q)
+                assert verdicts._asdict().items() <= report.details.items(), (p, q)
+                printed_failures += not verdicts.printed_form_pass
+        assert 0 < printed_failures < 64 * 63 // 2
 
 
 class TestAnticoncentration:

@@ -2,13 +2,22 @@
 
 The reference is the earlier formulation, kept verbatim: a message function
 is a closure from each balanced string to a validated BitString, the
-biased-index joint table calls it once per string, and the direct table
+biased-index joint table calls it once per string and weighs each cell by
+theta as it goes (no bias-free tally), and the direct table
 weighs a cell with indexed bit w by (q +- 2p) |valid_(1-w)|. Every report
 must be equal and serialize the same. The direct table must have the same
 exact entries; its integer weights now differ by the constant C(n, n/2) n/2.
+
+The suite tallies each message function once for the whole bias grid; each
+of its reports must equal the public verify_*_bound call it stands for, and
+it must hold no more memory than those calls made one at a time.
 """
+import gc
+import itertools
 import math
 import random
+import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -23,6 +32,7 @@ from chainlab import (
 )
 from chainlab import oracle
 from chainlab.distributions import enumerate_support
+from chainlab.experiments import suite_biased_index
 from chainlab.model import BalancedString, balanced_strings
 from chainlab.oracle import full_string_message_function, random_message_function, truncation_message_function
 from chainlab.protocols import derive_seed
@@ -117,8 +127,11 @@ def cases(n):
 
 
 def reference_report(monkeypatch, verify, n, theta, message_fn, s):
+    """The report with both steps replaced: the tally step only passes its
+    arguments on, and the weighting step builds the whole table per string."""
     with monkeypatch.context() as patched:
-        patched.setattr(oracle, "_biased_joint", ref_biased_joint)
+        patched.setattr(oracle, "_biased_tally", lambda n, message_fn, s, with_prefix: (n, message_fn, s, with_prefix))
+        patched.setattr(oracle, "_biased_joint", lambda theta, args: ref_biased_joint(args[0], theta, *args[1:]))
         return verify(n, theta, message_fn, s)
 
 
@@ -150,3 +163,109 @@ def test_identity_sees_a_dropped_draw(monkeypatch):
         return verify_biased_index_bound(n, theta, mutant, s) != expected
 
     assert any(differs(n, *case) for n in (4, 6, 8) for case in cases(n) if case[1].startswith("random-"))
+
+
+# ---------------------------------------------------------------------------
+# the suite path: one tally per message function, weighted per theta
+
+SUITE_CASES = dict(lengths=(1, 2, 3), functions=2, seed=5)
+
+
+def public_reports(n, aug, theta=None, lengths=(1, 2, 3), functions=2, seed=5):
+    """What suite_biased_index stands for: one public call per (theta, s,
+    function), in the suite's order, each labelled with its function."""
+    verify = verify_aug_biased_index_bound if aug else verify_biased_index_bound
+    full, full_s = full_string_message_function(n)
+    reports = []
+
+    def add(kind, messages, s):
+        report = verify(n, t, messages, s)
+        reports.append(replace(report, params={**report.params, "message_function": kind}))
+
+    for t in bias_grid(n) if theta is None else [theta]:
+        for s in lengths:
+            for j in range(functions):
+                add(f"random-{j}", random_message_function(n, s, seed + j), s)
+            add("truncation", truncation_message_function(n, s), s)
+        add("full-string", full, full_s)
+    return reports
+
+
+def suite_mismatches(n, aug, theta=None, tally=None):
+    """How many suite reports differ from their public call (a length
+    difference counts as every report); `tally`, if given, replaces the
+    tally step in the suite run only."""
+    public = public_reports(n, aug, theta, **SUITE_CASES)
+    with pytest.MonkeyPatch.context() as patched:
+        if tally is not None:
+            patched.setattr(oracle, "_biased_tally", tally)
+        suite = suite_biased_index(ns=(n,), aug=aug, theta=theta, **SUITE_CASES)
+    if len(suite) != len(public):
+        return max(len(suite), len(public))
+    return sum(a != b or a.to_json_dict() != b.to_json_dict() for a, b in zip(suite, public))
+
+
+def grid_and_one_theta(n):
+    return [None, bias_grid(n)[-2]]
+
+
+@pytest.mark.parametrize("aug", [False, True])
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_suite_reports_equal_the_public_calls(n, aug):
+    for theta in grid_and_one_theta(n):
+        assert suite_mismatches(n, aug, theta) == 0, (n, aug, theta)
+    per_theta = len(SUITE_CASES["lengths"]) * (SUITE_CASES["functions"] + 1) + 1
+    assert len(suite_biased_index(ns=(n,), aug=aug, **SUITE_CASES)) == len(bias_grid(n)) * per_theta
+
+
+def tally_reused_across_s(real, per_s):
+    """A faulty tally step: the k-th message function of the first s is
+    tallied, and that tally is handed out again for the k-th of every later s."""
+    first = []
+    calls = itertools.count()
+
+    def tally(n, messages, s, with_prefix):
+        if isinstance(messages, range):  # the full-string function, tallied once anyway
+            return real(n, messages, s, with_prefix)
+        k = next(calls)
+        if k < per_s:
+            first.append(real(n, messages, s, with_prefix))
+        return first[k % per_s]
+
+    return tally
+
+
+@pytest.mark.parametrize("aug", [False, True])
+def test_suite_identity_sees_a_tally_reused_across_s(aug):
+    per_s = SUITE_CASES["functions"] + 1
+    for n in (4, 6, 8):
+        for theta in grid_and_one_theta(n):
+            assert suite_mismatches(n, aug, theta, tally_reused_across_s(oracle._biased_tally, per_s)) > 0, (n, theta)
+
+
+def test_suite_identity_sees_the_plain_tally_in_the_augmented_check():
+    real = oracle._biased_tally
+    plain = lambda n, messages, s, with_prefix: real(n, messages, s, False)
+    for n in (4, 6, 8):
+        for theta in grid_and_one_theta(n):
+            assert suite_mismatches(n, True, theta, plain) > 0, (n, theta)
+
+
+def traced_peak(run):
+    gc.collect()  # also empties the free lists, which tracemalloc counts as allocated
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_suite_holds_one_tally_at_a_time():
+    # eleven augmented tallies at n=10 (2520 cells each) held at once would
+    # about double the peak of one public call at a time
+    cases = dict(lengths=(1,), functions=10, seed=0)
+    balanced_strings(10)
+    suite = traced_peak(lambda: suite_biased_index(ns=(10,), aug=True, **cases))
+    public = traced_peak(lambda: public_reports(10, True, **cases))
+    assert suite <= 1.1 * public

@@ -21,6 +21,11 @@ def test_tracer_finds_every_patched_name():
             # montecarlo samples every protocol in batches: no per-trial sampler or seeds
             "chainlab.montecarlo.sample_chain",
             "chainlab.montecarlo.derive_seed",
+            # the biased-index suites weight one tally per message function over the whole
+            # bias grid, and the binomial sweep reads verdicts without building reports
+            "chainlab.experiments.verify_biased_index_bound",
+            "chainlab.experiments.verify_aug_biased_index_bound",
+            "chainlab.experiments.check_binomial_entropy_bounds",
         }
     finally:
         tracer.uninstall()
