@@ -4,23 +4,26 @@ coefficient bounds and central anti-concentration).
 
 A joint table holds integer weights over an integer total, so a cell's
 probability is the exact rational weight/total; marginals and conditional
-slices add integers. Entropies are floats (logs are transcendental), and
-every term is `_ratio_bits(a, b)` = (a/b) log2(b/a) taken from integers:
-int/int true division is correctly rounded, as `float(Fraction(a, b))` is,
-and the logs are taken of the gcd-reduced numerator and denominator, as
-they are for a Fraction. So each term, and each entropy, is bit-identical
-to the one computed from the exact rational probabilities. Terms are summed
-by math.fsum, which is correctly rounded whatever their order. Distances
-between tables are exact rationals. Comparisons against entropy values use a
-tolerance of 1e-9 bits.
+slices add integers. A binary-answer table whose two answers weigh its
+counts by two integers is read from its slice count pairs alone
+(binary_slice_entropies), with no table built. Entropies are floats (logs
+are transcendental), and every term is `_ratio_bits(a, b)` = (a/b)
+log2(b/a) taken from integers: int/int true division is correctly rounded,
+as `float(Fraction(a, b))` is, and the logs are taken of the gcd-reduced
+numerator and denominator, as they are for a Fraction. So each term, and
+each entropy, is bit-identical to the one computed from the exact rational
+probabilities. Terms are summed by math.fsum, which is correctly rounded
+whatever their order. Distances between tables are exact rationals.
+Comparisons against entropy values use a tolerance of 1e-9 bits.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import InvalidParameterError
 from .report import VerificationReport
@@ -133,6 +136,12 @@ def total_variation(a: JointTable, b: JointTable) -> Fraction:
     return Fraction(diff, 2 * ta * tb)
 
 
+def _slice_terms(cells: Iterable[int], mass: int, total: int) -> Iterator[float]:
+    """share * (c/mass) log2(mass/c) per target weight c of a slice of weight `mass`."""
+    share = mass / total
+    return (share * _ratio_bits(c, mass) for c in cells)
+
+
 def conditional_entropy(table: JointTable, target: str, given: Sequence[str]) -> float:
     """H(target | given) in bits: conditional-slice entropies weighted by slice mass."""
     target_pos = table._positions([target])[0]
@@ -143,15 +152,30 @@ def conditional_entropy(table: JointTable, target: str, given: Sequence[str]) ->
         v = values[target_pos]
         cond[v] = cond.get(v, 0) + w
     total = table.total
-    terms = []
-    for cond in slices.values():
-        if len(cond) == 1:
-            continue  # the slice fixes the target: its terms are exactly 0.0
-        mass = sum(cond.values())
-        share = mass / total
-        for c in cond.values():
-            terms.append(share * _ratio_bits(c, mass))
-    return math.fsum(terms)
+    # a slice that fixes the target has terms of exactly 0.0
+    return math.fsum(t for cond in slices.values() if len(cond) > 1
+                     for t in _slice_terms(cond.values(), sum(cond.values()), total))
+
+
+def binary_slice_entropies(
+    slices: Mapping[tuple[int, int], int], classes: Mapping[tuple[int, int], int], weights: tuple[int, int]
+) -> tuple[float, float]:
+    """(H(answer | slice), H(class)) of the binary-answer table whose cell
+    (z, slice) weighs weights[z] times the slice's count under answer z.
+    `slices` and `classes` map a (count under answer 0, under answer 1) pair
+    to how many slices (classes) have it; a class's pair sums its slices'.
+    A one-answer slice adds exactly 0.0 and may be left out of `slices`. The
+    integers and terms are those of conditional_entropy and entropy on the
+    table, so both values are bit-identical to theirs."""
+    a0, a1 = weights
+    masses = [(a0 * c0 + a1 * c1, k) for (c0, c1), k in classes.items()]
+    total = sum(mass * k for mass, k in masses)
+    h = math.fsum(chain.from_iterable(repeat(_ratio_bits(mass, total), k) for mass, k in masses))
+    if not a0 * a1:
+        return 0.0, h  # every slice fixes the answer
+    return math.fsum(chain.from_iterable(
+        repeat(t, k) for (c0, c1), k in slices.items()
+        for t in _slice_terms((a0 * c0, a1 * c1), a0 * c0 + a1 * c1, total))), h
 
 
 def log_binomial(p: int, q: int) -> float:

@@ -3,16 +3,19 @@
 Every check here is an independent route to a number the rest of the package
 also produces: support tables are rebuilt from their defining processes,
 protocol success probabilities are enumerated point by point, and entropy
-bounds are evaluated from exact joint tables. Checks compare in exact
-rationals wherever both sides are rational and use the 1e-9 bit tolerance
-where a side is an entropy. The one sampled check, the structured sampler
-against its exact table, allows 5 standard errors per cell.
+bounds are evaluated from exact joint tables (chain accounting) or from
+bias-free slice count pairs weighted per theta (biased index). Checks
+compare in exact rationals wherever both sides are rational and use the
+1e-9 bit tolerance where a side is an entropy. The one sampled check, the
+structured sampler against its exact table, allows 5 standard errors per
+cell.
 """
 from __future__ import annotations
 
 import hashlib
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
@@ -34,6 +37,7 @@ from .info_theory import (
     JointTable,
     binary_entropy,
     binary_entropy_ratio,
+    binary_slice_entropies,
     conditional_entropy,
     entropy,
     log_binomial,
@@ -128,20 +132,16 @@ def verify_conditional_independence(n: int, theta, trials: int, seed: int = 0) -
 
 
 def _entropy_bound_report(
-    check: str, params: dict, joint: JointTable, prior: float, k: int, stated_coeff: int
+    check: str, params: dict, lhs: float, h: float, prior: float, k: int, stated_coeff: int
 ) -> VerificationReport:
-    """The answer-entropy bound on an exact joint table whose first variable
-    is the answer and whose second is the messages: lhs = H(answer | every
-    other variable), h = H(messages), n = params["n"].
+    """The answer-entropy bound on lhs = H(answer | everything the decoder
+    sees) and h = H(messages) of an exact table, with n = params["n"].
 
     The proof-chain form prior - (2/n)(h + 2k log2 n) is the rhs and alone
     decides `passed`; the stated form prior - (stated_coeff/n)(h + k log2 n)
     is recorded. `vacuous` marks rhs <= 0, where no table can fail.
     """
-    answer, messages, *rest = joint.labels
     n = params["n"]
-    lhs = conditional_entropy(joint, answer, (messages, *rest))
-    h = entropy(joint.marginal((messages,)))
     log_n = math.log2(n)
     rhs = prior - (2 / n) * (h + 2 * k * log_n)
     rhs_stated = prior - (stated_coeff / n) * (h + k * log_n)
@@ -250,7 +250,8 @@ def verify_chain_entropy_bound(
     """
     joint, success = enumerate_joint(protocol, n, k, shared_seed)
     params = {"protocol": protocol.name, "protocol_params": dict(protocol.params), "n": n, "k": k, "seed": shared_seed}
-    report = _entropy_bound_report("chain-entropy-accounting", params, joint, 1.0, k, 12)
+    lhs, h = conditional_entropy(joint, "answer", ("messages", "reveals")), entropy(joint.marginal(("messages",)))
+    report = _entropy_bound_report("chain-entropy-accounting", params, lhs, h, 1.0, k, 12)
     ceiling = binary_entropy(success) if success > Fraction(1, 2) else None
     fano_pass = None if ceiling is None else report.lhs <= ceiling + ENTROPY_TOLERANCE
     details = {**report.details, "success": success, "fano_ceiling": ceiling, "fano_pass": fano_pass}
@@ -261,33 +262,26 @@ def verify_chain_entropy_bound(
 # biased index bounds
 
 
-def _biased_tally(n: int, messages: Sequence[int], s: int, with_prefix: bool) -> tuple:
-    """The bias-free step of a biased-index table: (labels, keys, counts),
-    each (string, index) cell counted once per key (answer, message,
-    index[, prefix]). messages[r] is the id of the r-th string of
-    balanced_strings(n). A suite keeps the tally for the whole bias grid, so
-    keys and counts are kept as two aligned tuples, about a quarter of the
-    memory of the dict they are counted in."""
+def _biased_tally(n: int, messages: Sequence[int], s: int, with_prefix: bool) -> tuple[Counter, Counter]:
+    """The bias-free step of a biased-index table: each (string, index) cell
+    counted under its answer bit in its slice (message, index[, prefix]).
+    Returns binary_slice_entropies' (slices, classes) count-pair histograms,
+    the classes being the message ids. messages[r] is the id of the r-th
+    string of balanced_strings(n)."""
     check_budget("biased-index enumeration", math.comb(n, n // 2) * n, "points")
     strings = balanced_strings(n)
     if s < 0 or len(messages) != len(strings) or not all(isinstance(m, int) and 0 <= m < 2**s for m in messages):
         raise ProtocolContractError(f"need one message id in [0, 2^{s}) per balanced string of length {n}")
-    counts: dict[tuple, int] = {}
+    counts: dict[tuple, list[int]] = {}
+    classes: dict[int, list[int]] = {}
     for y, m in zip(strings, messages):
         bits = y.bits
+        message_pair = classes.setdefault(m, [0, 0])
         for rho, w in enumerate(bits, 1):
-            key = (w, m, rho, bits[: rho - 1]) if with_prefix else (w, m, rho)
-            counts[key] = counts.get(key, 0) + 1
-    labels = ("answer", "message", "index", "prefix") if with_prefix else ("answer", "message", "index")
-    return labels, tuple(counts), tuple(counts.values())
-
-
-def _biased_joint(theta: Fraction, tally: tuple) -> JointTable:
-    """The biased-index table at theta: each count of the tally times the
-    integer weight of its answer bit (theta = 1/2 (-1/2) empties bit 0 (1))."""
-    labels, keys, counts = tally
-    weight_of_bit = cell_weights(theta)
-    return JointTable.from_weights(labels, {key: c * weight_of_bit[key[0]] for key, c in zip(keys, counts)})
+            key = (m, rho, bits[: rho - 1]) if with_prefix else (m, rho)
+            (counts.get(key) or counts.setdefault(key, [0, 0]))[w] += 1
+            message_pair[w] += 1
+    return Counter((c0, c1) for c0, c1 in counts.values() if c0 and c1), Counter(map(tuple, classes.values()))
 
 
 def biased_index_bound_reports(
@@ -297,10 +291,11 @@ def biased_index_bound_reports(
     check if `aug`, for each theta of `thetas` in order: the message ids are
     checked and tallied once, then weighted per theta."""
     thetas = [bias(t) for t in thetas]
-    tally = _biased_tally(n, messages, s, with_prefix=aug)
+    slices, classes = _biased_tally(n, messages, s, with_prefix=aug)
     check = "augmented-index-entropy-bound" if aug else "biased-index-entropy-bound"
     return [
-        _entropy_bound_report(check, {"n": n, "theta": t, "message_bits": s}, _biased_joint(t, tally),
+        _entropy_bound_report(check, {"n": n, "theta": t, "message_bits": s},
+                              *binary_slice_entropies(slices, classes, cell_weights(t)),
                               binary_entropy(Fraction(1, 2) + t), 1, 2)
         for t in thetas
     ]

@@ -3,7 +3,10 @@
 The entropy reference is the Fraction formulation of the kernel: cells are
 normalized to Fraction probabilities, marginals and slice masses add
 Fractions, and each entropy term is float(p) * (log2(den) - log2(num)) on
-the reduced rational. Every comparison is float `==`, not approx.
+the reduced rational. The binary-answer slice function must equal
+conditional_entropy and entropy of the marginal on the table it stands for,
+and each mutant of it must miss somewhere. Every comparison is float `==`,
+not approx.
 
 The block-majority reference draws each block word as two 32-bit halves and
 decodes the whole batch at once. The kernel must give the same success count
@@ -18,17 +21,18 @@ generator in the same state, and a mutant of either comparison must miss.
 """
 import inspect
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import find, given
 from hypothesis import strategies as st
 
 from chainlab import InvalidParameterError, JointTable, binary_entropy, conditional_entropy, entropy
 from chainlab.info_theory import binary_entropy_ratio
-from chainlab import montecarlo
+from chainlab import info_theory, montecarlo
 from chainlab.montecarlo import MAJORITY_CELLS, _batch_rng, _first_readable, _majority_batch
 
 
@@ -125,6 +129,53 @@ def test_bad_weights_rejected(weights):
 def test_binary_entropy_ratio_domain():
     with pytest.raises(InvalidParameterError):
         binary_entropy_ratio(3, 2)
+
+
+COUNT = st.one_of(st.just(0), st.integers(1, 12), st.integers(1, 10**9))
+
+
+@st.composite
+def binary_answer_tables(draw):
+    """1-3 messages, each with 1-3 slices' (answer 0, answer 1) count pairs,
+    and two answer weights; counts and weights may be 0 (a weight is 0 at
+    theta = +-1/2) and run up to 1e9, so one-sided slices are common."""
+    messages = draw(st.lists(st.lists(st.lists(COUNT, min_size=2, max_size=2), min_size=1, max_size=3),
+                             min_size=1, max_size=3))
+    weights = draw(st.tuples(COUNT, COUNT).filter(any))
+    z = weights.index(max(weights))
+    if not any(pair[z] for row in messages for pair in row):
+        messages[0][0][z] = draw(st.integers(1, 10**9))
+    return messages, weights
+
+
+def slice_identity_holds(case):
+    """Whether the slice function, given the two-sided slices' count pairs
+    and every message's pair, equals the kernel on the weighted table."""
+    messages, weights = case
+    table = JointTable.from_weights(("answer", "message", "slice"), {
+        (z, m, j): pair[z] * weights[z] for m, row in enumerate(messages) for j, pair in enumerate(row) for z in (0, 1)})
+    slices = Counter((c0, c1) for row in messages for c0, c1 in row if c0 and c1)
+    classes = Counter((sum(c0 for c0, _ in row), sum(c1 for _, c1 in row)) for row in messages)
+    expected = (conditional_entropy(table, "answer", ("message", "slice")), entropy(table.marginal(("message",))))
+    return info_theory.binary_slice_entropies(slices, classes, weights) == expected
+
+
+@given(binary_answer_tables())
+def test_binary_slice_entropies_are_bit_identical(case):
+    assert slice_identity_holds(case)
+
+
+@pytest.mark.parametrize("old,new", [
+    # the answer weights swapped
+    ("_slice_terms((a0 * c0, a1 * c1), a0 * c0 + a1 * c1, total)",
+     "_slice_terms((a1 * c0, a0 * c1), a1 * c0 + a0 * c1, total)"),
+    # each share taken over the two-sided slices, after the one-sided ones are dropped
+    ("a0 * c0 + a1 * c1, total)))", "a0 * c0 + a1 * c1, sum((a0 * x + a1 * y) * j for (x, y), j in slices.items()))))"),
+], ids=["swapped-weights", "share-of-two-sided-slices"])
+def test_slice_identity_sees_a_mutant(monkeypatch, old, new):
+    mutate(monkeypatch, info_theory, "binary_slice_entropies", old, new)
+    # find raises NoSuchExample if the mutant meets the identity on every table it tries
+    find(binary_answer_tables(), lambda case: not slice_identity_holds(case))
 
 
 def ref_majority_batch(rng, count, k, block_size):
@@ -271,20 +322,20 @@ def test_string_path_matches_argpartition_and_scatter():
     assert string_path_miss() is None
 
 
-def mutate(monkeypatch, name, old, new):
-    """Replace `montecarlo.<name>` by its own source with `old` written as `new`."""
-    source = inspect.getsource(getattr(montecarlo, name))
+def mutate(monkeypatch, module, name, old, new):
+    """Replace `module.<name>` by its own source with `old` written as `new`."""
+    source = inspect.getsource(getattr(module, name))
     assert source.count(old) == 1
-    namespace = dict(vars(montecarlo))
+    namespace = dict(vars(module))
     exec(source.replace(old, new), namespace)
-    monkeypatch.setattr(montecarlo, name, namespace[name])
+    monkeypatch.setattr(module, name, namespace[name])
 
 
 def test_string_path_identity_sees_a_strict_threshold(monkeypatch):
-    mutate(monkeypatch, "_lowest", "keys <= np.partition", "keys < np.partition")
+    mutate(monkeypatch, montecarlo, "_lowest", "keys <= np.partition", "keys < np.partition")
     assert string_path_miss() is not None
 
 
 def test_string_path_identity_sees_a_rank_that_counts_equal_keys(monkeypatch):
-    mutate(monkeypatch, "sampled_bits_kernel", "(keys < key)", "(keys <= key)")
+    mutate(monkeypatch, montecarlo, "sampled_bits_kernel", "(keys < key)", "(keys <= key)")
     assert string_path_miss() is not None

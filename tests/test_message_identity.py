@@ -3,20 +3,26 @@
 The reference is the earlier formulation, kept verbatim: a message function
 is a closure from each balanced string to a validated BitString, the
 biased-index joint table calls it once per string and weighs each cell by
-theta as it goes (no bias-free tally), and the direct table
-weighs a cell with indexed bit w by (q +- 2p) |valid_(1-w)|. Every report
-must be equal and serialize the same. The direct table must have the same
-exact entries; its integer weights now differ by the constant C(n, n/2) n/2.
+theta as it goes (no bias-free tally, no slice count pairs), and its two
+entropies come from conditional_entropy and entropy of its marginal. The
+direct table weighs a cell with indexed bit w by (q +- 2p) |valid_(1-w)|.
+Every report must be equal and serialize the same. The direct table must
+have the same exact entries; its integer weights now differ by the constant
+C(n, n/2) n/2.
 
 The suite tallies each message function once for the whole bias grid; each
 of its reports must equal the public verify_*_bound call it stands for, and
-it must hold no more memory than those calls made one at a time.
+it must hold no more memory than those calls made one at a time. Every
+balanced string has n/2 cells under each answer, so H(message) must not
+depend on theta.
 """
 import gc
+import inspect
 import itertools
 import math
 import random
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -27,6 +33,8 @@ from chainlab import (
     JointTable,
     ProtocolContractError,
     bias_grid,
+    conditional_entropy,
+    entropy,
     verify_aug_biased_index_bound,
     verify_biased_index_bound,
 )
@@ -127,11 +135,20 @@ def cases(n):
 
 
 def reference_report(monkeypatch, verify, n, theta, message_fn, s):
-    """The report with both steps replaced: the tally step only passes its
-    arguments on, and the weighting step builds the whole table per string."""
+    """The report with every step replaced: the tally step and the answer
+    weights only pass their arguments on, and the entropies are read from
+    the whole table, built per string at theta."""
+    def tally(n, message_fn, s, with_prefix):
+        return (n, message_fn, s, with_prefix), None
+
+    def entropies(args, _, theta):
+        joint = ref_biased_joint(args[0], theta, *args[1:])
+        return conditional_entropy(joint, "answer", joint.labels[1:]), entropy(joint.marginal(("message",)))
+
     with monkeypatch.context() as patched:
-        patched.setattr(oracle, "_biased_tally", lambda n, message_fn, s, with_prefix: (n, message_fn, s, with_prefix))
-        patched.setattr(oracle, "_biased_joint", lambda theta, args: ref_biased_joint(args[0], theta, *args[1:]))
+        patched.setattr(oracle, "_biased_tally", tally)
+        patched.setattr(oracle, "cell_weights", lambda theta: theta)
+        patched.setattr(oracle, "binary_slice_entropies", entropies)
         return verify(n, theta, message_fn, s)
 
 
@@ -269,3 +286,59 @@ def test_suite_holds_one_tally_at_a_time():
     suite = traced_peak(lambda: suite_biased_index(ns=(10,), aug=True, **cases))
     public = traced_peak(lambda: public_reports(10, True, **cases))
     assert suite <= 1.1 * public
+
+
+# ---------------------------------------------------------------------------
+# H(message) does not depend on theta
+
+
+def balance_misses(n, aug, mutant=None):
+    """(tallies, reports) of the suite at n that break the balance of its
+    strings. A tally breaks it when a message id's count pair is not n/2
+    cells per string under each answer; a report, when its h_messages is
+    not the entropy of the id histogram, which does not depend on theta.
+    `mutant` = (old, new) rewrites the tally's source for the suite run."""
+    real = oracle._biased_tally
+    if mutant is not None:
+        source = inspect.getsource(real)
+        assert source.count(mutant[0]) == 1
+        namespace = dict(vars(oracle))
+        exec(source.replace(*mutant), namespace)
+        real = namespace["_biased_tally"]
+    tallies = []
+
+    def recorded(n, messages, s, with_prefix):
+        tallies.append((messages, real(n, messages, s, with_prefix)))
+        return tallies[-1][1]
+
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(oracle, "_biased_tally", recorded)
+        suite = suite_biased_index(ns=(n,), aug=aug, **SUITE_CASES)
+    assert len(suite) == len(bias_grid(n)) * len(tallies)
+    tally_misses = report_misses = 0
+    for j, (messages, (_, classes)) in enumerate(tallies):
+        histogram = Counter(messages)
+        tally_misses += classes != Counter((n // 2 * c, n // 2 * c) for c in histogram.values())
+        h = entropy(JointTable.from_weights(("message",), {(m,): c for m, c in histogram.items()}))
+        # the suite files one report per message function in each theta's row
+        report_misses += sum(report.details["h_messages"] != h for report in suite[j::len(tallies)])
+    return tally_misses, report_misses
+
+
+@pytest.mark.parametrize("aug", [False, True])
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_message_entropy_does_not_depend_on_theta(n, aug):
+    assert balance_misses(n, aug) == (0, 0)
+
+
+@pytest.mark.parametrize("aug", [False, True])
+def test_balance_sees_one_answer_counted_twice(aug):
+    # every answer-1 cell counted twice scales each message's mass by the
+    # same factor, so H(message) is unchanged and only the count pairs show it
+    every_string = ("message_pair[w] += 1", "message_pair[w] += 1 + w")
+    # the answer-1 cells of the first string's message counted twice tilt
+    # H(message) with theta
+    first_message = ("message_pair[w] += 1", "message_pair[w] += 1 + (w and m == messages[0])")
+    for n in (4, 6, 8):
+        assert balance_misses(n, aug, every_string)[0] > 0, n
+        assert balance_misses(n, aug, first_message)[1] > 0, n

@@ -19,6 +19,7 @@ from chainlab import (
     bias_grid,
     chained_majority_protocol,
     conditional_entropy,
+    entropy,
     enumerate_joint,
     exact_majority_success,
     majority_vote_success,
@@ -471,7 +472,9 @@ class TestEntropyBoundReport:
         # at n = 64 a one-bit message that fixes the answer leaves lhs 0 below
         # rhs = 1 - (2/64)(1 + 2 log2 64) = 19/32
         joint = JointTable.from_weights(("answer", "messages"), {(0, 0): 1, (1, 1): 1})
-        report = _entropy_bound_report("hand-built", {"n": 64}, joint, 1.0, 1, 2)
+        lhs, h = conditional_entropy(joint, "answer", ("messages",)), entropy(joint.marginal(("messages",)))
+        assert (lhs, h) == (0.0, 1.0)
+        report = _entropy_bound_report("hand-built", {"n": 64}, lhs, h, 1.0, 1, 2)
         assert (report.lhs, report.rhs) == (0.0, 0.59375)
         assert report.passed is False
         assert report.details["vacuous"] is False
