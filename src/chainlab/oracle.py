@@ -3,12 +3,12 @@
 Every check here is an independent route to a number the rest of the package
 also produces: support tables are rebuilt from their defining processes,
 protocol success probabilities are enumerated point by point, and entropy
-bounds are evaluated from exact joint tables (chain accounting) or from
-bias-free slice count pairs weighted per theta (biased index). Checks
-compare in exact rationals wherever both sides are rational and use the
-1e-9 bit tolerance where a side is an entropy. The one sampled check, the
-structured sampler against its exact table, allows 5 standard errors per
-cell.
+bounds are evaluated from exact slice count pairs: those of the final
+boards (chain accounting) or bias-free ones weighted per theta (biased
+index). Checks compare in exact rationals wherever both sides are rational
+and use the 1e-9 bit tolerance where a side is an entropy. The one sampled
+check, the structured sampler against its exact table, allows 5 standard
+errors per cell.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -38,8 +38,6 @@ from .info_theory import (
     binary_entropy,
     binary_entropy_ratio,
     binary_slice_entropies,
-    conditional_entropy,
-    entropy,
     log_binomial,
     total_variation,
 )
@@ -173,7 +171,7 @@ def _entropy_bound_report(
 
 
 def _message_calls(n: int, lengths: tuple[int, ...]) -> int:
-    """Upper bound on the message calls of `enumerate_joint`: every balanced
+    """Upper bound on the message calls of `_final_boards`: every balanced
     string is tried on every board its player can see, and player i's
     message and index multiply the boards by at most min(2^L_i, C(n, n/2)) * n."""
     strings = math.comb(n, n // 2)
@@ -185,6 +183,41 @@ def _message_calls(n: int, lengths: tuple[int, ...]) -> int:
     return calls
 
 
+def _final_boards(protocol: ProtocolSpec, n: int, k: int, shared: SharedRandomness) -> Iterator[tuple]:
+    """Each final board of positive probability once, as (board, its messages'
+    bit tuples, weight under answer 0, weight under answer 1), with the
+    protocol made deterministic by `shared`. A weight counts the (strings,
+    indices) prefixes that lead to the board under that answer.
+
+    Built one player at a time: a message depends only on its sender's string
+    and the board so far, so one message call per (board, string) serves
+    every support point that shares them, under both answers. The strings are
+    grouped by message, and player i's index sigma splits a group whose
+    strings hold `ones` 1s at sigma into weights w0 * (group size - ones) and
+    w1 * ones. The last player's boards are yielded as they are made."""
+    check_size(protocol, n, k)
+    check_budget("joint enumeration", _message_calls(n, protocol.message_lengths), "message calls")
+    strings = balanced_strings(n)
+
+    def children(i: int, board: Board, key: tuple, w0: int, w1: int) -> Iterator[tuple]:
+        groups: dict[tuple, list] = {}  # message bits -> [message, bits of each string that sends it...]
+        for y in strings:
+            message = player_message(protocol, i, y, board, shared)
+            (groups.get(message.bits) or groups.setdefault(message.bits, [message])).append(y.bits)
+        for bits, (message, *rows) in groups.items():
+            messages, child_key = board.messages + (message,), key + (bits,)
+            for sigma, ones in enumerate(map(sum, zip(*rows)), 1):
+                a0, a1 = w0 * (len(rows) - ones), w1 * ones
+                if a0 or a1:
+                    yield Board(messages, board.indices + (sigma,)), child_key, a0, a1
+
+    boards = [(Board(), (), 1, 1)]
+    for i in range(1, k):
+        boards = [child for parent in boards for child in children(i, *parent)]
+    for parent in boards:
+        yield from children(k, *parent)
+
+
 def enumerate_joint(
     protocol: ProtocolSpec,
     n: int,
@@ -193,46 +226,17 @@ def enumerate_joint(
 ) -> tuple[JointTable, Fraction]:
     """Exact joint law of (answer, messages, reveals) under the hard
     distribution and the exact success probability, with the protocol made
-    deterministic by fixing its shared seed.
-
-    Built one player at a time: a message depends only on its sender's string
-    and the board so far, so one message call per (board, string) serves
-    every support point that shares them, under both answers. Each board
-    carries the number of (strings, indices) prefixes that lead to it under
-    answer 0 and under answer 1; player i's index then fans out over the
-    positions whose bit equals the answer. The decoder runs once per final
-    board, which is dropped as soon as it is decoded."""
-    check_size(protocol, n, k)
-    check_budget("joint enumeration", _message_calls(n, protocol.message_lengths), "message calls")
-    strings = balanced_strings(n)
+    deterministic by fixing its shared seed: the final boards of one forward
+    pass, each decoded once."""
     shared = SharedRandomness(shared_seed)
-    boards: dict = {(): [Board(), 1, 1]}  # -> [board, weight under answer 0, under answer 1]
-    for i in range(1, k + 1):
-        grown: dict = {}
-        for key, (board, *answer_weights) in boards.items():
-            for y in strings:
-                message = player_message(protocol, i, y, board, shared)
-                for sigma, bit in enumerate(y.bits, 1):
-                    weight = answer_weights[bit]
-                    if weight == 0:
-                        continue
-                    child = (key, message.bits, sigma)
-                    entry = grown.get(child)
-                    if entry is None:
-                        child_board = Board(board.messages + (message,), board.indices + (sigma,))
-                        entry = grown[child] = [child_board, 0, 0]
-                    entry[1 + bit] += weight
-        boards = grown
     weights: dict[tuple, int] = {}
-    hits = total = 0
-    while boards:
-        _, (board, *answer_weights) = boards.popitem()
+    hits = 0
+    for board, key, *answer_weights in _final_boards(protocol, n, k, shared):
         hits += answer_weights[decoder_output(protocol, board, shared)]
         for z, weight in enumerate(answer_weights):
-            if weight:
-                weights[(z, *board.key())] = weight
-                total += weight
-    return JointTable.from_weights(("answer", "messages", "reveals"), weights), Fraction(hits, total)
+            weights[(z, key, board.indices)] = weight
+    joint = JointTable.from_weights(("answer", "messages", "reveals"), weights)
+    return joint, Fraction(hits, joint.total)
 
 
 def verify_chain_entropy_bound(
@@ -247,10 +251,27 @@ def verify_chain_entropy_bound(
     The exact success probability and the estimator-entropy ceiling
     H2(success) are recorded so callers can also assert the upper direction
     for better-than-even protocols.
+
+    Both entropies are read from the final boards of _final_boards, the pass
+    that enumerate_joint folds into a table, with no table built: each board
+    is a slice with its (answer 0, answer 1) weight pair, and a message
+    tuple's pair sums its boards'.
     """
-    joint, success = enumerate_joint(protocol, n, k, shared_seed)
+    shared = SharedRandomness(shared_seed)
+    slices: Counter = Counter()
+    class_sums: dict[tuple, list[int]] = {}
+    hits = total = 0
+    for board, key, a0, a1 in _final_boards(protocol, n, k, shared):
+        hits += (a0, a1)[decoder_output(protocol, board, shared)]
+        total += a0 + a1
+        if a0 and a1:
+            slices[a0, a1] += 1
+        pair = class_sums.get(key) or class_sums.setdefault(key, [0, 0])
+        pair[0] += a0
+        pair[1] += a1
+    lhs, h = binary_slice_entropies(slices, Counter(map(tuple, class_sums.values())), (1, 1))
+    success = Fraction(hits, total)
     params = {"protocol": protocol.name, "protocol_params": dict(protocol.params), "n": n, "k": k, "seed": shared_seed}
-    lhs, h = conditional_entropy(joint, "answer", ("messages", "reveals")), entropy(joint.marginal(("messages",)))
     report = _entropy_bound_report("chain-entropy-accounting", params, lhs, h, 1.0, k, 12)
     ceiling = binary_entropy(success) if success > Fraction(1, 2) else None
     fano_pass = None if ceiling is None else report.lhs <= ceiling + ENTROPY_TOLERANCE

@@ -19,7 +19,6 @@ finds the decoder's bit by a running count. The threshold sampler and the
 index-only kernel must give the same arrays and outputs and leave the
 generator in the same state, and a mutant of either comparison must miss.
 """
-import inspect
 import math
 from collections import Counter
 from fractions import Fraction
@@ -34,6 +33,8 @@ from chainlab import InvalidParameterError, JointTable, binary_entropy, conditio
 from chainlab.info_theory import binary_entropy_ratio
 from chainlab import info_theory, montecarlo
 from chainlab.montecarlo import MAJORITY_CELLS, _batch_rng, _first_readable, _majority_batch
+
+from util import mutate
 
 
 def ref_cells(weights):
@@ -320,15 +321,6 @@ def string_path_miss():
 
 def test_string_path_matches_argpartition_and_scatter():
     assert string_path_miss() is None
-
-
-def mutate(monkeypatch, module, name, old, new):
-    """Replace `module.<name>` by its own source with `old` written as `new`."""
-    source = inspect.getsource(getattr(module, name))
-    assert source.count(old) == 1
-    namespace = dict(vars(module))
-    exec(source.replace(old, new), namespace)
-    monkeypatch.setattr(module, name, namespace[name])
 
 
 def test_string_path_identity_sees_a_strict_threshold(monkeypatch):

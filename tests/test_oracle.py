@@ -57,7 +57,8 @@ from chainlab.oracle import (
     truncation_message_function,
 )
 
-from util import constant_protocol
+import chainlab.oracle as oracle
+from util import constant_protocol, mutate
 
 TOL = 1e-9
 
@@ -149,7 +150,9 @@ class TestChecksCanFail:
         # truncation t=n reads every indexed bit, so success is 1 and the
         # ceiling H2(1) is 0.0; an oracle that reports a posterior entropy of
         # 1.0 must turn the estimator-ceiling check red
-        monkeypatch.setattr(oracle_module, "conditional_entropy", lambda joint, target, given: 1.0)
+        real = oracle_module.binary_slice_entropies
+        monkeypatch.setattr(oracle_module, "binary_slice_entropies",
+                            lambda slices, classes, weights: (1.0, real(slices, classes, weights)[1]))
         report = verify_chain_entropy_bound(truncation_protocol(4, 1, 4), 4, 1)
         assert report.details["success"] == 1
         assert report.lhs == 1.0
@@ -312,12 +315,44 @@ def _pass_subjects(n, k):
     ]
 
 
+def _accounting_miss(n, k):
+    """The first subject whose chain accounting differs from the scalar
+    engine's table read by conditional_entropy and entropy(marginal), by
+    float ==, or in its success; None if none does."""
+    for protocol in _pass_subjects(n, k):
+        weights, success = _engine_runs(protocol, n, k, 3)
+        joint = JointTable.from_weights(("answer", "messages", "reveals"), weights)
+        expected = (conditional_entropy(joint, "answer", ("messages", "reveals")),
+                    entropy(joint.marginal(("messages",))), success)
+        report = oracle.verify_chain_entropy_bound(protocol, n, k, 3)  # a mutant of the check is seen
+        if (report.lhs, report.details["h_messages"], report.details["success"]) != expected:
+            return protocol.name
+    return None
+
+
 class TestForwardPass:
     @pytest.mark.parametrize("n,k", [(4, 1), (4, 2), (6, 2)])
     def test_matches_scalar_engine(self, n, k):
         for protocol in _pass_subjects(n, k):
             joint, success = enumerate_joint(protocol, n, k, 3)
             assert (dict(joint.weights), success) == _engine_runs(protocol, n, k, 3), protocol.name
+
+    @pytest.mark.parametrize("n,k", [(4, 1), (4, 2), (6, 2)])
+    def test_chain_accounting_matches_scalar_engine(self, n, k):
+        assert _accounting_miss(n, k) is None
+
+    @pytest.mark.parametrize("name,old,new", [
+        # answer weights swapped in the fan-out: at k = 1 only the success can see it
+        ("_final_boards", "child_key, a0, a1", "child_key, a1, a0"),
+        # class sums per final board: h becomes H(board)
+        ("verify_chain_entropy_bound", "class_sums.get(key) or class_sums.setdefault(key,",
+         "class_sums.get((key, board.indices)) or class_sums.setdefault((key, board.indices),"),
+        # the group size dropped from the tally: every string counts under answer 0
+        ("_final_boards", "len(rows) - ones", "len(strings) - ones"),
+    ])
+    def test_accounting_identity_sees_a_fault(self, monkeypatch, name, old, new):
+        mutate(monkeypatch, oracle, name, old, new)
+        assert _accounting_miss(4, 2) is not None
 
     @pytest.mark.parametrize("break_", ["size", "length", "output"])
     def test_contract_checked_on_both_paths(self, break_):
@@ -331,6 +366,8 @@ class TestForwardPass:
             run_chain_protocol(p, inst, SharedRandomness(0))
         with pytest.raises(ProtocolContractError):
             enumerate_joint(p, 4, 1)
+        with pytest.raises(ProtocolContractError):
+            verify_chain_entropy_bound(p, 4, 1)
 
     def test_final_boards_freed_as_decoded(self):
         # 7,200 final boards at n=6, k=2, t=6; holding them all until the
@@ -343,6 +380,19 @@ class TestForwardPass:
         finally:
             tracemalloc.stop()
         assert peak <= 3.8 * 2**20
+
+    def test_chain_accounting_builds_no_table(self):
+        # the same 7,200 final boards: read through a joint table, the check
+        # peaked at about 3.0 MB; as count pairs it holds one player's boards
+        # and two histograms, about 0.3 MB
+        balanced_strings(6)
+        tracemalloc.start()
+        try:
+            verify_chain_entropy_bound(truncation_protocol(6, 2, 6), 6, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
 
 
 class TestPosteriorAnswerEntropy:

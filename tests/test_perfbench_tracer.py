@@ -26,6 +26,9 @@ def test_tracer_finds_every_patched_name():
             "chainlab.experiments.verify_biased_index_bound",
             "chainlab.experiments.verify_aug_biased_index_bound",
             "chainlab.experiments.check_binomial_entropy_bounds",
+            # chain accounting reads both entropies from final-board count pairs: no table
+            "chainlab.oracle.conditional_entropy",
+            "chainlab.oracle.entropy",
         }
     finally:
         tracer.uninstall()

@@ -1,5 +1,7 @@
 """Shared test helpers: chi-square machinery for empirical distribution
-checks, an instance validator and a zero-communication protocol."""
+checks, an instance validator, a zero-communication protocol and a source
+mutator for fault tests."""
+import inspect
 import math
 
 from chainlab.model import BitString, ChainInstance
@@ -36,3 +38,12 @@ def constant_protocol(n: int, k: int, bit: int = 0) -> ProtocolSpec:
         message_fn=lambda i, string, board, shared: BitString(()),
         decode_fn=lambda board, shared: bit, params={"bit": bit},
     )
+
+
+def mutate(monkeypatch, module, name, old, new):
+    """Replace `module.<name>` by its own source with `old` written as `new`."""
+    source = inspect.getsource(getattr(module, name))
+    assert source.count(old) == 1
+    namespace = dict(vars(module))
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(module, name, namespace[name])
