@@ -38,7 +38,7 @@ from .oracle import (
 )
 from .montecarlo import montecarlo_success_by_name
 from .protocols import truncation_protocol
-from .report import VerificationReport, to_jsonable
+from .report import VerificationReport, json_text, to_jsonable
 
 
 # the fields each mode reads besides mode, out and format; a config that
@@ -564,7 +564,7 @@ def _format_csv_value(value: Any) -> Any:
 def emit_report(results: Mapping[str, Any], format: str = "json") -> bytes:
     """Serialize a report deterministically; identical inputs give identical bytes."""
     if format == "json":
-        return (json.dumps(to_jsonable(dict(results)), sort_keys=True, indent=2) + "\n").encode()
+        return (json_text(results) + "\n").encode()
     if format == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")

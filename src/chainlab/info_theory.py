@@ -15,6 +15,11 @@ each entropy, is bit-identical to the one computed from the exact rational
 probabilities. Terms are summed by math.fsum, which is correctly rounded
 whatever their order. Distances between tables are exact rationals.
 Comparisons against entropy values use a tolerance of 1e-9 bits.
+
+The binomial bound verdicts are exact. Each is decided in floats when its
+log2 margin is further from 0 than a derived rounding-error bound (the
+adaptive-predicate idiom of Shewchuk, DCG 18(3), 1997), and by big-integer
+arithmetic otherwise; pi enters both through the same rational bracket.
 """
 from __future__ import annotations
 
@@ -34,6 +39,10 @@ ENTROPY_TOLERANCE = 1e-9
 # check_binomial_entropy_bounds is decided (the bounds are never this close).
 _PI_LO = Fraction(3141592653589793, 10**15)
 _PI_HI = Fraction(3141592653589794, 10**15)
+
+# Absolute error bound, per bit of p*log2(p), on each float log2 margin of
+# _float_verdicts; derived there, so it is a constant and not a setting.
+_MARGIN_ERROR = 2.0**-45
 
 
 def _ratio_bits(a: int, b: int) -> float:
@@ -239,11 +248,59 @@ class BinomialBoundVerdicts(NamedTuple):
 
 def binomial_bound_verdicts(p: int, q: int) -> BinomialBoundVerdicts:
     """The verdicts of check_binomial_entropy_bounds(p, q) alone, without
-    its logs or its report; sweeps read only these."""
+    its logs or its report; sweeps read only these. They are decided in
+    floats where every margin is safely away from 0 (_float_verdicts), and
+    by _bounds_hold otherwise, so each verdict is the exact one and an
+    undecided None can come only from the exact path."""
     if not 1 <= q <= p - 1:
         raise InvalidParameterError(f"need 1 <= q <= p-1, got p={p}, q={q}")
-    (lower_p, upper_p), (lower_n, upper_n) = _bounds_hold(p, q, (p, 2 * q))
-    return BinomialBoundVerdicts(lower_p, upper_p, lower_n, upper_n)
+    verdicts = _float_verdicts(p, q)
+    if None in verdicts:
+        (lower_p, upper_p), (lower_n, upper_n) = _bounds_hold(p, q, (p, 2 * q))
+        verdicts = (lower_p, upper_p, lower_n, upper_n)
+    return BinomialBoundVerdicts(*verdicts)
+
+
+def _float_verdicts(p: int, q: int) -> list[bool | None]:
+    """The four verdicts of binomial_bound_verdicts(p, q) from float log2
+    margins, in its order; None where a margin is too close to 0 to decide.
+
+    With r = p - q and v the square-root numerator, the lower bound holds
+    iff pi >= X/8 and the upper iff pi <= X/2, where X = v p^(2p) /
+    (q^(2q) r^(2r) C(p, q)^2 q r) (see _bounds_hold). The margins are
+    log2(pi_lo) - log2(X/8) and log2(X/2) - log2(pi_hi), at the end of the
+    pi bracket that the bound needs; a margin above the error bound E means
+    the bound holds, and one below -(E + w) means it fails, where w =
+    log2(pi_hi) - log2(pi_lo) moves the margin to the bracket's other end.
+
+    Error bound. With unit roundoff u = 2^-53, correctly rounded int to
+    float conversion and + - *, and math.log2 within 1 ulp (for an int past
+    the float range CPython adds the exponent to the log2 of the rounded
+    mantissa), each log2 of an integer i >= 2 is within 4u relative, and
+    each margin is a sum of at most ten terms, each within 6u relative:
+    2p log2 p, 2q log2 q, 2r log2 r, 2 log2 C(p, q) (at most 2p), log2 q,
+    log2 r, log2 v, the constant 3 or 1, and log2 of a bracket end. Summing
+    ten terms in any order adds at most gamma_9 < 9.1u times the sum of
+    their sizes (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., 2002, ch. 4), and with T = p log2 p >= 2 the sizes add up to
+    at most 11T. So each margin is within (6u + 9.1u)(11T) < 167uT of the
+    exact one, and with w's error (below 7u < 4uT) below 2^8 uT = 2^-45 T,
+    which is E = _MARGIN_ERROR * T.
+    """
+    r = p - q
+    log2 = math.log2
+    lp, lq, lr = log2(p), log2(q), log2(r)
+    err = _MARGIN_ERROR * p * lp
+    pi_lo, pi_hi = log2(_PI_LO), log2(_PI_HI)
+    fails_below = -(err + (pi_hi - pi_lo))
+    # log2 of p^(2p) / (q^(2q) r^(2r) C(p, q)^2 q r)
+    base = 2 * (p * lp - q * lq - r * lr - log2(math.comb(p, q))) - lq - lr
+    verdicts = []
+    for v in (p, 2 * q):
+        x = base + log2(v)
+        for margin in (pi_lo - (x - 3), (x - 1) - pi_hi):
+            verdicts.append(True if margin > err else False if margin < fails_below else None)
+    return verdicts
 
 
 def check_binomial_entropy_bounds(p: int, q: int) -> VerificationReport:

@@ -23,8 +23,8 @@ class BitString:
     bits: tuple[int, ...]
 
     def __post_init__(self):
-        coerced = tuple(int(b) for b in self.bits)
-        if any(b not in (0, 1) for b in coerced):
+        coerced = tuple(map(int, self.bits))
+        if coerced.count(0) + coerced.count(1) != len(coerced):
             raise InvalidParameterError(f"bits must be 0 or 1, got {self.bits!r}")
         object.__setattr__(self, "bits", coerced)
 

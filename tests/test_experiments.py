@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chainlab
-from chainlab import ExperimentConfig, UsageError, emit_report, run_config, run_suite
+from chainlab import ExperimentConfig, UsageError, emit_report, info_theory, run_config, run_suite
 from chainlab.cli import _build_parser
 from chainlab.cli import main as cli_main
 from chainlab.errors import InvalidParameterError, ResourceLimitError
@@ -29,6 +29,8 @@ from chainlab.experiments import (
     table_rows,
 )
 from chainlab.protocols import PROTOCOLS
+
+from util import mutate
 
 
 class TestConfig:
@@ -249,6 +251,13 @@ class TestSuites:
         assert sweep_binomial_bounds(128, 16) == {
             "checks": 1912, "corrected_failures": 0, "printed_failures": 952, "corrected_failing_examples": [],
         }
+
+    def test_binomial_sweep_counts_see_a_flipped_margin(self, monkeypatch):
+        # the lower bound's float margin with its sign flipped reads every
+        # lower bound as failing, and decides it in floats
+        mutate(monkeypatch, info_theory, "_float_verdicts", "pi_lo - (x - 3)", "(x - 3) - pi_lo")
+        with pytest.raises(AssertionError):
+            self.test_binomial_sweep_counts()
 
     def test_binomial_sweeps_that_check_nothing_are_refused(self):
         assert sweep_binomial_bounds(3, 2)["checks"] == 3

@@ -15,6 +15,7 @@ from chainlab import (
     entropy,
     log_binomial,
 )
+from chainlab import info_theory
 from chainlab.info_theory import binomial_bound_verdicts, total_variation
 
 TOL = 1e-9
@@ -224,6 +225,42 @@ class TestBinomialEntropyBounds:
                 printed_failures += not verdicts.printed_form_pass
         assert 0 < printed_failures < 64 * 63 // 2
 
+
+class TestBinomialFilter:
+    """The float filter in front of the exact binomial verdicts decides
+    exactly what the exact path decides."""
+
+    def test_exact_everywhere_gives_the_filtered_verdicts(self, monkeypatch):
+        from chainlab.experiments import sweep_binomial_bounds
+
+        points = [(p, q) for p in range(2, 65) for q in range(1, p)]
+        filtered = [binomial_bound_verdicts(p, q) for p, q in points]
+        counts = sweep_binomial_bounds(128, 16)
+        monkeypatch.setattr(info_theory, "_MARGIN_ERROR", math.inf)
+        assert [binomial_bound_verdicts(p, q) for p, q in points] == filtered
+        assert sweep_binomial_bounds(128, 16) == counts
+
+    def test_the_sweep_is_decided_in_floats(self, monkeypatch):
+        from chainlab.experiments import sweep_binomial_bounds
+
+        counts = sweep_binomial_bounds(128, 16)
+
+        def no_exact_path(*args):
+            raise AssertionError("a margin fell back to exact arithmetic")
+
+        monkeypatch.setattr(info_theory, "_bounds_hold", no_exact_path)
+        assert sweep_binomial_bounds(128, 16) == counts
+
+    def test_undecided_only_on_the_exact_path(self, monkeypatch):
+        # a pi bracket around the lower bound's exact threshold at (8, 3), v = p
+        p, q = 8, 3
+        r = p - q
+        threshold = Fraction(p ** (2 * p) * p, 8 * q ** (2 * q) * r ** (2 * r) * math.comb(p, q) ** 2 * q * r)
+        monkeypatch.setattr(info_theory, "_PI_LO", threshold - Fraction(1, 10**15))
+        monkeypatch.setattr(info_theory, "_PI_HI", threshold + Fraction(1, 10**15))
+        assert binomial_bound_verdicts(p, q).lower_pass is None
+        monkeypatch.setattr(info_theory, "_bounds_hold", lambda p, q, v: [(True, True), (True, True)])
+        assert binomial_bound_verdicts(p, q).lower_pass is True
 
 class TestAnticoncentration:
     def test_t16_quarter(self):

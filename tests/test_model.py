@@ -29,6 +29,14 @@ class TestBitString:
         with pytest.raises(InvalidParameterError):
             BitString((0, 2))
 
+    def test_accepted_and_rejected_bits(self):
+        for bits, expected in (("0110", (0, 1, 1, 0)), ((True, False), (1, 0)), ((1.0, 0), (1, 0)), ((), ())):
+            x = BitString(bits)
+            assert x.bits == expected and all(type(b) is int for b in x.bits)
+        for bits in ((0, 2), (1, -1), "012"):
+            with pytest.raises(InvalidParameterError, match="bits must be 0 or 1"):
+                BitString(bits)
+
     def test_text_round_trip(self):
         assert BitString("10011").text == "10011"
 
