@@ -44,6 +44,10 @@ _PI_HI = Fraction(3141592653589794, 10**15)
 # _float_verdicts; derived there, so it is a constant and not a setting.
 _MARGIN_ERROR = 2.0**-45
 
+# (_PI_LO, _PI_HI, log2 of each): _float_verdicts takes the logs again only
+# when either end of the bracket is no longer the object they were taken of
+_pi_logs = (None, None, 0.0, 0.0)
+
 
 def _ratio_bits(a: int, b: int) -> float:
     """(a/b) log2(b/a) for integers 0 <= a <= b, b >= 1, with 0 log 0 = 0;
@@ -287,11 +291,14 @@ def _float_verdicts(p: int, q: int) -> list[bool | None]:
     exact one, and with w's error (below 7u < 4uT) below 2^8 uT = 2^-45 T,
     which is E = _MARGIN_ERROR * T.
     """
+    global _pi_logs
     r = p - q
     log2 = math.log2
     lp, lq, lr = log2(p), log2(q), log2(r)
     err = _MARGIN_ERROR * p * lp
-    pi_lo, pi_hi = log2(_PI_LO), log2(_PI_HI)
+    lo, hi, pi_lo, pi_hi = _pi_logs
+    if lo is not _PI_LO or hi is not _PI_HI:
+        _pi_logs = lo, hi, pi_lo, pi_hi = _PI_LO, _PI_HI, log2(_PI_LO), log2(_PI_HI)
     fails_below = -(err + (pi_hi - pi_lo))
     # log2 of p^(2p) / (q^(2q) r^(2r) C(p, q)^2 q r)
     base = 2 * (p * lp - q * lq - r * lr - log2(math.comb(p, q))) - lq - lr

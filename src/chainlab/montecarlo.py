@@ -20,9 +20,8 @@ with the kernel of the protocol's simulator tag (`ProtocolSpec.simulator`):
   reference the numpy kernels are tested against.
 - "majority" (chained-majority with B <= 64): `_majority_batch` draws the
   protocol's reduced form, without strings: one raw 64-bit output per block
-  word and one position per word, drawn and decoded a pass of
-  MAJORITY_CELLS (trial, player) cells at a time by two cursors on the
-  batch stream, so its memory does not grow with k.
+  word, read at bit 0, drawn and decoded a pass of MAJORITY_CELLS (trial,
+  player) cells at a time, so its memory does not grow with k.
 
 Both string-path stages select by comparing keys, not by sorting them. A
 string's ones are the keys at or below its row's (n/2)-th smallest
@@ -169,22 +168,6 @@ def sampled_bits_kernel(rng: np.random.Generator, strings: np.ndarray, sigma: np
     return np.where(hit, strings[rows, player, sigma[rows, player] - 1], coin)
 
 
-def _advanced(rng: np.random.Generator, outputs: int) -> np.random.Generator:
-    """A second cursor on `rng`'s PCG64 stream, `outputs` raw outputs ahead."""
-    bit_generator = np.random.PCG64()
-    bit_generator.state = rng.bit_generator.state
-    return np.random.Generator(bit_generator.advance(outputs))
-
-
-def _positions(cursor: np.random.Generator, rows: int, k: int, b: int) -> np.ndarray:
-    """`cursor.integers(0, b, size=(rows, k), dtype=np.uint64)`, read from raw
-    outputs when b is a power of two and the cell count is even."""
-    if b > 1 and b & (b - 1) == 0 and rows * k % 2 == 0:
-        halves = cursor.bit_generator.random_raw(rows * k // 2).view(np.uint32)
-        return (halves >> np.uint32(33 - b.bit_length())).reshape(rows, k)
-    return cursor.integers(0, b, size=(rows, k), dtype=np.uint64)
-
-
 def _majority_batch(rng: np.random.Generator, count: int, k: int, block_size: int) -> int:
     """Success count for one batch of the block-majority family, drawn in
     its reduced form, without strings.
@@ -195,45 +178,31 @@ def _majority_batch(rng: np.random.Generator, count: int, k: int, block_size: in
     sends the index to a uniform position, independent of the masked bits.
     The decoder undoes the mask, so a guess is right iff the majority bit
     (ties to 0) of the block holding that position equals the masked bit
-    there: each guess is a uniform B-bit block read at a uniform position.
-    Each player has its own mask and permutation, so the k guesses are
-    independent. Ties in the final vote are right with probability exactly
-    1/2, sampled as one coin per trial. Tests check this against the engine
-    (B > 64 has no kernel) and the exact oracle.
+    there: a uniform B-bit block read at a uniform position. The bits of a
+    uniform block are exchangeable, so (bit at a uniform position, popcount)
+    has the law of (bit 0, popcount), and the kernel reads bit 0: no position
+    is drawn. Each player has its own mask and permutation, so the k guesses
+    are independent. Ties in the final vote are right with probability
+    exactly 1/2, sampled as one coin per trial. Tests check this against the
+    engine (B > 64 has no kernel), the exact oracle and an enumeration of
+    every block of up to 12 bits.
 
-    The batch stream holds count * k raw 64-bit outputs, one per block word,
-    then the positions, then the coins: the draws of `rng.integers(0, 1 << 32,
-    size=(count, k, 2), dtype=np.uint64)`, with each word `first << 32 |
-    second`, then `rng.integers(0, B, size=(count, k), dtype=np.uint64)` and
-    `rng.integers(0, 2, size=count, dtype=np.int64)`. PCG64 serves a 32-bit
-    draw as the low half of an output, so a word is its raw output rotated by
-    32 bits: the kernel keeps the raw output and reads bit (pos + 32) mod 64
-    under the block mask rotated once. Two cursors read the stream a pass at a
-    time: `rng` reads the words, and a copy advanced by count * k outputs
-    (PCG64 jumps ahead in O(log) steps) reads the positions, then the coins,
-    and hands its state back to `rng`. Bounded draws taken pass by pass equal
-    one draw, since the buffered 32-bit half lives in the bit generator. For B
-    a power of two, numpy's position is the top log2 B bits of a 32-bit half,
-    low half first, with no rejection, so a pass with an even cell count (every
-    pass but the last has one) reads positions from raw outputs. The identity test
-    against the two-halves draw (count and final state) and the golden digest
-    of `simulate-chained-majority` turn red if numpy changes this draw order.
+    The batch stream holds count * k raw 64-bit outputs, one block word per
+    (trial, player) cell masked to its low B bits, then the coins of
+    `rng.integers(0, 2, size=count, dtype=np.int64)`. The words are drawn and
+    decoded a pass of MAJORITY_CELLS cells at a time, so the layout does not
+    depend on the pass size.
     """
-    cursor = _advanced(rng, count * k)
-    rows = max(2, MAJORITY_CELLS // k & -2)  # even, so only the last pass can hold an odd cell count
-    mask = (1 << block_size) - 1
-    mask = np.uint64((mask << 32 | mask >> 32) & ((1 << 64) - 1))
+    rows = max(1, MAJORITY_CELLS // k)
+    mask = np.uint64((1 << block_size) - 1)
     n_right = np.empty(count, dtype=np.uint8 if k < 256 else np.int64)
     for start in range(0, count, rows):
         words = rng.bit_generator.random_raw(min(rows, count - start) * k).reshape(-1, k)
         if block_size < 64:
             words &= mask
-        majority = np.bitwise_count(words) > block_size // 2
-        indexed = (words >> (_positions(cursor, len(words), k, block_size) ^ 32)) & np.uint64(1)
-        right = majority == indexed.astype(bool)
+        right = (np.bitwise_count(words) > block_size // 2) == (words & np.uint64(1)).astype(bool)
         np.einsum("ij->i", right.view(np.uint8), dtype=n_right.dtype, out=n_right[start:start + len(words)])
-    coin = cursor.integers(0, 2, size=count, dtype=np.int64)
-    rng.bit_generator.state = cursor.bit_generator.state
+    coin = rng.integers(0, 2, size=count, dtype=np.int64)
     n_right = n_right.astype(np.int64)
     return int((2 * n_right > k).sum()) + int(coin[2 * n_right == k].sum())
 

@@ -13,11 +13,11 @@ from chainlab.cli import main as cli_main
 GOLDEN = {
     "verify-default": (
         ["verify", "--suite", "default", "--seed", "3"],
-        "5088d7755f6af5003bfd1bc1a794fd9b6557c062b261f03ee895798b2fe0850d",
+        "acab1fa10277faac5071e93ef379ebf52b5f73e8228df573c16d70c2d8d81764",
     ),
     "verify-default-theta0": (
         ["verify", "--suite", "default", "--theta", "0", "--seed", "3"],
-        "b9d2d2e3c2528929214fc615e6b951960e76290bd118bcd14537f9d327621276",
+        "ef307c50e721c19fe74acc9842a7865c120540a85b8c923e4c3c25e523bc5c6f",
     ),
     # the named suite runs the same sampled check as the default suite, with its own seed
     "verify-conditional-independence": (
@@ -53,7 +53,7 @@ GOLDEN = {
     "simulate-chained-majority": (
         ["simulate", "--protocol", "chained-majority", "--n", "64", "--k", "3",
          "--param", "B=64", "--trials", "20000"],
-        "26f51c149cd1d74d7f83067727025fd3cc663138681323d7e713423669fff3d3",
+        "8d73177c6cbe9824b908e846b0dfadff18dffec72c5c8c6052fd035db8068e03",
     ),
     "simulate-truncation": (
         ["simulate", "--protocol", "truncation", "--n", "4", "--k", "2",

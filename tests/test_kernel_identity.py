@@ -8,10 +8,11 @@ conditional_entropy and entropy of the marginal on the table it stands for,
 and each mutant of it must miss somewhere. Every comparison is float `==`,
 not approx.
 
-The block-majority reference draws each block word as two 32-bit halves and
-decodes the whole batch at once. The kernel must give the same success count
-and leave the generator in the same state, and each mutant of its reading of
-numpy's draw order must miss one or the other somewhere on the grid.
+The block-majority reference draws every block word of a batch as one run of
+raw outputs, reads bit 0 of each, then draws the coins. The kernel, which
+draws and decodes pass by pass, must give the same success count and leave
+the generator in the same state at any pass size, and each mutant of its
+decoding must miss one or the other somewhere on the grid.
 
 The string-path reference selects a row's lowest keys by `argpartition` and a
 scatter, and the sampled-bits reference builds every published message and
@@ -32,7 +33,7 @@ from hypothesis import strategies as st
 from chainlab import InvalidParameterError, JointTable, binary_entropy, conditional_entropy, entropy
 from chainlab.info_theory import binary_entropy_ratio
 from chainlab import info_theory, montecarlo
-from chainlab.montecarlo import MAJORITY_CELLS, _batch_rng, _first_readable, _majority_batch
+from chainlab.montecarlo import MAJORITY_CELLS, _batch_rng, _first_readable
 
 from util import mutate
 
@@ -181,85 +182,61 @@ def test_slice_identity_sees_a_mutant(monkeypatch, old, new):
 
 def ref_majority_batch(rng, count, k, block_size):
     b = block_size
-    halves = rng.integers(0, 1 << 32, size=(count, k, 2), dtype=np.uint64)
-    words = (halves[..., 0] << np.uint64(32)) | halves[..., 1]
+    words = rng.bit_generator.random_raw(count * k).reshape(count, k)
     if b < 64:
         words &= np.uint64((1 << b) - 1)
-    pos = rng.integers(0, b, size=(count, k), dtype=np.uint64)
     coin = rng.integers(0, 2, size=count, dtype=np.int64)
     majority = np.bitwise_count(words).astype(np.int64) * 2 > b
-    indexed = ((words >> pos) & np.uint64(1)).astype(bool)
-    n_right = (majority == indexed).sum(axis=1)
+    first = (words & np.uint64(1)).astype(bool)
+    n_right = (majority == first).sum(axis=1)
     wins = int((2 * n_right > k).sum())
     ties = int(coin[2 * n_right == k].sum())
     return wins + ties
 
 
-class SwappedHalves:
-    """A cursor whose raw outputs come with their 32-bit halves swapped."""
-
-    def __init__(self, rng):
-        self.rng = rng
-        self.bit_generator = self
-
-    def random_raw(self, size):
-        raw = self.rng.bit_generator.random_raw(size)
-        return (raw << np.uint64(32)) | (raw >> np.uint64(32))
-
-    def integers(self, *args, **kwargs):
-        return self.rng.integers(*args, **kwargs)
-
-
-# odd count * k, B = 1, blocks on both sides of a 32-bit half, powers of two
-# (positions read from raw outputs), one pass, a ragged last pass, a batch of
-# passes, an odd MAJORITY_CELLS // k (k = 7) and the tally dtypes either side
+# odd count * k, B = 1, blocks either side of 32 bits, B = 64 (no mask), one
+# pass, a ragged last pass, a batch of passes and the tally dtypes either side
 # of k = 256
 MAJORITY_GRID = [(count, k, seed) for count in (1, 7, 1000, 4999, 1 << 16) for k in (1, 2, 3, 7, 25)
                  for seed in (0, 5)]
 MAJORITY_GRID += [(count, k, seed) for count in (7, 1001) for k in (255, 256, 300) for seed in (0, 5)]
-# exactly one pass, and one pass plus one row: its last pass has an odd cell
-# count, so a buffered 32-bit half is left for the coins
-MAJORITY_GRID += [(rows + extra, k, seed) for k in (3, 25) for rows in [MAJORITY_CELLS // k & -2]
+# exactly one pass, and one pass plus one row
+MAJORITY_GRID += [(rows + extra, k, seed) for k in (3, 25) for rows in [MAJORITY_CELLS // k]
                   for extra in (0, 1) for seed in (0, 5)]
 BLOCK_SIZES = (1, 2, 3, 4, 16, 31, 32, 33, 63, 64)
 
 
-@pytest.mark.parametrize("b", BLOCK_SIZES)
-def test_majority_kernel_matches_two_halves_per_word(b):
-    for count, k, seed in MAJORITY_GRID:
-        ref_rng, rng = _batch_rng(seed, 3), _batch_rng(seed, 3)
-        assert _majority_batch(rng, count, k, b) == ref_majority_batch(ref_rng, count, k, b), (count, k, seed)
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
-
-
-def identity_fails_somewhere():
-    """Whether the kernel misses the reference's count or final generator
-    state on some cell of the grid."""
-    for b in BLOCK_SIZES:
-        for count, k, seed in MAJORITY_GRID:
+def majority_miss(block_sizes=BLOCK_SIZES, grid=MAJORITY_GRID):
+    """The first (B, count, k, seed) where the kernel misses the reference's
+    count or final generator state, or None."""
+    for b in block_sizes:
+        for count, k, seed in grid:
             ref_rng, rng = _batch_rng(seed, 3), _batch_rng(seed, 3)
-            if (_majority_batch(rng, count, k, b) != ref_majority_batch(ref_rng, count, k, b)
+            if (montecarlo._majority_batch(rng, count, k, b) != ref_majority_batch(ref_rng, count, k, b)
                     or rng.bit_generator.state != ref_rng.bit_generator.state):
-                return True
-    return False
+                return b, count, k, seed
+    return None
 
 
-def test_majority_identity_sees_a_missing_rotation(monkeypatch):
-    # the kernel XORs each position with 32; pre-XORing makes it read bit pos
-    positions = montecarlo._positions
-    monkeypatch.setattr(montecarlo, "_positions", lambda *args: positions(*args) ^ 32)
-    assert identity_fails_somewhere()
+@pytest.mark.parametrize("b", BLOCK_SIZES)
+def test_majority_kernel_matches_one_raw_draw(b):
+    assert majority_miss((b,)) is None
 
 
-def test_majority_identity_sees_high_half_first(monkeypatch):
-    positions = montecarlo._positions
-    monkeypatch.setattr(montecarlo, "_positions", lambda cursor, *args: positions(SwappedHalves(cursor), *args))
-    assert identity_fails_somewhere()
+def test_majority_count_does_not_depend_on_the_pass_size(monkeypatch):
+    # 7 cells per pass: passes of one row for k >= 4, and odd cell counts
+    monkeypatch.setattr(montecarlo, "MAJORITY_CELLS", 7)
+    assert majority_miss((3, 64), [cell for cell in MAJORITY_GRID if cell[0] * cell[1] <= 5000 * 25]) is None
 
 
-def test_majority_identity_sees_positions_drawn_without_the_advance(monkeypatch):
-    monkeypatch.setattr(montecarlo, "_advanced", lambda rng, outputs: rng)
-    assert identity_fails_somewhere()
+@pytest.mark.parametrize("old,new", [
+    ("> block_size // 2", ">= block_size // 2"),
+    ("words &= mask", "pass"),
+    (" + int(coin[2 * n_right == k].sum())", ""),
+], ids=["ties-to-one", "unmasked-block", "no-tie-coin"])
+def test_majority_identity_sees_a_mutant(monkeypatch, old, new):
+    mutate(monkeypatch, montecarlo, "_majority_batch", old, new)
+    assert majority_miss() is not None
 
 
 def ref_lowest(keys, size):

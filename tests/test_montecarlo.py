@@ -5,6 +5,7 @@ import sys
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -177,6 +178,16 @@ class TestAgainstExactOracles:
         assert full.estimate == 1.0
         none = montecarlo_success(sampled_bits_protocol(8, 2, 0), 8, 2, 40000, seed=2)
         assert within_5se(none.estimate, 0.5, none.trials)
+
+    def test_majority_guess_at_bit_zero_is_exact(self):
+        # the kernel reads bit 0 of a uniform block for a uniform position:
+        # over every block of B bits, both are right equally often
+        for b in range(1, 13):
+            blocks = [(word.bit_count() > b // 2, word) for word in range(1 << b)]
+            at_zero = Fraction(sum(majority == word & 1 for majority, word in blocks), 1 << b)
+            anywhere = Fraction(sum(majority == word >> pos & 1 for majority, word in blocks for pos in range(b)),
+                                b << b)
+            assert at_zero == anywhere == exact_majority_success(b), b
 
     def test_chained_majority_block_one_perfect(self):
         est = montecarlo_success(chained_majority_protocol(16, 2, 1), 16, 2, 2000, seed=4)
