@@ -14,8 +14,6 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
-import numpy as np
-
 from .errors import InvalidParameterError, ResourceLimitError
 from .info_theory import JointTable
 from .model import BalancedString, balanced_strings
@@ -81,6 +79,8 @@ def sample_biased_structured(
     theta < 0) while all others take the opposite one, and the index is the
     position at a uniform rank in [0, b).
     """
+    import numpy as np
+
     theta = Fraction(theta)
     b = structured_pool_size(n, theta)
     order = np.argsort(rng.random((count, n)), axis=1)

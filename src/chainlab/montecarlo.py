@@ -32,16 +32,15 @@ about n^2 / 2^54 per row; barring such a tie, the draws, counts and report
 digests are those of the `argpartition` selection and message gather these
 stages replaced.
 
-`numpy.random` is imported by the first batch, not by the package.
+numpy is imported by the first batch, not by the package: every function
+that uses arrays imports it in its own body, and the process pool's module
+is imported only when a pool starts.
 """
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-
-import numpy as np
 
 from .distributions import check_budget
 from .errors import InvalidParameterError
@@ -76,6 +75,8 @@ class MonteCarloEstimate:
 
 
 def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
+    import numpy as np
+
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(batch_index,))))
 
 
@@ -85,6 +86,8 @@ def _lowest(keys: np.ndarray, size: int) -> np.ndarray:
     smallest going to the lower positions. The mask holds the keys at or
     below that threshold; only a tie at the threshold gives a row more than
     `size`, and only such rows are selected again, in a stable order."""
+    import numpy as np
+
     if not size:
         return np.zeros(keys.shape, dtype=bool)
     count, k, n = keys.shape
@@ -112,6 +115,8 @@ def sample_chain_batch(
     at its index, and its other n/2 - z ones are a uniform subset of the
     other n - 1 positions.
     """
+    import numpy as np
+
     answer = rng.integers(0, 2, size=count)
     sigma = rng.integers(1, n + 1, size=(count, k))
     keys = rng.random((count, k, n))
@@ -122,6 +127,8 @@ def sample_chain_batch(
 def _first_readable(readable: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per trial, whether any instance is readable and the 0-based player the
     decoder reads: instance k first, then 1..k-1 (player k-1 when none is)."""
+    import numpy as np
+
     k = readable.shape[1]
     order = np.concatenate((readable[:, -1:], readable[:, :-1]), axis=1)
     return order.any(axis=1), (order.argmax(axis=1) - 1) % k
@@ -131,6 +138,8 @@ def truncation_kernel(rng: np.random.Generator, strings: np.ndarray, sigma: np.n
     """Decoder outputs of `truncation_protocol` on a batch: every player sends
     its first t bits; the decoder reads the first index inside a sent prefix,
     else outputs 0. Draws nothing from `rng`."""
+    import numpy as np
+
     count = len(sigma)
     if t == 0:
         return np.zeros(count, dtype=np.int64)
@@ -153,6 +162,8 @@ def sampled_bits_kernel(rng: np.random.Generator, strings: np.ndarray, sigma: np
     position (`_lowest`'s tie rule), counted only when some row holds such a
     tie. A published index's message bit sits at its rank among the published
     positions, which is the string's bit at the index, so no message is built."""
+    import numpy as np
+
     count, k, n = strings.shape
     keys = rng.random((count, k, n))
     coin = rng.integers(0, 2, size=count)
@@ -183,16 +194,19 @@ def _majority_batch(rng: np.random.Generator, count: int, k: int, block_size: in
     has the law of (bit 0, popcount), and the kernel reads bit 0: no position
     is drawn. Each player has its own mask and permutation, so the k guesses
     are independent. Ties in the final vote are right with probability
-    exactly 1/2, sampled as one coin per trial. Tests check this against the
-    engine (B > 64 has no kernel), the exact oracle and an enumeration of
-    every block of up to 12 bits.
+    exactly 1/2, sampled as one coin per trial; at odd k no vote ties and
+    no coin is drawn. Tests check this against the engine (B > 64 has no
+    kernel), the exact oracle and an enumeration of every block of up to
+    12 bits.
 
     The batch stream holds count * k raw 64-bit outputs, one block word per
-    (trial, player) cell masked to its low B bits, then the coins of
-    `rng.integers(0, 2, size=count, dtype=np.int64)`. The words are drawn and
-    decoded a pass of MAJORITY_CELLS cells at a time, so the layout does not
-    depend on the pass size.
+    (trial, player) cell masked to its low B bits, then, at even k only, the
+    coins of `rng.integers(0, 2, size=count, dtype=np.int64)`. The words are
+    drawn and decoded a pass of MAJORITY_CELLS cells at a time, so the
+    layout does not depend on the pass size.
     """
+    import numpy as np
+
     rows = max(1, MAJORITY_CELLS // k)
     mask = np.uint64((1 << block_size) - 1)
     n_right = np.empty(count, dtype=np.uint8 if k < 256 else np.int64)
@@ -202,14 +216,19 @@ def _majority_batch(rng: np.random.Generator, count: int, k: int, block_size: in
             words &= mask
         right = (np.bitwise_count(words) > block_size // 2) == (words & np.uint64(1)).astype(bool)
         np.einsum("ij->i", right.view(np.uint8), dtype=n_right.dtype, out=n_right[start:start + len(words)])
-    coin = rng.integers(0, 2, size=count, dtype=np.int64)
     n_right = n_right.astype(np.int64)
-    return int((2 * n_right > k).sum()) + int(coin[2 * n_right == k].sum())
+    wins = int((2 * n_right > k).sum())
+    if k % 2:
+        return wins
+    coin = rng.integers(0, 2, size=count, dtype=np.int64)
+    return wins + int(coin[2 * n_right == k].sum())
 
 
 def chain_instances(strings: np.ndarray, sigma: np.ndarray) -> list[ChainInstance]:
     """The rows of a sampled batch as engine instances; each answer is the
     first string's indexed bit, which every sampled row shares."""
+    import numpy as np
+
     _, k, n = strings.shape
     return [ChainInstance(n, k, tuple(map(BitString, rows)), indices, rows[0][indices[0] - 1])
             for rows, indices in zip(strings.astype(np.int8).tolist(), sigma.tolist())]
@@ -219,6 +238,8 @@ def engine_kernel(rng: np.random.Generator, strings: np.ndarray, sigma: np.ndarr
                   protocol: ProtocolSpec) -> np.ndarray:
     """Decoder outputs of any protocol on a batch: `run_chain_protocol` on
     each row, with one shared-randomness seed per row drawn from `rng`."""
+    import numpy as np
+
     seeds = rng.integers(0, 1 << 63, size=len(sigma)).tolist()
     return np.array([run_chain_protocol(protocol, inst, SharedRandomness(shared)).output
                      for inst, shared in zip(chain_instances(strings, sigma), seeds)])
@@ -273,6 +294,12 @@ def montecarlo_success(
     tasks = [(tag, n, k, params, seed, index, min(VECTOR_BATCH, trials - start))
              for index, start in enumerate(range(0, trials, VECTOR_BATCH))]
     if tag and workers > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        # imported once before the workers fork, which then inherit it: a
+        # worker that imports numpy itself starts its first batch later
+        import numpy
+
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             successes = sum(pool.map(_batch_successes, *zip(*tasks)))
     else:

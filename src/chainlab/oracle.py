@@ -21,8 +21,6 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator, Sequence
 
-import numpy as np
-
 from .distributions import (
     bias,
     cell_weights,
@@ -95,6 +93,8 @@ def verify_conditional_independence(n: int, theta, trials: int, seed: int = 0) -
                                     "expected draws per cell for the 5-SE rule, which a correct sampler then fails")
     if trials < 1:
         raise InvalidParameterError(f"trials must be >= 1, got {trials}")
+    import numpy as np
+
     theta = Fraction(theta)
     exact = enumerate_support(n, theta, "structured").entries
     rng = np.random.default_rng(derive_seed("cond-indep", n, theta, seed))

@@ -324,10 +324,14 @@ def truncation_protocol(n: int, k: int, t: int) -> ProtocolSpec:
     )
 
 
-def index_majority_protocol(n: int, k: int, block_size: int) -> ProtocolSpec:
-    """The single-instance block-majority protocol: chained-majority at k=1."""
+def _check_single_instance(k: int) -> None:
     if k != 1:
         raise InvalidParameterError(f"index-majority is a single-instance protocol, got k={k}")
+
+
+def index_majority_protocol(n: int, k: int, block_size: int) -> ProtocolSpec:
+    """The single-instance block-majority protocol: chained-majority at k=1."""
+    _check_single_instance(k)
     return replace(chained_majority_protocol(n, 1, block_size), name="index-majority")
 
 
@@ -343,11 +347,14 @@ PROTOCOLS = {
 
 
 def build_protocol(name: str, n: int, k: int, params: Mapping[str, Any] | None = None) -> ProtocolSpec:
-    """Construct a registered protocol from its name and flat parameter map."""
+    """Construct a registered protocol from its name and flat parameter map.
+    A k that the protocol cannot take is named before any parameter fault."""
     if name not in PROTOCOLS:
         raise InvalidParameterError(
             f"unknown protocol {name!r}; registered: {sorted(PROTOCOLS)}"
         )
+    if name == "index-majority":
+        _check_single_instance(k)
     params = dict(params or {})
     constructor, key, default = PROTOCOLS[name]
     unknown = set(params) - {key}

@@ -504,6 +504,12 @@ class TestCli:
         ]) == 2
         assert "workers must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("param", [[], ["--param", "B=x"], ["--param", "B=1.5"]], ids=["missing", "text", "decimal"])
+    def test_index_majority_at_k3_names_k_exit_two(self, capsys, param):
+        assert cli_main(["simulate", "--protocol", "index-majority", "--n", "64", "--k", "3", *param,
+                         "--trials", "100"]) == 2
+        assert "single-instance protocol, got k=3" in capsys.readouterr().err
+
     # Flags are drawn mostly valid, so that many examples reach an engine path
     # with one junk value (a negative seed, a junk --workers) among them.
     @given(

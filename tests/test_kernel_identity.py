@@ -9,7 +9,8 @@ and each mutant of it must miss somewhere. Every comparison is float `==`,
 not approx.
 
 The block-majority reference draws every block word of a batch as one run of
-raw outputs, reads bit 0 of each, then draws the coins. The kernel, which
+raw outputs, reads bit 0 of each, then draws the tie coins at even k (at odd
+k no vote ties and no coin is drawn). The kernel, which
 draws and decodes pass by pass, must give the same success count and leave
 the generator in the same state at any pass size, and each mutant of its
 decoding must miss one or the other somewhere on the grid.
@@ -185,13 +186,14 @@ def ref_majority_batch(rng, count, k, block_size):
     words = rng.bit_generator.random_raw(count * k).reshape(count, k)
     if b < 64:
         words &= np.uint64((1 << b) - 1)
-    coin = rng.integers(0, 2, size=count, dtype=np.int64)
     majority = np.bitwise_count(words).astype(np.int64) * 2 > b
     first = (words & np.uint64(1)).astype(bool)
     n_right = (majority == first).sum(axis=1)
     wins = int((2 * n_right > k).sum())
-    ties = int(coin[2 * n_right == k].sum())
-    return wins + ties
+    if k % 2:
+        return wins
+    coin = rng.integers(0, 2, size=count, dtype=np.int64)
+    return wins + int(coin[2 * n_right == k].sum())
 
 
 # odd count * k, B = 1, blocks either side of 32 bits, B = 64 (no mask), one
@@ -237,6 +239,21 @@ def test_majority_count_does_not_depend_on_the_pass_size(monkeypatch):
 def test_majority_identity_sees_a_mutant(monkeypatch, old, new):
     mutate(monkeypatch, montecarlo, "_majority_batch", old, new)
     assert majority_miss() is not None
+
+
+@pytest.mark.parametrize("k", [2, 256])
+def test_majority_identity_sees_a_dropped_tie_coin_at_even_k(monkeypatch, k):
+    mutate(monkeypatch, montecarlo, "_majority_batch", " + int(coin[2 * n_right == k].sum())", "")
+    assert majority_miss(grid=[cell for cell in MAJORITY_GRID if cell[1] == k]) is not None
+
+
+def test_majority_kernel_draws_no_tie_coin_at_odd_k():
+    # at odd k the stream ends with the block words
+    for count, k, seed in [(7, 3, 0), (1001, 25, 5), (7, 255, 0)]:
+        rng, words = _batch_rng(seed, 3), _batch_rng(seed, 3)
+        montecarlo._majority_batch(rng, count, k, 16)
+        words.bit_generator.advance(count * k)
+        assert rng.bit_generator.state == words.bit_generator.state
 
 
 def ref_lowest(keys, size):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import copy
 import math
 import subprocess
@@ -113,7 +114,7 @@ class TestDeterminism:
             raise AssertionError("a pool was started for a process bound to one core")
 
         monkeypatch.setattr(montecarlo_module.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.setattr(montecarlo_module, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         protocol = truncation_protocol(4, 2, 1)
         assert montecarlo_success(protocol, 4, 2, VECTOR_BATCH + 1, seed=5) == montecarlo_success(
             protocol, 4, 2, VECTOR_BATCH + 1, seed=5, workers=1)

@@ -387,6 +387,12 @@ class TestRegistry:
         with pytest.raises(InvalidParameterError):
             build_protocol("index-majority", 4, 2, {"B": 2})
 
+    @pytest.mark.parametrize("params", [{}, {"B": "two"}, {"B": "1.5"}, {"B": 1.5}, {"B": True}, {"B": None}],
+                             ids=["missing", "text", "decimal-text", "float", "bool", "none"])
+    def test_index_majority_at_k2_names_k_before_a_bad_block_size(self, params):
+        with pytest.raises(InvalidParameterError, match="single-instance protocol, got k=2"):
+            build_protocol("index-majority", 4, 2, params)
+
     def test_missing_required_param(self):
         with pytest.raises(InvalidParameterError):
             build_protocol("chained-majority", 4, 2, {})

@@ -1,6 +1,7 @@
 """Shared test helpers: chi-square machinery for empirical distribution
 checks, an instance validator, a zero-communication protocol and a source
 mutator for fault tests."""
+import __future__
 import inspect
 import math
 
@@ -41,9 +42,12 @@ def constant_protocol(n: int, k: int, bit: int = 0) -> ProtocolSpec:
 
 
 def mutate(monkeypatch, module, name, old, new):
-    """Replace `module.<name>` by its own source with `old` written as `new`."""
+    """Replace `module.<name>` by its own source with `old` written as `new`,
+    compiled as the package's modules are, with annotations left unevaluated
+    (they may name modules that a function imports in its own body)."""
     source = inspect.getsource(getattr(module, name))
     assert source.count(old) == 1
     namespace = dict(vars(module))
-    exec(source.replace(old, new), namespace)
+    exec(compile(source.replace(old, new), "<string>", "exec",
+                 flags=__future__.annotations.compiler_flag, dont_inherit=True), namespace)
     monkeypatch.setattr(module, name, namespace[name])
