@@ -23,9 +23,6 @@ from .info_theory import (
     JointTable,
     binary_entropy,
     binomial_anticoncentration,
-    check_binomial_entropy_bounds,
-    conditional_entropy,
-    entropy,
     log_binomial,
 )
 from .protocols import (
@@ -42,11 +39,8 @@ from .protocols import (
     truncation_protocol,
 )
 from .oracle import (
-    enumerate_joint,
     exact_majority_success,
     majority_vote_success,
-    verify_aug_biased_index_bound,
-    verify_biased_index_bound,
     verify_chain_entropy_bound,
     verify_conditional_independence,
     verify_distribution_identity,

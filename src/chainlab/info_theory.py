@@ -1,20 +1,20 @@
-"""Entropy kernel: exact joint tables, entropy, conditional entropy, binary
-entropy, exact log-binomials, and two exact binomial facts (entropy-form
-coefficient bounds and central anti-concentration).
+"""Entropy kernel: exact joint tables, the entropies of a binary-answer
+table read from its slice count pairs, binary entropy, exact log-binomials,
+and two exact binomial facts (entropy-form coefficient bounds and central
+anti-concentration).
 
 A joint table holds integer weights over an integer total, so a cell's
-probability is the exact rational weight/total; marginals and conditional
-slices add integers. A binary-answer table whose two answers weigh its
-counts by two integers is read from its slice count pairs alone
-(binary_slice_entropies), with no table built. Entropies are floats (logs
-are transcendental), and every term is `_ratio_bits(a, b)` = (a/b)
-log2(b/a) taken from integers: int/int true division is correctly rounded,
-as `float(Fraction(a, b))` is, and the logs are taken of the gcd-reduced
-numerator and denominator, as they are for a Fraction. So each term, and
-each entropy, is bit-identical to the one computed from the exact rational
-probabilities. Terms are summed by math.fsum, which is correctly rounded
-whatever their order. Distances between tables are exact rationals.
-Comparisons against entropy values use a tolerance of 1e-9 bits.
+probability is the exact rational weight/total. A binary-answer table whose
+two answers weigh its counts by two integers is read from its slice count
+pairs alone (binary_slice_entropies), with no table built. Entropies are
+floats (logs are transcendental), and every term is `_ratio_bits(a, b)` =
+(a/b) log2(b/a) taken from integers: int/int true division is correctly
+rounded, as `float(Fraction(a, b))` is, and the logs are taken of the
+gcd-reduced numerator and denominator, as they are for a Fraction. So each
+term, and each entropy, is bit-identical to the one computed from the exact
+rational probabilities. Terms are summed by math.fsum, which is correctly
+rounded whatever their order. Distances between tables are exact
+rationals. Comparisons against entropy values use a tolerance of 1e-9 bits.
 
 The binomial bound verdicts are exact. Each is decided in floats when its
 log2 margin is further from 0 than a derived rounding-error bound (the
@@ -27,16 +27,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
-from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import InvalidParameterError
-from .report import VerificationReport
 
 ENTROPY_TOLERANCE = 1e-9
 
 # Rational bracket around pi, tight enough that every exact comparison in
-# check_binomial_entropy_bounds is decided (the bounds are never this close).
+# binomial_bound_verdicts is decided (the bounds are never this close).
 _PI_LO = Fraction(3141592653589793, 10**15)
 _PI_HI = Fraction(3141592653589794, 10**15)
 
@@ -56,16 +54,6 @@ def _ratio_bits(a: int, b: int) -> float:
         return 0.0
     g = math.gcd(a, b)
     return (a / b) * (math.log2(b // g) - math.log2(a // g))
-
-
-def _projector(pos: tuple[int, ...]) -> Callable[[tuple], tuple]:
-    """The function that picks positions `pos` of a value tuple, as a tuple."""
-    if len(pos) == 1:
-        (i,) = pos
-        return lambda values: (values[i],)
-    if not pos:
-        return lambda values: ()
-    return itemgetter(*pos)
 
 
 @dataclass(frozen=True)
@@ -99,22 +87,6 @@ class JointTable:
         """Each cell's exact probability, weight / total."""
         return {k: Fraction(w, self.total) for k, w in self.weights.items()}
 
-    def _positions(self, names: Iterable[str]) -> tuple[int, ...]:
-        pos = []
-        for name in names:
-            if name not in self.labels:
-                raise InvalidParameterError(f"unknown variable {name!r}; have {self.labels}")
-            pos.append(self.labels.index(name))
-        return tuple(pos)
-
-    def marginal(self, names: Sequence[str]) -> "JointTable":
-        key = _projector(self._positions(names))
-        out: dict[tuple, int] = {}
-        for values, w in self.weights.items():
-            k = key(values)
-            out[k] = out.get(k, 0) + w
-        return JointTable(tuple(names), out, self.total)
-
 
 def binary_entropy(x) -> float:
     """-x log2 x - (1-x) log2 (1-x), with the 0 log 0 = 0 convention."""
@@ -133,12 +105,6 @@ def binary_entropy_ratio(a: int, b: int) -> float:
     return _ratio_bits(a, b) + _ratio_bits(b - a, b)
 
 
-def entropy(table: JointTable) -> float:
-    """Shannon entropy in bits."""
-    total = table.total
-    return math.fsum(_ratio_bits(w, total) for w in table.weights.values())
-
-
 def total_variation(a: JointTable, b: JointTable) -> Fraction:
     """Exact (1/2) sum |P_a - P_b|, cross-multiplying weights by the other table's total."""
     ta, tb = a.total, b.total
@@ -155,21 +121,6 @@ def _slice_terms(cells: Iterable[int], mass: int, total: int) -> Iterator[float]
     return (share * _ratio_bits(c, mass) for c in cells)
 
 
-def conditional_entropy(table: JointTable, target: str, given: Sequence[str]) -> float:
-    """H(target | given) in bits: conditional-slice entropies weighted by slice mass."""
-    target_pos = table._positions([target])[0]
-    key = _projector(table._positions(given))
-    slices: dict[tuple, dict] = {}  # given values -> {target value: weight}
-    for values, w in table.weights.items():
-        cond = slices.setdefault(key(values), {})
-        v = values[target_pos]
-        cond[v] = cond.get(v, 0) + w
-    total = table.total
-    # a slice that fixes the target has terms of exactly 0.0
-    return math.fsum(t for cond in slices.values() if len(cond) > 1
-                     for t in _slice_terms(cond.values(), sum(cond.values()), total))
-
-
 def binary_slice_entropies(
     slices: Mapping[tuple[int, int], int], classes: Mapping[tuple[int, int], int], weights: tuple[int, int]
 ) -> tuple[float, float]:
@@ -177,9 +128,9 @@ def binary_slice_entropies(
     (z, slice) weighs weights[z] times the slice's count under answer z.
     `slices` and `classes` map a (count under answer 0, under answer 1) pair
     to how many slices (classes) have it; a class's pair sums its slices'.
-    A one-answer slice adds exactly 0.0 and may be left out of `slices`. The
-    integers and terms are those of conditional_entropy and entropy on the
-    table, so both values are bit-identical to theirs."""
+    A one-answer slice adds exactly 0.0 and may be left out of `slices`.
+    Each term is _ratio_bits of the table's integers, so both values are
+    bit-identical to the entropies of its exact rational probabilities."""
     a0, a1 = weights
     masses = [(a0 * c0 + a1 * c1, k) for (c0, c1), k in classes.items()]
     total = sum(mass * k for mass, k in masses)
@@ -251,11 +202,14 @@ class BinomialBoundVerdicts(NamedTuple):
 
 
 def binomial_bound_verdicts(p: int, q: int) -> BinomialBoundVerdicts:
-    """The verdicts of check_binomial_entropy_bounds(p, q) alone, without
-    its logs or its report; sweeps read only these. They are decided in
-    floats where every margin is safely away from 0 (_float_verdicts), and
-    by _bounds_hold otherwise, so each verdict is the exact one and an
-    undecided None can come only from the exact path."""
+    """Exact verdicts of the entropy-form binomial coefficient bounds at
+    (p, q). The primary bounds put p under the square root (the
+    dimensionally consistent reading) and decide `passed`; the printed
+    variant binds that numerator to 2q, matching both in-scope uses of the
+    bound, where q is half the ambient string length. The verdicts are
+    decided in floats where every margin is safely away from 0
+    (_float_verdicts), and by _bounds_hold otherwise, so each verdict is the
+    exact one and an undecided None can come only from the exact path."""
     if not 1 <= q <= p - 1:
         raise InvalidParameterError(f"need 1 <= q <= p-1, got p={p}, q={q}")
     verdicts = _float_verdicts(p, q)
@@ -308,33 +262,6 @@ def _float_verdicts(p: int, q: int) -> list[bool | None]:
         for margin in (pi_lo - (x - 3), (x - 1) - pi_hi):
             verdicts.append(True if margin > err else False if margin < fails_below else None)
     return verdicts
-
-
-def check_binomial_entropy_bounds(p: int, q: int) -> VerificationReport:
-    """Check the entropy-form binomial coefficient bounds by exact arithmetic.
-
-    The primary check puts p under the square root (the dimensionally
-    consistent reading). The printed variant's square-root numerator is bound
-    to 2q, matching both in-scope uses of the bound, where q is half the
-    ambient string length; its result is recorded but does not drive `pass`.
-    """
-    verdicts = binomial_bound_verdicts(p, q)
-    log_c = log_binomial(p, q)
-    h_term = p * binary_entropy(Fraction(q, p))
-    denom = math.log2(8 * math.pi * q * (p - q))
-    lower_log = h_term + 0.5 * (math.log2(p) - denom)
-    upper_log = h_term + 0.5 * (math.log2(p) - math.log2(2 * math.pi * q * (p - q)))
-    return VerificationReport(
-        check="binomial-entropy-bounds",
-        params={"p": p, "q": q},
-        lhs=log_c,
-        rhs={"lower": lower_log, "upper": upper_log},
-        relation="between",
-        passed=verdicts.passed,
-        tolerance=None,
-        mode="exact",
-        details={**verdicts._asdict(), "printed_form_pass": verdicts.printed_form_pass},
-    )
 
 
 class AnticoncentrationResult(NamedTuple):

@@ -32,7 +32,6 @@ from .distributions import (
 from .errors import InvalidParameterError, ProtocolContractError
 from .info_theory import (
     ENTROPY_TOLERANCE,
-    JointTable,
     binary_entropy,
     binary_entropy_ratio,
     binary_slice_entropies,
@@ -218,27 +217,6 @@ def _final_boards(protocol: ProtocolSpec, n: int, k: int, shared: SharedRandomne
         yield from children(k, *parent)
 
 
-def enumerate_joint(
-    protocol: ProtocolSpec,
-    n: int,
-    k: int,
-    shared_seed: int = 0,
-) -> tuple[JointTable, Fraction]:
-    """Exact joint law of (answer, messages, reveals) under the hard
-    distribution and the exact success probability, with the protocol made
-    deterministic by fixing its shared seed: the final boards of one forward
-    pass, each decoded once."""
-    shared = SharedRandomness(shared_seed)
-    weights: dict[tuple, int] = {}
-    hits = 0
-    for board, key, *answer_weights in _final_boards(protocol, n, k, shared):
-        hits += answer_weights[decoder_output(protocol, board, shared)]
-        for z, weight in enumerate(answer_weights):
-            weights[(z, key, board.indices)] = weight
-    joint = JointTable.from_weights(("answer", "messages", "reveals"), weights)
-    return joint, Fraction(hits, joint.total)
-
-
 def verify_chain_entropy_bound(
     protocol: ProtocolSpec,
     n: int,
@@ -252,10 +230,9 @@ def verify_chain_entropy_bound(
     H2(success) are recorded so callers can also assert the upper direction
     for better-than-even protocols.
 
-    Both entropies are read from the final boards of _final_boards, the pass
-    that enumerate_joint folds into a table, with no table built: each board
-    is a slice with its (answer 0, answer 1) weight pair, and a message
-    tuple's pair sums its boards'.
+    Both entropies are read from the final boards of _final_boards, with no
+    table built: each board is a slice with its (answer 0, answer 1) weight
+    pair, and a message tuple's pair sums its boards'.
     """
     shared = SharedRandomness(shared_seed)
     slices: Counter = Counter()
@@ -308,9 +285,14 @@ def _biased_tally(n: int, messages: Sequence[int], s: int, with_prefix: bool) ->
 def biased_index_bound_reports(
     n: int, thetas: Sequence, messages: Sequence[int], s: int, aug: bool = False
 ) -> list[VerificationReport]:
-    """verify_biased_index_bound(n, theta, messages, s), or the augmented
-    check if `aug`, for each theta of `thetas` in order: the message ids are
-    checked and tallied once, then weighted per theta."""
+    """H(answer | message, index), or with `aug` H(answer | message, index,
+    prefix before the index), against both printed variants of the
+    single-message entropy bound, for each theta of `thetas` in order;
+    `passed` reflects the proof-chain variant (prior - (2/n)(H(message) +
+    2 log n)), the stated variant is recorded. `messages` holds one id in
+    [0, 2^s) per string of balanced_strings(n), in rank order; any other
+    length or id raises ProtocolContractError. The ids are checked and
+    tallied once, then weighted per theta."""
     thetas = [bias(t) for t in thetas]
     slices, classes = _biased_tally(n, messages, s, with_prefix=aug)
     check = "augmented-index-entropy-bound" if aug else "biased-index-entropy-bound"
@@ -320,23 +302,6 @@ def biased_index_bound_reports(
                               binary_entropy(Fraction(1, 2) + t), 1, 2)
         for t in thetas
     ]
-
-
-def verify_biased_index_bound(n: int, theta, messages: Sequence[int], s: int) -> VerificationReport:
-    """Check H(answer | message, index) against both printed variants of the
-    single-message entropy bound; `passed` reflects the proof-chain variant
-    (prior - (2/n)(H(message) + 2 log n)), the stated variant is recorded.
-    `messages` holds one id in [0, 2^s) per string of balanced_strings(n), in
-    rank order; any other length or id raises ProtocolContractError."""
-    (report,) = biased_index_bound_reports(n, (theta,), messages, s)
-    return report
-
-
-def verify_aug_biased_index_bound(n: int, theta, messages: Sequence[int], s: int) -> VerificationReport:
-    """Augmented variant: condition additionally on the prefix before the
-    index. `messages` follows the contract of verify_biased_index_bound."""
-    (report,) = biased_index_bound_reports(n, (theta,), messages, s, aug=True)
-    return report
 
 
 def verify_entropy_given_pool(n: int, theta) -> VerificationReport:

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -10,25 +11,34 @@ from chainlab import (
     JointTable,
     binary_entropy,
     binomial_anticoncentration,
-    check_binomial_entropy_bounds,
-    conditional_entropy,
-    entropy,
     log_binomial,
 )
 from chainlab import info_theory
-from chainlab.info_theory import binomial_bound_verdicts, total_variation
+from chainlab.info_theory import binary_slice_entropies, binomial_bound_verdicts, total_variation
+
+from util import ref_cells, ref_conditional_entropy, ref_entropy, ref_marginal
 
 TOL = 1e-9
 
 
-def random_joint(rng: random.Random, sizes: tuple[int, ...]) -> JointTable:
-    """Random rational joint table over small alphabets (integer weights)."""
+def random_cells(rng: random.Random, sizes: tuple[int, ...]) -> dict:
+    """Fraction cells of a random joint law over small alphabets."""
     cells = list(product(*(range(s) for s in sizes)))
     weights = {cell: rng.randint(0, 8) for cell in cells}
     if sum(weights.values()) == 0:
         weights[cells[0]] = 1
-    labels = tuple(f"v{i}" for i in range(len(sizes)))
-    return JointTable.from_weights(labels, {k: w for k, w in weights.items() if w})
+    return ref_cells(weights)
+
+
+def class_entropy(weights) -> float:
+    """H(class) of classes with these integer weights, all under answer 0."""
+    return binary_slice_entropies({}, Counter((w, 0) for w in weights), (1, 1))[1]
+
+
+def answer_entropy_given_slice(pairs) -> float:
+    """H(answer | slice) of slices with these (answer 0, answer 1) weights."""
+    total = tuple(map(sum, zip(*pairs)))
+    return binary_slice_entropies(Counter(pairs), Counter([total]), (1, 1))[0]
 
 
 class TestBinaryEntropy:
@@ -55,25 +65,23 @@ class TestBinaryEntropy:
 
 class TestEntropy:
     def test_uniform_six(self):
-        d = JointTable.from_weights(("x",), {(i,): 1 for i in range(6)})
-        assert entropy(d) == pytest.approx(math.log2(6), abs=TOL)
+        assert class_entropy([1] * 6) == pytest.approx(math.log2(6), abs=TOL)
 
     def test_point_mass(self):
-        d = JointTable.from_weights(("x",), {(0,): 1, (1,): 0})
-        assert entropy(d) == 0.0
+        assert class_entropy([1, 0]) == 0.0
 
     def test_quarter_three_quarters(self):
-        d = JointTable.from_weights(("x",), {(0,): 1, (1,): 3})
         # direct evaluation of the binary entropy formula
         expected = 0.25 * math.log2(4) + 0.75 * math.log2(4 / 3)
-        assert entropy(d) == pytest.approx(expected, abs=1e-12)
+        assert class_entropy([1, 3]) == pytest.approx(expected, abs=1e-12)
 
     def test_bounded_by_log_support(self):
         rng = random.Random(0)
         for _ in range(50):
-            j = random_joint(rng, (6,))
-            h = entropy(j)
-            assert -TOL <= h <= math.log2(len(j.entries)) + TOL
+            weights = [rng.randint(0, 8) for _ in range(6)]
+            weights[0] += not any(weights)
+            h = class_entropy(weights)
+            assert -TOL <= h <= math.log2(sum(map(bool, weights))) + TOL
 
 
 class TestTotalVariation:
@@ -93,46 +101,43 @@ class TestTotalVariation:
 
 
 class TestConditionalEntropy:
+    """Binary-answer cases read H(answer | slice) from the slice function;
+    the chain rule and subadditivity hold for the Fraction reference."""
+
     def test_independent_equals_marginal(self):
-        # X uniform bit, Y uniform over 3 values, independent
-        weights = {(x, y): 1 for x in range(2) for y in range(3)}
-        j = JointTable.from_weights(("x", "y"), weights)
-        assert conditional_entropy(j, "x", ("y",)) == pytest.approx(entropy(j.marginal(("x",))), abs=TOL)
+        # answer a uniform bit, slice uniform over 3 values, independent
+        lhs = answer_entropy_given_slice([(1, 1)] * 3)
+        assert lhs == pytest.approx(binary_entropy(Fraction(1, 2)), abs=TOL)
 
     def test_determined_is_zero(self):
-        j = JointTable.from_weights(("x", "y"), {(0, 0): 1, (1, 1): 1})
-        assert conditional_entropy(j, "x", ("y",)) == pytest.approx(0.0, abs=TOL)
+        assert answer_entropy_given_slice([(1, 0), (0, 1)]) == pytest.approx(0.0, abs=TOL)
 
     def test_three_point_joint(self):
         # uniform on {(0,0),(0,1),(1,0)}: slices H(X|Y=0)=1, H(X|Y=1)=0, weights 2/3, 1/3
-        j = JointTable.from_weights(("x", "y"), {(0, 0): 1, (0, 1): 1, (1, 0): 1})
-        assert conditional_entropy(j, "x", ("y",)) == pytest.approx(2 / 3, abs=TOL)
-
-    def test_unknown_label(self):
-        j = JointTable.from_weights(("x", "y"), {(0, 0): 1})
-        with pytest.raises(InvalidParameterError):
-            conditional_entropy(j, "z", ("y",))
+        assert answer_entropy_given_slice([(1, 1), (1, 0)]) == pytest.approx(2 / 3, abs=TOL)
 
     def test_conditioning_reduces_entropy(self):
         rng = random.Random(1)
         for _ in range(100):
-            j = random_joint(rng, (3, 4))
-            assert conditional_entropy(j, "v0", ("v1",)) <= entropy(j.marginal(("v0",))) + TOL
+            pairs = [(rng.randint(0, 8), rng.randint(0, 8)) for _ in range(4)]
+            pairs[0] = (pairs[0][0] + 1, pairs[0][1])
+            w0, w1 = map(sum, zip(*pairs))
+            assert answer_entropy_given_slice(pairs) <= binary_entropy(Fraction(w1, w0 + w1)) + TOL
 
     def test_chain_rule_exact(self):
         rng = random.Random(2)
         for _ in range(100):
-            j = random_joint(rng, (3, 3))
-            h_joint = entropy(j)
-            h_x = entropy(j.marginal(("v0",)))
-            h_y_given_x = conditional_entropy(j, "v1", ("v0",))
-            assert h_joint == pytest.approx(h_x + h_y_given_x, abs=TOL)
+            cells = random_cells(rng, (3, 3))
+            h_x = ref_entropy(ref_marginal(cells, (0,)))
+            h_y_given_x = ref_conditional_entropy(cells, 1, (0,))
+            assert ref_entropy(cells) == pytest.approx(h_x + h_y_given_x, abs=TOL)
 
     def test_subadditivity(self):
         rng = random.Random(3)
         for _ in range(100):
-            j = random_joint(rng, (3, 3))
-            assert entropy(j) <= entropy(j.marginal(("v0",))) + entropy(j.marginal(("v1",))) + TOL
+            cells = random_cells(rng, (3, 3))
+            marginals = ref_entropy(ref_marginal(cells, (0,))) + ref_entropy(ref_marginal(cells, (1,)))
+            assert ref_entropy(cells) <= marginals + TOL
 
 
 class TestFano:
@@ -153,12 +158,10 @@ class TestFano:
     def test_every_deterministic_estimator(self):
         # exhaustive check on a small joint: every estimator g(Y) leaves
         # H(X|Y) <= H2(error); past error 1/2 the complement of g is the witness
-        j = JointTable.from_weights(
-            ("x", "y"), {(0, 0): 5, (1, 0): 1, (0, 1): 1, (1, 1): 4, (0, 2): 2, (1, 2): 1}
-        )
-        h_x_given_y = conditional_entropy(j, "x", ("y",))
+        pairs = [(5, 1), (1, 4), (2, 1)]  # (x = 0, x = 1) weights at y = 0, 1, 2
+        h_x_given_y = answer_entropy_given_slice(pairs)
         for g in product((0, 1), repeat=3):
-            error = sum(p for (x, y), p in j.entries.items() if g[y] != x)
+            error = Fraction(sum(pair[1 - g[y]] for y, pair in enumerate(pairs)), 14)
             assert h_x_given_y <= binary_entropy(error) + TOL
 
 
@@ -186,42 +189,32 @@ class TestLogBinomial:
 class TestBinomialEntropyBounds:
     @pytest.mark.parametrize("p,q", [(16, 8), (1024, 512), (2, 1), (16, 1), (100, 37)])
     def test_corrected_form_passes(self, p, q):
-        report = check_binomial_entropy_bounds(p, q)
-        assert report.passed
-        assert report.details["lower_pass"] and report.details["upper_pass"]
+        verdicts = binomial_bound_verdicts(p, q)
+        assert verdicts.passed
+        assert verdicts.lower_pass and verdicts.upper_pass
 
     def test_printed_form_fails_when_skewed(self):
         # with the square root numerator bound to 2q the upper bound drops
         # below the true coefficient away from the middle
-        report = check_binomial_entropy_bounds(16, 1)
-        assert report.details["printed_form_upper_pass"] is False
-        assert not report.details["printed_form_pass"]
+        verdicts = binomial_bound_verdicts(16, 1)
+        assert verdicts.printed_form_upper_pass is False
+        assert not verdicts.printed_form_pass
 
     def test_printed_form_matches_at_middle(self):
-        report = check_binomial_entropy_bounds(64, 32)
-        assert report.details["printed_form_pass"]
-
-    def test_report_shape(self):
-        report = check_binomial_entropy_bounds(16, 8)
-        assert report.mode == "exact"
-        assert report.rhs["lower"] <= report.lhs <= report.rhs["upper"]
+        assert binomial_bound_verdicts(64, 32).printed_form_pass
 
     def test_precondition(self):
-        with pytest.raises(InvalidParameterError):
-            check_binomial_entropy_bounds(4, 0)
         for q in (0, 4):
             with pytest.raises(InvalidParameterError):
                 binomial_bound_verdicts(4, q)
 
     def test_verdicts_are_the_reports_verdicts(self):
+        # every primary verdict passes; the printed form fails somewhere, not everywhere
         printed_failures = 0
         for p in range(2, 65):
             for q in range(1, p):
-                report = check_binomial_entropy_bounds(p, q)
                 verdicts = binomial_bound_verdicts(p, q)
-                assert verdicts.passed is report.passed is True, (p, q)
-                assert verdicts.printed_form_pass is report.details["printed_form_pass"], (p, q)
-                assert verdicts._asdict().items() <= report.details.items(), (p, q)
+                assert verdicts.passed is True, (p, q)
                 printed_failures += not verdicts.printed_form_pass
         assert 0 < printed_failures < 64 * 63 // 2
 

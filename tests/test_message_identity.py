@@ -4,17 +4,16 @@ The reference is the earlier formulation, kept verbatim: a message function
 is a closure from each balanced string to a validated BitString, the
 biased-index joint table calls it once per string and weighs each cell by
 theta as it goes (no bias-free tally, no slice count pairs), and its two
-entropies come from conditional_entropy and entropy of its marginal. The
-direct table weighs a cell with indexed bit w by (q +- 2p) |valid_(1-w)|.
-Every report must be equal and serialize the same. The direct table must
-have the same exact entries; its integer weights now differ by the constant
-C(n, n/2) n/2.
+entropies come from the Fraction reference in `util`. The direct table
+weighs a cell with indexed bit w by (q +- 2p) |valid_(1-w)|. Every report
+must be equal and serialize the same. The direct table must have the same
+exact entries; its integer weights now differ by the constant C(n, n/2) n/2.
 
 The suite tallies each message function once for the whole bias grid; each
-of its reports must equal the public verify_*_bound call it stands for, and
-it must hold no more memory than those calls made one at a time. Every
-balanced string has n/2 cells under each answer, so H(message) must not
-depend on theta.
+of its reports must equal the one-theta check it stands for, and it must
+hold no more memory than those checks made one at a time. Every balanced
+string has n/2 cells under each answer, so H(message) must not depend on
+theta.
 """
 import gc
 import inspect
@@ -33,10 +32,6 @@ from chainlab import (
     JointTable,
     ProtocolContractError,
     bias_grid,
-    conditional_entropy,
-    entropy,
-    verify_aug_biased_index_bound,
-    verify_biased_index_bound,
 )
 from chainlab import oracle
 from chainlab.distributions import enumerate_support
@@ -45,9 +40,12 @@ from chainlab.model import BalancedString, balanced_strings
 from chainlab.oracle import full_string_message_function, random_message_function, truncation_message_function
 from chainlab.protocols import derive_seed
 
+from util import biased_report, ref_cells, ref_conditional_entropy, ref_entropy, ref_marginal
+
 
 def ref_biased_joint(n, theta, message_fn, s, with_prefix):
-    # integer weights over a common denominator: (q +- 2p) per (y, rho) cell
+    """Integer weights over a common denominator: (q +- 2p) per (y, rho)
+    cell, keyed (answer, message, index[, prefix])."""
     p, q = theta.numerator, theta.denominator
     weight_of_bit = (q - 2 * p, q + 2 * p)
     weights = {}
@@ -64,8 +62,7 @@ def ref_biased_joint(n, theta, message_fn, s, with_prefix):
                 continue
             key = (w, m, rho, bits[: rho - 1]) if with_prefix else (w, m, rho)
             weights[key] = weights.get(key, 0) + weight
-    labels = ("answer", "message", "index", "prefix") if with_prefix else ("answer", "message", "index")
-    return JointTable.from_weights(labels, weights)
+    return weights
 
 
 def ref_direct_table(n, theta):
@@ -134,7 +131,7 @@ def cases(n):
         yield theta, "full-string", full_s, full_fn, full
 
 
-def reference_report(monkeypatch, verify, n, theta, message_fn, s):
+def reference_report(monkeypatch, aug, n, theta, message_fn, s):
     """The report with every step replaced: the tally step and the answer
     weights only pass their arguments on, and the entropies are read from
     the whole table, built per string at theta."""
@@ -142,23 +139,24 @@ def reference_report(monkeypatch, verify, n, theta, message_fn, s):
         return (n, message_fn, s, with_prefix), None
 
     def entropies(args, _, theta):
-        joint = ref_biased_joint(args[0], theta, *args[1:])
-        return conditional_entropy(joint, "answer", joint.labels[1:]), entropy(joint.marginal(("message",)))
+        cells = ref_cells(ref_biased_joint(args[0], theta, *args[1:]))
+        given = (1, 2, 3) if args[3] else (1, 2)
+        return ref_conditional_entropy(cells, 0, given), ref_entropy(ref_marginal(cells, (1,)))
 
     with monkeypatch.context() as patched:
         patched.setattr(oracle, "_biased_tally", tally)
         patched.setattr(oracle, "cell_weights", lambda theta: theta)
         patched.setattr(oracle, "binary_slice_entropies", entropies)
-        return verify(n, theta, message_fn, s)
+        return biased_report(n, theta, message_fn, s, aug)
 
 
-@pytest.mark.parametrize("verify", [verify_biased_index_bound, verify_aug_biased_index_bound])
+@pytest.mark.parametrize("aug", [False, True], ids=["verify_biased_index_bound", "verify_aug_biased_index_bound"])
 @pytest.mark.parametrize("n", [4, 6, 8])
-def test_reports_match_per_string_tables(monkeypatch, verify, n):
+def test_reports_match_per_string_tables(monkeypatch, aug, n):
     checked = 0
     for theta, label, s, ref_fn, ids in cases(n):
-        expected = reference_report(monkeypatch, verify, n, theta, ref_fn, s)
-        report = verify(n, theta, ids, s)
+        expected = reference_report(monkeypatch, aug, n, theta, ref_fn, s)
+        report = biased_report(n, theta, ids, s, aug)
         assert report == expected, (n, theta, label, s)
         assert report.to_json_dict() == expected.to_json_dict()
         checked += 1
@@ -176,8 +174,8 @@ def test_identity_sees_a_dropped_draw(monkeypatch):
     def differs(n, theta, label, s, ref_fn, ids):
         mutant = dropped_last_draw(n, s, int(label.removeprefix("random-")))
         assert mutant[:-1] == ids[:-1]
-        expected = reference_report(monkeypatch, verify_biased_index_bound, n, theta, ref_fn, s)
-        return verify_biased_index_bound(n, theta, mutant, s) != expected
+        expected = reference_report(monkeypatch, False, n, theta, ref_fn, s)
+        return biased_report(n, theta, mutant, s) != expected
 
     assert any(differs(n, *case) for n in (4, 6, 8) for case in cases(n) if case[1].startswith("random-"))
 
@@ -189,14 +187,13 @@ SUITE_CASES = dict(lengths=(1, 2, 3), functions=2, seed=5)
 
 
 def public_reports(n, aug, theta=None, lengths=(1, 2, 3), functions=2, seed=5):
-    """What suite_biased_index stands for: one public call per (theta, s,
-    function), in the suite's order, each labelled with its function."""
-    verify = verify_aug_biased_index_bound if aug else verify_biased_index_bound
+    """What suite_biased_index stands for: one one-theta check per (theta,
+    s, function), in the suite's order, each labelled with its function."""
     full, full_s = full_string_message_function(n)
     reports = []
 
     def add(kind, messages, s):
-        report = verify(n, t, messages, s)
+        report = biased_report(n, t, messages, s, aug)
         reports.append(replace(report, params={**report.params, "message_function": kind}))
 
     for t in bias_grid(n) if theta is None else [theta]:
@@ -319,7 +316,7 @@ def balance_misses(n, aug, mutant=None):
     for j, (messages, (_, classes)) in enumerate(tallies):
         histogram = Counter(messages)
         tally_misses += classes != Counter((n // 2 * c, n // 2 * c) for c in histogram.values())
-        h = entropy(JointTable.from_weights(("message",), {(m,): c for m, c in histogram.items()}))
+        h = ref_entropy(ref_cells(histogram))
         # the suite files one report per message function in each theta's row
         report_misses += sum(report.details["h_messages"] != h for report in suite[j::len(tallies)])
     return tally_misses, report_misses

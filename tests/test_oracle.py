@@ -18,17 +18,12 @@ from chainlab import (
     SharedRandomness,
     bias_grid,
     chained_majority_protocol,
-    conditional_entropy,
-    entropy,
-    enumerate_joint,
     exact_majority_success,
     majority_vote_success,
     run_chain_protocol,
     sampled_bits_protocol,
     trivial_forward_protocol,
     truncation_protocol,
-    verify_aug_biased_index_bound,
-    verify_biased_index_bound,
     verify_chain_entropy_bound,
     verify_conditional_independence,
     verify_distribution_identity,
@@ -45,6 +40,7 @@ from chainlab.experiments import (
     suite_majority,
     suite_pmf,
 )
+from chainlab.info_theory import binary_slice_entropies
 from chainlab.model import balanced_strings
 from chainlab.montecarlo import MonteCarloEstimate
 from chainlab.oracle import (
@@ -56,9 +52,11 @@ from chainlab.oracle import (
     sweep_entropy_given_pool,
     truncation_message_function,
 )
+from chainlab.protocols import decoder_output
 
+import chainlab.distributions as distributions
 import chainlab.oracle as oracle
-from util import constant_protocol, mutate
+from util import biased_report, constant_protocol, mutate, ref_cells, ref_conditional_entropy, ref_entropy, ref_marginal
 
 TOL = 1e-9
 
@@ -106,6 +104,19 @@ class TestDistributionIdentity:
         # n=4, theta=0: the structured total is 1*6*4 = 24, so one unit is 1/24
         assert report.passed is False
         assert report.lhs == Fraction(1, 24)
+
+    @pytest.mark.parametrize("new", [
+        # every position indexed, in the pool or not: only theta = 0 (pool = all) is unmoved
+        "for rho in range(1, n + 1):",
+        # only the pool's first position indexed
+        "for rho in pool[:1]:",
+    ], ids=["index-outside-pool", "first-pool-position-only"])
+    def test_identity_sees_a_structured_table_fault(self, monkeypatch, new):
+        mutate(monkeypatch, distributions, "_structured_table", "for rho in pool:", new)
+        for n in (4, 6):
+            for theta in bias_grid(n):
+                expected = theta == 0 and new.startswith("for rho in range")
+                assert verify_distribution_identity(n, theta).passed is expected, (n, theta)
 
 
 class TestChecksCanFail:
@@ -253,35 +264,48 @@ class TestChecksCanFail:
         assert report.passed is False
 
 
+def _fold(protocol, n, k, shared_seed=0):
+    """The final boards of one forward pass folded into (answer, messages,
+    reveals) weights, and the exact success, each board decoded once."""
+    shared = SharedRandomness(shared_seed)
+    weights, hits = {}, 0
+    for board, key, *pair in oracle._final_boards(protocol, n, k, shared):
+        hits += pair[decoder_output(protocol, board, shared)]
+        weights.update(((z, key, board.indices), w) for z, w in enumerate(pair) if w)
+    return weights, Fraction(hits, sum(weights.values()))
+
+
 class TestEnumerateJoint:
     def test_support_n2_k1(self):
-        joint, _ = enumerate_joint(trivial_forward_protocol(2, 1), 2, 1)
+        weights, _ = _fold(trivial_forward_protocol(2, 1), 2, 1)
         # 2 answers x 2 valid (string, index) pairs each, transcripts all distinct
-        assert len(joint.entries) == 4
-        assert sum(joint.entries.values()) == 1
+        assert list(weights.values()) == [1, 1, 1, 1]
 
     def test_no_message_transcript_is_indices_only(self):
-        joint, _ = enumerate_joint(constant_protocol(2, 1), 2, 1)
-        messages = {m for _, m, _ in joint.entries}
+        weights, _ = _fold(constant_protocol(2, 1), 2, 1)
+        messages = {m for _, m, _ in weights}
         assert messages == {((),)}
 
     def test_budget(self):
         # counted in message calls before any is made: 70 strings on each of
         # 1, 560 and 560^2 boards (70 messages x 8 indices per player)
         with pytest.raises(ResourceLimitError) as err:
-            enumerate_joint(trivial_forward_protocol(8, 3), 8, 3)
+            verify_chain_entropy_bound(trivial_forward_protocol(8, 3), 8, 3)
         assert err.value.required == 70 * (1 + 560 + 560**2)
         assert err.value.budget == DEFAULT_ENUMERATION_BUDGET
 
     def test_random_protocol_n8_k3_enumerates(self):
         # 2 * 280^3 support points, over the budget when each ran the engine
-        joint, _ = enumerate_joint(random_chain_protocol(8, 3, 3, 0), 8, 3)
-        assert joint.total == 2 * 280**3
-        assert joint.marginal(("answer",)).entries == {(0,): Fraction(1, 2), (1,): Fraction(1, 2)}
+        weights, _ = _fold(random_chain_protocol(8, 3, 3, 0), 8, 3)
+        answers = Counter()
+        for (z, *_), w in weights.items():
+            answers[z] += w
+        assert answers == {0: 280**3, 1: 280**3}
 
     def test_total_probability_exact(self):
-        joint, _ = enumerate_joint(truncation_protocol(4, 2, 2), 4, 2)
-        assert sum(joint.entries.values()) == 1
+        # each player has 6 strings x 2 indices under each answer: 2 * 12^2 points
+        weights, _ = _fold(truncation_protocol(4, 2, 2), 4, 2)
+        assert sum(weights.values()) == 2 * 12**2
 
 
 def _chain_support(n, k):
@@ -317,13 +341,12 @@ def _pass_subjects(n, k):
 
 def _accounting_miss(n, k):
     """The first subject whose chain accounting differs from the scalar
-    engine's table read by conditional_entropy and entropy(marginal), by
-    float ==, or in its success; None if none does."""
+    engine's (answer, messages, reveals) table read by the Fraction
+    reference, by float ==, or in its success; None if none does."""
     for protocol in _pass_subjects(n, k):
         weights, success = _engine_runs(protocol, n, k, 3)
-        joint = JointTable.from_weights(("answer", "messages", "reveals"), weights)
-        expected = (conditional_entropy(joint, "answer", ("messages", "reveals")),
-                    entropy(joint.marginal(("messages",))), success)
+        cells = ref_cells(weights)
+        expected = (ref_conditional_entropy(cells, 0, (1, 2)), ref_entropy(ref_marginal(cells, (1,))), success)
         report = oracle.verify_chain_entropy_bound(protocol, n, k, 3)  # a mutant of the check is seen
         if (report.lhs, report.details["h_messages"], report.details["success"]) != expected:
             return protocol.name
@@ -334,8 +357,7 @@ class TestForwardPass:
     @pytest.mark.parametrize("n,k", [(4, 1), (4, 2), (6, 2)])
     def test_matches_scalar_engine(self, n, k):
         for protocol in _pass_subjects(n, k):
-            joint, success = enumerate_joint(protocol, n, k, 3)
-            assert (dict(joint.weights), success) == _engine_runs(protocol, n, k, 3), protocol.name
+            assert _fold(protocol, n, k, 3) == _engine_runs(protocol, n, k, 3), protocol.name
 
     @pytest.mark.parametrize("n,k", [(4, 1), (4, 2), (6, 2)])
     def test_chain_accounting_matches_scalar_engine(self, n, k):
@@ -365,24 +387,10 @@ class TestForwardPass:
         with pytest.raises(ProtocolContractError):
             run_chain_protocol(p, inst, SharedRandomness(0))
         with pytest.raises(ProtocolContractError):
-            enumerate_joint(p, 4, 1)
-        with pytest.raises(ProtocolContractError):
             verify_chain_entropy_bound(p, 4, 1)
 
-    def test_final_boards_freed_as_decoded(self):
-        # 7,200 final boards at n=6, k=2, t=6; holding them all until the
-        # decode loop ends peaks at about 4.6 MB
-        balanced_strings(6)
-        tracemalloc.start()
-        try:
-            enumerate_joint(truncation_protocol(6, 2, 6), 6, 2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3.8 * 2**20
-
     def test_chain_accounting_builds_no_table(self):
-        # the same 7,200 final boards: read through a joint table, the check
+        # 7,200 final boards at n=6, k=2, t=6: read through a joint table, the check
         # peaked at about 3.0 MB; as count pairs it holds one player's boards
         # and two histograms, about 0.3 MB
         balanced_strings(6)
@@ -397,16 +405,13 @@ class TestForwardPass:
 
 class TestPosteriorAnswerEntropy:
     def test_no_message_is_uniform(self):
-        joint, _ = enumerate_joint(constant_protocol(4, 1), 4, 1)
-        assert conditional_entropy(joint, "answer", ("messages", "reveals")) == pytest.approx(1.0, abs=TOL)
+        assert verify_chain_entropy_bound(constant_protocol(4, 1), 4, 1).lhs == pytest.approx(1.0, abs=TOL)
 
     def test_trivial_forward_reveals_answer(self):
-        joint, _ = enumerate_joint(trivial_forward_protocol(4, 1), 4, 1)
-        assert conditional_entropy(joint, "answer", ("messages", "reveals")) == pytest.approx(0.0, abs=TOL)
+        assert verify_chain_entropy_bound(trivial_forward_protocol(4, 1), 4, 1).lhs == pytest.approx(0.0, abs=TOL)
 
     def test_truncation_matches_direct_slice_computation(self):
-        joint, _ = enumerate_joint(truncation_protocol(4, 1, 2), 4, 1)
-        value = conditional_entropy(joint, "answer", ("messages", "reveals"))
+        value = verify_chain_entropy_bound(truncation_protocol(4, 1, 2), 4, 1).lhs
         assert 0 < value < 1
 
         # independent recomputation: raw counting over the 24-point support
@@ -428,10 +433,7 @@ class TestPosteriorAnswerEntropy:
         assert value == pytest.approx(expected, abs=TOL)
 
     def test_monotone_in_truncation_length(self):
-        values = [
-            conditional_entropy(enumerate_joint(truncation_protocol(4, 1, t), 4, 1)[0], "answer", ("messages", "reveals"))
-            for t in range(5)
-        ]
+        values = [verify_chain_entropy_bound(truncation_protocol(4, 1, t), 4, 1).lhs for t in range(5)]
         for a, b in zip(values, values[1:]):
             assert b <= a + TOL
 
@@ -485,8 +487,8 @@ class TestChainEntropyBound:
         assert _fano_companion(report) is None
 
     def test_exact_success_via_oracle(self):
-        assert enumerate_joint(truncation_protocol(4, 1, 2), 4, 1)[1] == Fraction(3, 4)
-        assert enumerate_joint(trivial_forward_protocol(4, 2), 4, 2)[1] == 1
+        assert verify_chain_entropy_bound(truncation_protocol(4, 1, 2), 4, 1).details["success"] == Fraction(3, 4)
+        assert verify_chain_entropy_bound(trivial_forward_protocol(4, 2), 4, 2).details["success"] == 1
 
 
 class TestEntropyBoundReport:
@@ -494,8 +496,8 @@ class TestEntropyBoundReport:
 
     def test_three_checks_share_one_detail_schema(self):
         messages = truncation_message_function(4, 1)
-        plain = verify_biased_index_bound(4, 0, messages, 1)
-        aug = verify_aug_biased_index_bound(4, 0, messages, 1)
+        plain = biased_report(4, 0, messages, 1)
+        aug = biased_report(4, 0, messages, 1, aug=True)
         chain = verify_chain_entropy_bound(truncation_protocol(4, 1, 2), 4, 1)
         keys = {"rhs_stated", "stated_pass", "proof_pass", "prior_entropy", "h_messages",
                 "slack_proof", "slack_stated", "vacuous"}
@@ -521,8 +523,7 @@ class TestEntropyBoundReport:
     def test_builder_fails_where_the_bound_bites(self):
         # at n = 64 a one-bit message that fixes the answer leaves lhs 0 below
         # rhs = 1 - (2/64)(1 + 2 log2 64) = 19/32
-        joint = JointTable.from_weights(("answer", "messages"), {(0, 0): 1, (1, 1): 1})
-        lhs, h = conditional_entropy(joint, "answer", ("messages",)), entropy(joint.marginal(("messages",)))
+        lhs, h = binary_slice_entropies({}, Counter([(1, 0), (0, 1)]), (1, 1))
         assert (lhs, h) == (0.0, 1.0)
         report = _entropy_bound_report("hand-built", {"n": 64}, lhs, h, 1.0, 1, 2)
         assert (report.lhs, report.rhs) == (0.0, 0.59375)
@@ -544,13 +545,13 @@ class TestBiasedIndexBound:
     def test_empty_message_leaves_prior_entropy(self):
         messages = truncation_message_function(4, 0)
         for theta in (0, Fraction(1, 6), Fraction(-1, 6)):
-            report = verify_biased_index_bound(4, theta, messages, 0)
+            report = biased_report(4, theta, messages, 0)
             assert report.passed
             assert report.lhs == pytest.approx(report.details["prior_entropy"], abs=TOL)
 
     def test_full_string_message_pins_answer(self):
         messages, s = full_string_message_function(4)
-        report = verify_biased_index_bound(4, 0, messages, s)
+        report = biased_report(4, 0, messages, s)
         assert report.passed
         assert report.lhs == pytest.approx(0.0, abs=TOL)
         assert report.rhs <= 0
@@ -560,15 +561,15 @@ class TestBiasedIndexBound:
             for theta in bias_grid(n):
                 for seed in range(3):
                     messages = random_message_function(n, 2, seed)
-                    report = verify_biased_index_bound(n, theta, messages, 2)
+                    report = biased_report(n, theta, messages, 2)
                     assert report.passed, (n, theta, seed)
 
     def test_off_grid_bias_holds(self):
         # the direct law takes any |theta| <= 1/2, on the grid or off it
-        report = verify_biased_index_bound(4, Fraction(1, 5), truncation_message_function(4, 1), 1)
+        report = biased_report(4, Fraction(1, 5), truncation_message_function(4, 1), 1)
         assert report.passed
         with pytest.raises(InvalidParameterError):
-            verify_biased_index_bound(4, Fraction(3, 5), truncation_message_function(4, 1), 1)
+            biased_report(4, Fraction(3, 5), truncation_message_function(4, 1), 1)
 
     def test_message_function_determinism(self):
         a = random_message_function(4, 2, 9)
@@ -586,13 +587,13 @@ class TestBiasedIndexBound:
 
     def test_budget_checked_before_any_string(self):
         with pytest.raises(ResourceLimitError) as err:
-            verify_biased_index_bound(22, 0, [], 1)
+            biased_report(22, 0, [], 1)
         assert err.value.required == 15_519_504
         assert err.value.budget == DEFAULT_ENUMERATION_BUDGET
 
-    @pytest.mark.parametrize("verify", [verify_biased_index_bound, verify_aug_biased_index_bound])
+    @pytest.mark.parametrize("aug", [False, True], ids=["verify_biased_index_bound", "verify_aug_biased_index_bound"])
     @pytest.mark.parametrize("fault", ["too-few", "too-many", "negative", "too-wide", "not-int"])
-    def test_message_ids_outside_contract_rejected(self, verify, fault):
+    def test_message_ids_outside_contract_rejected(self, aug, fault):
         messages = truncation_message_function(4, 2)
         messages = {
             "too-few": messages[:-1],
@@ -602,7 +603,7 @@ class TestBiasedIndexBound:
             "not-int": [0.5] + messages[1:],
         }[fault]
         with pytest.raises(ProtocolContractError):
-            verify(4, 0, messages, 2)
+            biased_report(4, 0, messages, 2, aug)
 
     def test_suite_builds_no_bitstring(self, monkeypatch):
         balanced_strings(4)
@@ -621,7 +622,7 @@ class TestBiasedIndexBound:
 
 class TestAugBiasedIndexBound:
     def test_empty_message_unbiased_matches_direct_computation(self):
-        report = verify_aug_biased_index_bound(4, 0, truncation_message_function(4, 0), 0)
+        report = biased_report(4, 0, truncation_message_function(4, 0), 0, aug=True)
         assert report.passed
 
         # independent recomputation of H(answer | index, prefix) at theta=0:
@@ -647,7 +648,7 @@ class TestAugBiasedIndexBound:
 
     def test_full_string_message(self):
         messages, s = full_string_message_function(4)
-        report = verify_aug_biased_index_bound(4, Fraction(1, 6), messages, s)
+        report = biased_report(4, Fraction(1, 6), messages, s, aug=True)
         assert report.passed
         assert report.lhs == pytest.approx(0.0, abs=TOL)
 
@@ -655,7 +656,7 @@ class TestAugBiasedIndexBound:
         for theta in bias_grid(4):
             for seed in range(3):
                 messages = random_message_function(4, 2, seed)
-                report = verify_aug_biased_index_bound(4, theta, messages, 2)
+                report = biased_report(4, theta, messages, 2, aug=True)
                 assert report.passed, (theta, seed)
 
 

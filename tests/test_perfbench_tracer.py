@@ -29,6 +29,8 @@ def test_tracer_finds_every_patched_name():
             # chain accounting reads both entropies from final-board count pairs: no table
             "chainlab.oracle.conditional_entropy",
             "chainlab.oracle.entropy",
+            # binary_slice_entropies is the one entropy kernel: no table is marginalised
+            "JointTable.marginal",
         }
     finally:
         tracer.uninstall()

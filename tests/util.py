@@ -1,11 +1,19 @@
 """Shared test helpers: chi-square machinery for empirical distribution
-checks, an instance validator, a zero-communication protocol and a source
-mutator for fault tests."""
+checks, an instance validator, a zero-communication protocol, a source
+mutator for fault tests, the one-theta biased-index check, and the Fraction
+reference for entropies.
+
+The entropy reference normalizes cells to Fraction probabilities, adds
+Fractions for marginals and slice masses, and takes each term as float(p) *
+(log2(den) - log2(num)) on the reduced rational. The package's entropies
+are bit-identical to it, so tests compare with it by float `==`."""
 import __future__
 import inspect
 import math
+from fractions import Fraction
 
 from chainlab.model import BitString, ChainInstance
+from chainlab.oracle import biased_index_bound_reports
 from chainlab.protocols import ProtocolSpec
 
 
@@ -51,3 +59,46 @@ def mutate(monkeypatch, module, name, old, new):
     exec(compile(source.replace(old, new), "<string>", "exec",
                  flags=__future__.annotations.compiler_flag, dont_inherit=True), namespace)
     monkeypatch.setattr(module, name, namespace[name])
+
+
+def biased_report(n, theta, messages, s, aug=False):
+    """The biased-index entropy bound at one theta (augmented if `aug`)."""
+    return biased_index_bound_reports(n, (theta,), messages, s, aug)[0]
+
+
+def ref_cells(weights):
+    total = sum(weights.values())
+    return {k: Fraction(w, total) for k, w in weights.items() if w}
+
+
+def ref_term_bits(p):
+    if p == 0:
+        return 0.0
+    return float(p) * (math.log2(p.denominator) - math.log2(p.numerator))
+
+
+def ref_entropy(cells):
+    return math.fsum(ref_term_bits(p) for p in cells.values())
+
+
+def ref_marginal(cells, pos):
+    out = {}
+    for values, p in cells.items():
+        key = tuple(values[i] for i in pos)
+        out[key] = out.get(key, 0) + p
+    return out
+
+
+def ref_conditional_entropy(cells, target_pos, given_pos):
+    slices = {}
+    for values, p in cells.items():
+        cond = slices.setdefault(tuple(values[i] for i in given_pos), {})
+        v = values[target_pos]
+        cond[v] = cond[v] + p if v in cond else p
+    terms = []
+    for cond in slices.values():
+        weight = sum(cond.values())
+        w = float(weight)
+        for p in cond.values():
+            terms.append(w * ref_term_bits(p / weight))
+    return math.fsum(terms)
