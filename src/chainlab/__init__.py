@@ -17,7 +17,6 @@ from .distributions import (
     bias_grid,
     enumerate_support,
     pmf_biased_index,
-    sample_biased_structured,
 )
 from .info_theory import (
     JointTable,

@@ -1,18 +1,20 @@
-"""The biased index input: its batch sampler and exact probability tables.
+"""The biased index input: its exact probability tables.
 
 The law has two formulations: the direct one (draw the answer bit, then a
 conditioned string/index pair) and the structured one (draw a support set T,
 place the half-weight set inside it, draw the index from T). Both have exact
 (Y, rho) tables, which must coincide, and the package verifies that they do.
-`sample_biased_structured` draws the structured one as arrays from a
-caller-supplied numpy Generator, as `montecarlo.sample_chain_batch` does for
-the chained input.
+`structured_points` is the one enumeration of the structured law: its
+(string, index) table folds it, and the conditional-independence check
+reads its points one pool at a time.
 """
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from typing import Iterator
 
 from .errors import InvalidParameterError, ResourceLimitError
 from .info_theory import JointTable
@@ -67,29 +69,6 @@ def structured_pool_size(n: int, theta) -> int:
     return int(b)
 
 
-def sample_biased_structured(
-    rng: np.random.Generator, count: int, n: int, theta
-) -> tuple[np.ndarray, np.ndarray]:
-    """`count` draws of the structured formulation (grid biases only) as
-    arrays: strings `(count, n)` bool and 1-based indices `(count,)`.
-
-    Each row orders its positions uniformly at random (argsort of uniform
-    keys). The first b positions are the pool, the first n/2 the chosen
-    half-set, which takes the biased value (1 for theta >= 0, 0 for
-    theta < 0) while all others take the opposite one, and the index is the
-    position at a uniform rank in [0, b).
-    """
-    import numpy as np
-
-    theta = Fraction(theta)
-    b = structured_pool_size(n, theta)
-    order = np.argsort(rng.random((count, n)), axis=1)
-    strings = np.full((count, n), theta < 0)
-    np.put_along_axis(strings, order[:, : n // 2], theta >= 0, axis=1)
-    indices = np.take_along_axis(order, rng.integers(0, b, size=(count, 1)), axis=1)[:, 0] + 1
-    return strings, indices
-
-
 def pmf_biased_index(n: int, theta, y: BalancedString, rho: int) -> Fraction:
     """Exact probability of (y, rho) under the biased index input distribution."""
     theta = bias(theta)
@@ -111,24 +90,21 @@ def cell_weights(theta: Fraction) -> tuple[int, int]:
     return q - 2 * p, q + 2 * p
 
 
-def _direct_table(n: int, theta: Fraction) -> dict[tuple[BalancedString, int], int]:
-    weight_of_bit = cell_weights(theta)
-    return {(y, rho): weight_of_bit[w] for y in balanced_strings(n) for rho, w in enumerate(y.bits, 1)}
-
-
-def _structured_table(n: int, theta: Fraction) -> dict[tuple[BalancedString, int], int]:
-    """Positions in the chosen half-set take the biased value (1 for
-    theta >= 0, 0 for theta < 0), all others the opposite one."""
+def structured_points(n: int, theta) -> Iterator[tuple[tuple[int, ...], BalancedString, int]]:
+    """Every (pool, string, index) point of the structured formulation, each
+    of weight 1 and grouped by pool: the pool is a b-set of positions, its
+    chosen half-set takes the biased value (1 for theta >= 0, 0 for
+    theta < 0) and all other positions the opposite one, and the index is
+    any position of the pool. The point count is checked against the budget
+    before the first point."""
     b = structured_pool_size(n, theta)
+    check_budget("structured enumeration", math.comb(n, b) * math.comb(b, n // 2) * b, "points")
     inside = 1 if theta >= 0 else 0
-    weights: dict[tuple[BalancedString, int], int] = {}
     for pool in combinations(range(1, n + 1), b):
         for chosen in map(set, combinations(pool, n // 2)):
             y = BalancedString(tuple(inside if i in chosen else 1 - inside for i in range(1, n + 1)))
             for rho in pool:
-                key = (y, rho)
-                weights[key] = weights.get(key, 0) + 1
-    return weights
+                yield pool, y, rho
 
 
 def enumerate_support(
@@ -141,14 +117,12 @@ def enumerate_support(
         raise InvalidParameterError(f"n must be even and >= 2, got {n}")
     theta = bias(theta)
     if variant == "direct":
-        required = math.comb(n, n // 2) * n
-        build = _direct_table
+        check_budget("direct enumeration", math.comb(n, n // 2) * n, "points")
+        weight_of_bit = cell_weights(theta)
+        weights = {(y, rho): weight_of_bit[w] for y in balanced_strings(n) for rho, w in enumerate(y.bits, 1)}
     elif variant == "structured":
-        b = structured_pool_size(n, theta)
-        required = math.comb(n, b) * math.comb(b, n // 2) * b
-        build = _structured_table
+        weights = Counter((y, rho) for _, y, rho in structured_points(n, theta))
     else:
         raise InvalidParameterError(f"variant must be 'direct' or 'structured', got {variant!r}")
-    check_budget(f"{variant} enumeration", required, "points")
-    return JointTable.from_weights(("string", "index"), build(n, theta))
+    return JointTable.from_weights(("string", "index"), weights)
 

@@ -12,6 +12,7 @@ import inspect
 import io
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
 from functools import partial
@@ -20,7 +21,7 @@ from typing import Any, Callable, Mapping, Sequence
 from ._version import __version__
 from .distributions import bias_grid, check_budget, enumerate_support, pmf_biased_index, structured_pool_size
 from .model import balanced_strings
-from .errors import InvalidParameterError, UsageError
+from .errors import InvalidParameterError, ResourceLimitError, UsageError
 from .info_theory import ENTROPY_TOLERANCE, binomial_anticoncentration, binomial_bound_verdicts
 from .oracle import (
     biased_index_bound_reports,
@@ -395,11 +396,9 @@ def suite_binomial_bounds(max_p: int = 1024, points: int = 100) -> list[Verifica
     return [_sweep_report("binomial-entropy-bounds-sweep", params, summary["corrected_failures"], 0, "exact", summary)]
 
 
-def suite_conditional_independence(
-    ns: Sequence[int] = (4,), trials: int = 20000, seed: int = 0, theta: Fraction | None = None
-) -> list[VerificationReport]:
+def suite_conditional_independence(ns: Sequence[int] = (4,), theta: Fraction | None = None) -> list[VerificationReport]:
     return [
-        verify_conditional_independence(n, t, trials=trials, seed=seed)
+        verify_conditional_independence(n, t)
         for n in ns
         for t in _grid_for(n, theta)
     ]
@@ -507,6 +506,19 @@ def parse_sweep(spec: str) -> tuple[str, list[int]]:
     return name, values
 
 
+def _check_printable(var: str, values: Sequence[int], denominator: Callable[[int], int]) -> None:
+    """Refuse a sweep, before any sum, if a value's exact rational, whose
+    denominator is at most `denominator(value)`, may have more digits than
+    str() prints (sys.get_int_max_str_digits(); 0 means no limit). The values
+    increase, so no denominator past the first one too long is built."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    bound = 10**limit
+    for v in values if limit else ():
+        if denominator(v) >= bound:
+            raise ResourceLimitError(f"{var}={v} gives an exact rational that may exceed the "
+                                     f"{limit}-digit limit for printing an integer")
+
+
 def table_rows(suite: str, sweep: str, theta: Fraction | None = None) -> tuple[list[str], list[list]]:
     """Long-format rows for plot-ready CSV output."""
     var, values = parse_sweep(sweep)
@@ -527,6 +539,7 @@ def table_rows(suite: str, sweep: str, theta: Fraction | None = None) -> tuple[l
     if suite == "majority":
         if var != "B":
             raise UsageError("majority sweeps over B")
+        _check_printable("B", values, lambda b: b << (b + 1))
         columns = ["check", "B", "success_num", "success_den", "success"]
         rows = []
         for b in values:
@@ -536,6 +549,7 @@ def table_rows(suite: str, sweep: str, theta: Fraction | None = None) -> tuple[l
     if suite == "anticoncentration":
         if var != "t":
             raise UsageError("anticoncentration sweeps over t")
+        _check_printable("t", values, lambda t: 1 << t)
         columns = ["check", "t", "c", "probability", "bound", "pass"]
         return columns, [
             [r.check, r.params["t"], str(r.params["c"]), f"{r.lhs.numerator}/{r.lhs.denominator}",

@@ -5,10 +5,10 @@ also produces: support tables are rebuilt from their defining processes,
 protocol success probabilities are enumerated point by point, and entropy
 bounds are evaluated from exact slice count pairs: those of the final
 boards (chain accounting) or bias-free ones weighted per theta (biased
-index). Checks compare in exact rationals wherever both sides are rational
-and use the 1e-9 bit tolerance where a side is an entropy. The one sampled
-check, the structured sampler against its exact table, allows 5 standard
-errors per cell.
+index). Independence of string and index given the pool is read off the
+structured enumeration that the identity check folds, one pool at a time.
+Checks compare in exact rationals or integers wherever both sides are
+rational and use the 1e-9 bit tolerance where a side is an entropy.
 """
 from __future__ import annotations
 
@@ -18,7 +18,8 @@ import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
-from itertools import product
+from itertools import groupby, product
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .distributions import (
@@ -26,7 +27,7 @@ from .distributions import (
     cell_weights,
     check_budget,
     enumerate_support,
-    sample_biased_structured,
+    structured_points,
     structured_pool_size,
 )
 from .errors import InvalidParameterError, ProtocolContractError
@@ -76,51 +77,30 @@ def verify_distribution_identity(n: int, theta) -> VerificationReport:
     )
 
 
-def verify_conditional_independence(n: int, theta, trials: int, seed: int = 0) -> VerificationReport:
-    """Check that the structured sampler draws the structured law, under which
-    string and index are independent given the pool: the (string, index)
-    frequencies of `trials` draws against the exact structured table. The
-    worst cell deviation, in standard errors, must be at most 5, and no draw
-    may fall outside the support.
-
-    n <= 8 is a statistical limit, not a budget: at n=12, 20000 draws put 1.8
-    expected draws in each of 11,088 cells, too few for the 5-SE rule, and a
-    correct sampler fails it on about half of all seeds.
-    """
-    if n > 8:
-        raise InvalidParameterError(f"independence check needs n <= 8, got n={n}: larger n leaves too few "
-                                    "expected draws per cell for the 5-SE rule, which a correct sampler then fails")
-    if trials < 1:
-        raise InvalidParameterError(f"trials must be >= 1, got {trials}")
-    import numpy as np
-
-    theta = Fraction(theta)
-    exact = enumerate_support(n, theta, "structured").entries
-    rng = np.random.default_rng(derive_seed("cond-indep", n, theta, seed))
-    strings, indices = sample_biased_structured(rng, trials, n, theta)
-    # a (string, index) cell as one integer: the string's bits, first most
-    # significant, times n plus the 0-based index
-    cells, counts = np.unique((strings @ (1 << np.arange(n - 1, -1, -1))) * n + indices - 1, return_counts=True)
-    tally = dict(zip(cells.tolist(), counts.tolist()))
-    outside = trials
-    worst = 0.0
-    for (y, rho), p in exact.items():
-        count = tally.get(int(y.text, 2) * n + rho - 1, 0)
-        outside -= count
-        pf = float(p)
-        se = math.sqrt(pf * (1 - pf) / trials)
-        if se:
-            worst = max(worst, abs(count / trials - pf) / se)
+def verify_conditional_independence(n: int, theta) -> VerificationReport:
+    """Exact check that the structured law makes string and index independent
+    given the pool: w(T, y, rho) * w(T) == w(T, y) * w(T, rho) in integers for
+    every pool T and every string y and index rho seen with T. The points of
+    structured_points arrive grouped by pool, so one pool's cells are held at
+    a time."""
+    theta = bias(theta)
+    cells = mismatches = pools = 0
+    for _, points in groupby(structured_points(n, theta), key=itemgetter(0)):
+        pairs = [(y, rho) for _, y, rho in points]
+        joint, strings, indices = Counter(pairs), Counter(y for y, _ in pairs), Counter(rho for _, rho in pairs)
+        pools += 1
+        cells += len(strings) * len(indices)
+        mismatches += sum(joint[y, rho] * len(pairs) != wy * wr for y, wy in strings.items() for rho, wr in indices.items())
     return VerificationReport(
         check="conditional-independence",
-        params={"n": n, "theta": theta, "trials": trials, "seed": seed},
-        lhs=worst,
-        rhs=5,
-        relation="<=",
-        passed=worst <= 5 and outside == 0,
+        params={"n": n, "theta": theta},
+        lhs=f"{mismatches} mismatched cells",
+        rhs="0 mismatched cells",
+        relation="==",
+        passed=mismatches == 0,
         tolerance=0,
-        mode="float",
-        details={"cells": len(exact), "outside_support": outside},
+        mode="exact",
+        details={"cells": cells, "pools": pools},
     )
 
 

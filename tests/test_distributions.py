@@ -1,6 +1,7 @@
 import math
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations, groupby
 
 import numpy as np
 import pytest
@@ -13,9 +14,8 @@ from chainlab import (
     balanced_strings,
     enumerate_support,
     pmf_biased_index,
-    sample_biased_structured,
 )
-from chainlab.distributions import DEFAULT_ENUMERATION_BUDGET
+from chainlab.distributions import DEFAULT_ENUMERATION_BUDGET, structured_points, structured_pool_size
 from chainlab.info_theory import total_variation
 from chainlab.montecarlo import chain_instances, sample_chain_batch
 
@@ -123,70 +123,47 @@ class TestSampleChain:
             assert stat <= chi2_quantile(df)
 
 
-class TestSampleBiasedStructured:
-    """The structured sampler, `sample_biased_structured`, as arrays."""
+class TestStructuredPoints:
+    """The one enumeration of the structured law, `structured_points`, and its pool size."""
 
     def test_full_bias_always_one(self):
-        strings, indices = sample_biased_structured(np.random.default_rng(1), 1000, 4, Fraction(1, 2))
-        assert strings[np.arange(1000), indices - 1].all()
+        assert all(y.bit(rho) == 1 for _, y, rho in structured_points(4, Fraction(1, 2)))
 
     def test_full_negative_bias_always_zero(self):
-        strings, indices = sample_biased_structured(np.random.default_rng(2), 1000, 4, Fraction(-1, 2))
-        assert not strings[np.arange(1000), indices - 1].any()
+        assert all(y.bit(rho) == 0 for _, y, rho in structured_points(4, Fraction(-1, 2)))
 
     def test_unbiased_n2_uniform(self):
-        trials = 40000
-        strings, indices = sample_biased_structured(np.random.default_rng(3), trials, 2, 0)
-        counts = Counter(zip(map(bytes, strings), indices.tolist()))
-        assert len(counts) == 4
-        se = math.sqrt(0.25 * 0.75 / trials)
-        for pair in counts:
-            assert abs(counts[pair] / trials - 0.25) <= 5 * se
+        counts = Counter((y.text, rho) for _, y, rho in structured_points(2, 0))
+        assert counts == {("01", 1): 1, ("01", 2): 1, ("10", 1): 1, ("10", 2): 1}
 
     def test_bias_out_of_range(self):
         with pytest.raises(InvalidParameterError):
-            sample_biased_structured(np.random.default_rng(0), 10, 4, Fraction(2, 3))
+            next(structured_points(4, Fraction(2, 3)))
 
     def test_off_grid_error_names_neighbors(self):
         with pytest.raises(InvalidParameterError) as err:
-            sample_biased_structured(np.random.default_rng(0), 10, 4, Fraction(1, 3))
+            structured_pool_size(4, Fraction(1, 3))
         message = str(err.value)
         assert "1/6" in message and "1/2" in message
 
     @pytest.mark.parametrize("n", [5, 0])
     def test_odd_or_too_small_n_rejected(self, n):
         with pytest.raises(InvalidParameterError):
-            sample_biased_structured(np.random.default_rng(0), 10, n, 0)
+            next(structured_points(n, 0))
 
-    def test_sample_shape_invariants(self):
-        rng = np.random.default_rng(4)
+    def test_point_invariants(self):
         for n in (2, 4, 6, 8):
             for theta in bias_grid(n):
-                strings, indices = sample_biased_structured(rng, 50, n, theta)
-                assert strings.shape == (50, n) and strings.dtype == bool
-                assert indices.shape == (50,)
-                assert (strings.sum(axis=1) == n // 2).all()
-                assert ((1 <= indices) & (indices <= n)).all()
+                b = structured_pool_size(n, theta)
+                pools = [pool for pool, _ in groupby(pool for pool, _, _ in structured_points(n, theta))]
+                assert pools == list(combinations(range(1, n + 1), b))  # grouped: each pool in one run
+                for pool, y, rho in structured_points(n, theta):
+                    assert y.ones() == n // 2 and rho in pool
 
     def test_unbiased_collapses_to_uniform_index(self):
         # at theta = 0 the pool is every position, so the index is uniform on 1..n
-        trials = 40000
-        _, indices = sample_biased_structured(np.random.default_rng(5), trials, 4, 0)
-        se = math.sqrt(0.25 * 0.75 / trials)
-        for rho in range(1, 5):
-            assert abs((indices == rho).mean() - 0.25) <= 5 * se
-
-    def test_frequencies_match_exact_table(self):
-        theta = Fraction(1, 6)
-        exact = enumerate_support(4, theta, "structured").entries
-        trials = 100000
-        strings, indices = sample_biased_structured(np.random.default_rng(8), trials, 4, theta)
-        counts = Counter(zip(("".join("01"[b] for b in row) for row in strings.tolist()), indices.tolist()))
-        assert sum(counts[(y.text, rho)] for y, rho in exact) == trials
-        for (y, rho), p in exact.items():
-            pf = float(p)
-            se = math.sqrt(pf * (1 - pf) / trials)
-            assert abs(counts[(y.text, rho)] / trials - pf) <= 5 * se
+        counts = Counter(rho for _, _, rho in structured_points(4, 0))
+        assert counts == {rho: 6 for rho in range(1, 5)}
 
 
 class TestEnumerateSupport:

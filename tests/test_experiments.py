@@ -426,6 +426,20 @@ class TestCli:
         assert cli_main(["verify", "--suite", suite, "--n", "22", "--out", str(tmp_path / "report")]) == 3
         assert time.perf_counter() - start < 5
 
+    @pytest.mark.parametrize("suite,sweep", [("anticoncentration", "t=16384..16384:*2"),
+                                             ("majority", "B=16384..16384:*2")])
+    def test_table_past_the_integer_print_limit_exit_three_at_once(self, suite, sweep, tmp_path):
+        # 2^16384 has 4933 digits, past the default limit of 4300 that str(int) prints
+        start = time.perf_counter()
+        assert cli_main(["table", "--suite", suite, "--sweep", sweep, "--out", str(tmp_path / "table")]) == 3
+        assert time.perf_counter() - start < 1
+
+    def test_table_within_the_integer_print_limit_runs(self, tmp_path):
+        out = tmp_path / "table.csv"
+        assert cli_main(["table", "--suite", "anticoncentration", "--sweep", "t=8192..8192:*2",
+                         "--format", "csv", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 5
+
     def test_unexpected_error_exit_four(self, monkeypatch):
         import chainlab.cli as cli_module
 
@@ -480,17 +494,13 @@ class TestCli:
             successes[seed] = mc["details"]["successes"]
         assert successes[0] != successes[5]
 
-    def test_named_independence_suite_reads_its_seed(self, tmp_path):
-        lhs = {}
-        for seed in (1, 2):
-            out = tmp_path / f"independence-{seed}.json"
-            args = ["verify", "--suite", "conditional-independence", "--theta", "1/6", "--seed", str(seed),
-                    "--out", str(out)]
-            assert cli_main(args) == 0
-            (check,) = json.loads(out.read_bytes())["checks"]
-            assert (check["params"]["trials"], check["params"]["seed"]) == (20000, seed)
-            lhs[seed] = check["lhs"]
-        assert lhs[1] != lhs[2]
+    def test_named_independence_suite_takes_no_seed(self, tmp_path):
+        out = tmp_path / "independence.json"
+        for seed in ("3", "-1"):
+            assert cli_main(["verify", "--suite", "conditional-independence", "--seed", seed]) == 2
+        assert cli_main(["verify", "--suite", "conditional-independence", "--theta", "1/6", "--out", str(out)]) == 0
+        (check,) = json.loads(out.read_bytes())["checks"]
+        assert check["params"] == {"n": 4, "theta": "1/6"}
 
     def test_negative_seed_on_majority_verify_exit_two(self):
         assert cli_main(["verify", "--suite", "majority", "--seed", "-1"]) == 2

@@ -31,7 +31,10 @@ def imported_modules(*args):
     ["-c", "import chainlab"],
     ["-c", "import chainlab.cli"],
     ["-m", "chainlab", "verify", "--suite", "chain-entropy"],
-], ids=["import-chainlab", "import-cli", "verify-chain-entropy"])
+    ["-m", "chainlab", "verify", "--suite", "conditional-independence"],
+    ["-m", "chainlab", "verify", "--suite", "distribution-identity"],
+], ids=["import-chainlab", "import-cli", "verify-chain-entropy", "verify-conditional-independence",
+        "verify-distribution-identity"])
 def test_command_loads_neither_numpy_nor_the_process_pool(args):
     modules = imported_modules(*args)
     assert "chainlab" in modules

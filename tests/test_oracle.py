@@ -4,7 +4,6 @@ from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import product
 
-import numpy as np
 import pytest
 
 from chainlab import (
@@ -29,7 +28,7 @@ from chainlab import (
     verify_distribution_identity,
     verify_entropy_given_pool,
 )
-from chainlab.distributions import DEFAULT_ENUMERATION_BUDGET, enumerate_support, structured_pool_size
+from chainlab.distributions import DEFAULT_ENUMERATION_BUDGET, structured_pool_size
 from chainlab.experiments import (
     _fano_companion,
     run_suite,
@@ -112,7 +111,7 @@ class TestDistributionIdentity:
         "for rho in pool[:1]:",
     ], ids=["index-outside-pool", "first-pool-position-only"])
     def test_identity_sees_a_structured_table_fault(self, monkeypatch, new):
-        mutate(monkeypatch, distributions, "_structured_table", "for rho in pool:", new)
+        mutate(monkeypatch, distributions, "structured_points", "for rho in pool:", new)
         for n in (4, 6):
             for theta in bias_grid(n):
                 expected = theta == 0 and new.startswith("for rho in range")
@@ -217,42 +216,15 @@ class TestChecksCanFail:
         assert (report.lhs, report.rhs) == (0.5, 0.6875)
         assert report.passed is False
 
-    def test_index_outside_the_pool_fails_conditional_independence(self, monkeypatch):
-        import chainlab.oracle as oracle_module
-
-        # at theta = 1/2 the pool is the chosen half-set, the ones of the
-        # string, so a pair indexed at a zero is outside the exact support;
-        # one draw in 100 is too few to move any support cell by 5 SE
-        real = oracle_module.sample_biased_structured
-
-        def leaky(rng, count, n, theta):
-            strings, indices = real(rng, count, n, theta)
-            indices[::100] = strings[::100].argmin(axis=1) + 1
-            return strings, indices
-
-        monkeypatch.setattr(oracle_module, "sample_biased_structured", leaky)
-        report = verify_conditional_independence(4, Fraction(1, 2), trials=20000, seed=1)
-        assert report.lhs < 5
-        assert report.details["outside_support"] == 200
-        assert report.passed is False
-
-    def test_index_always_lowest_in_pool_fails_conditional_independence(self, monkeypatch):
-        import chainlab.oracle as oracle_module
-
-        # the structured draw with the index fixed at the lowest pool
-        # position: every draw stays inside the support, but the index is no
-        # longer uniform on the pool, so the law is wrong
-        def lowest(rng, count, n, theta):
-            order = np.argsort(rng.random((count, n)), axis=1)
-            strings = np.zeros((count, n), dtype=bool)
-            np.put_along_axis(strings, order[:, : n // 2], True, axis=1)  # theta > 0: the chosen are ones
-            return strings, order[:, : structured_pool_size(n, theta)].min(axis=1) + 1
-
-        monkeypatch.setattr(oracle_module, "sample_biased_structured", lowest)
-        report = verify_conditional_independence(4, Fraction(1, 6), trials=20000, seed=1)
-        assert report.details["outside_support"] == 0
-        assert report.lhs > 5
-        assert report.passed is False
+    def test_index_from_the_chosen_half_set_fails_conditional_independence(self, monkeypatch):
+        # the index drawn from the chosen half-set, not the pool: it then reads
+        # the biased value everywhere, so given the pool it depends on the
+        # string, except at theta = +-1/2, where the pool is the half-set
+        mutate(monkeypatch, distributions, "structured_points", "for rho in pool:", "for rho in sorted(chosen):")
+        monkeypatch.setattr(oracle, "structured_points", distributions.structured_points)
+        for n in (4, 6):
+            for theta in bias_grid(n):
+                assert verify_conditional_independence(n, theta).passed is (abs(theta) == Fraction(1, 2)), (n, theta)
 
     def test_no_advantage_fails_majority_advantage_floor(self, monkeypatch):
         import chainlab.experiments as experiments_module
@@ -763,20 +735,20 @@ class TestMajorityOracles:
 
 
 class TestConditionalIndependence:
-    @pytest.mark.parametrize("theta", [0, Fraction(1, 2), Fraction(1, 6), Fraction(-1, 6)])
-    def test_sampled_law_matches_the_support(self, theta):
-        report = verify_conditional_independence(4, theta, trials=20000, seed=2)
-        assert (report.rhs, report.relation, report.mode) == (5, "<=", "float")
-        assert report.lhs <= 5
-        assert report.details == {"cells": len(enumerate_support(4, theta, "structured").entries),
-                                  "outside_support": 0}
-        assert report.passed
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_holds_at_every_grid_bias(self, n):
+        for theta in bias_grid(n):
+            report = verify_conditional_independence(n, theta)
+            b = structured_pool_size(n, theta)
+            assert (report.lhs, report.rhs, report.relation) == ("0 mismatched cells", "0 mismatched cells", "==")
+            assert (report.mode, report.tolerance) == ("exact", 0)
+            # every pool sees C(b, n/2) strings and b indices
+            assert report.details == {"cells": math.comb(n, b) * math.comb(b, n // 2) * b, "pools": math.comb(n, b)}
+            assert report.passed
 
-    def test_with_empirical_check(self):
-        report = verify_conditional_independence(4, Fraction(1, 6), trials=30000, seed=1)
-        assert report.passed
-        assert report.details["outside_support"] == 0
-
-    def test_no_trials_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            verify_conditional_independence(4, 0, trials=0)
+    def test_size_bounded_by_the_budget(self, monkeypatch):
+        monkeypatch.setattr(distributions, "BalancedString", lambda bits: pytest.fail("a point was made"))
+        # theta = 1/6 at n = 16 needs 10,810,800 structured points
+        with pytest.raises(ResourceLimitError) as err:
+            verify_conditional_independence(16, Fraction(1, 6))
+        assert err.value.required == 10_810_800
