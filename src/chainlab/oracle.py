@@ -80,17 +80,19 @@ def verify_distribution_identity(n: int, theta) -> VerificationReport:
 def verify_conditional_independence(n: int, theta) -> VerificationReport:
     """Exact check that the structured law makes string and index independent
     given the pool: w(T, y, rho) * w(T) == w(T, y) * w(T, rho) in integers for
-    every pool T and every string y and index rho seen with T. The points of
-    structured_points arrive grouped by pool, so one pool's cells are held at
-    a time."""
+    every pool T and every string y and index rho seen with T, and that the
+    index is uniform on the pool: w(T, rho) * |T| == w(T) for rho in T and
+    w(T, rho) == 0 outside it. The points of structured_points arrive grouped
+    by pool, so one pool's cells are held at a time."""
     theta = bias(theta)
     cells = mismatches = pools = 0
-    for _, points in groupby(structured_points(n, theta), key=itemgetter(0)):
+    for pool, points in groupby(structured_points(n, theta), key=itemgetter(0)):
         pairs = [(y, rho) for _, y, rho in points]
         joint, strings, indices = Counter(pairs), Counter(y for y, _ in pairs), Counter(rho for _, rho in pairs)
         pools += 1
         cells += len(strings) * len(indices)
         mismatches += sum(joint[y, rho] * len(pairs) != wy * wr for y, wy in strings.items() for rho, wr in indices.items())
+        mismatches += sum(indices[rho] * len(pool) != len(pairs) * (rho in pool) for rho in indices.keys() | set(pool))
     return VerificationReport(
         check="conditional-independence",
         params={"n": n, "theta": theta},

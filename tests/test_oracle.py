@@ -28,7 +28,7 @@ from chainlab import (
     verify_distribution_identity,
     verify_entropy_given_pool,
 )
-from chainlab.distributions import DEFAULT_ENUMERATION_BUDGET, structured_pool_size
+from chainlab.distributions import DEFAULT_ENUMERATION_BUDGET, enumerate_support, structured_pool_size
 from chainlab.experiments import (
     _fano_companion,
     run_suite,
@@ -225,6 +225,29 @@ class TestChecksCanFail:
         for n in (4, 6):
             for theta in bias_grid(n):
                 assert verify_conditional_independence(n, theta).passed is (abs(theta) == Fraction(1, 2)), (n, theta)
+
+    def test_index_outside_the_pool_fails_conditional_independence(self, monkeypatch):
+        # every position indexed, in the pool or not: given the pool the index
+        # is still independent of the string, but it leaves the pool at every
+        # theta != 0 (at theta = 0 the pool is every position)
+        mutate(monkeypatch, distributions, "structured_points", "for rho in pool:", "for rho in range(1, n + 1):")
+        monkeypatch.setattr(oracle, "structured_points", distributions.structured_points)
+        for n in (4, 6):
+            for theta in bias_grid(n):
+                assert verify_conditional_independence(n, theta).passed is (theta == 0), (n, theta)
+
+    def test_index_always_lowest_in_pool_fails_conditional_independence(self, monkeypatch):
+        # the index fixed at the pool's lowest position: independent of the
+        # string given the pool, but no longer uniform on the pool
+        mutate(monkeypatch, distributions, "structured_points", "for rho in pool:", "for rho in pool[:1]:")
+        monkeypatch.setattr(oracle, "structured_points", distributions.structured_points)
+        for n in (4, 6):
+            for theta in bias_grid(n):
+                b = structured_pool_size(n, theta)
+                report = verify_conditional_independence(n, theta)
+                # each pool's b index cells are off 1/b: the lowest holds all the weight
+                assert report.lhs == f"{math.comb(n, b) * b} mismatched cells", (n, theta)
+                assert report.passed is False, (n, theta)
 
     def test_no_advantage_fails_majority_advantage_floor(self, monkeypatch):
         import chainlab.experiments as experiments_module
@@ -735,6 +758,30 @@ class TestMajorityOracles:
 
 
 class TestConditionalIndependence:
+    @pytest.mark.parametrize("theta", [0, Fraction(1, 2), Fraction(1, 6), Fraction(-1, 6)])
+    def test_sampled_law_matches_the_support(self, theta):
+        # the (string, index) pairs of the points the check reads are exactly
+        # the cells of positive weight of the direct table
+        support = set(enumerate_support(4, theta, "direct").weights)
+        assert {(y, rho) for _, y, rho in distributions.structured_points(4, theta)} == support
+        assert verify_conditional_independence(4, theta).passed
+
+    def test_with_empirical_check(self):
+        # a second route in rationals: from the points' frequencies given each
+        # pool, P(y, rho | T) = P(y | T) P(rho | T) and P(rho | T) = 1/|T|
+        by_pool = defaultdict(list)
+        for pool, y, rho in distributions.structured_points(4, Fraction(1, 6)):
+            by_pool[pool].append((y, rho))
+        for pool, pairs in by_pool.items():
+            joint = {cell: Fraction(w, len(pairs)) for cell, w in Counter(pairs).items()}
+            strings = ref_marginal(joint, (0,))
+            indices = ref_marginal(joint, (1,))
+            assert indices == {(rho,): Fraction(1, len(pool)) for rho in pool}
+            for (y,), py in strings.items():
+                for (rho,), pr in indices.items():
+                    assert joint.get((y, rho), 0) == py * pr
+        assert verify_conditional_independence(4, Fraction(1, 6)).passed
+
     @pytest.mark.parametrize("n", [2, 4, 6, 8])
     def test_holds_at_every_grid_bias(self, n):
         for theta in bias_grid(n):
