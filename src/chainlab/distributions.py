@@ -90,6 +90,14 @@ def cell_weights(theta: Fraction) -> tuple[int, int]:
     return q - 2 * p, q + 2 * p
 
 
+def check_structured_budget(n: int, theta) -> int:
+    """The pool size of (n, theta), once the structured enumeration's point
+    count, C(n, b) * C(b, n/2) * b, is checked against the budget."""
+    b = structured_pool_size(n, theta)
+    check_budget("structured enumeration", math.comb(n, b) * math.comb(b, n // 2) * b, "points")
+    return b
+
+
 def structured_points(n: int, theta) -> Iterator[tuple[tuple[int, ...], BalancedString, int]]:
     """Every (pool, string, index) point of the structured formulation, each
     of weight 1 and grouped by pool: the pool is a b-set of positions, its
@@ -97,8 +105,7 @@ def structured_points(n: int, theta) -> Iterator[tuple[tuple[int, ...], Balanced
     theta < 0) and all other positions the opposite one, and the index is
     any position of the pool. The point count is checked against the budget
     before the first point."""
-    b = structured_pool_size(n, theta)
-    check_budget("structured enumeration", math.comb(n, b) * math.comb(b, n // 2) * b, "points")
+    b = check_structured_budget(n, theta)
     inside = 1 if theta >= 0 else 0
     for pool in combinations(range(1, n + 1), b):
         for chosen in map(set, combinations(pool, n // 2)):

@@ -19,7 +19,14 @@ from functools import partial
 from typing import Any, Callable, Mapping, Sequence
 
 from ._version import __version__
-from .distributions import bias_grid, check_budget, enumerate_support, pmf_biased_index, structured_pool_size
+from .distributions import (
+    bias_grid,
+    check_budget,
+    check_structured_budget,
+    enumerate_support,
+    pmf_biased_index,
+    structured_pool_size,
+)
 from .model import balanced_strings
 from .errors import InvalidParameterError, ResourceLimitError, UsageError
 from .info_theory import ENTROPY_TOLERANCE, binomial_anticoncentration, binomial_bound_verdicts
@@ -143,12 +150,17 @@ def _grid_for(n: int, theta: Fraction | None) -> list[Fraction]:
     return [theta]
 
 
+def _structured_grid(ns: Sequence[int], theta: Fraction | None) -> list[tuple[int, Fraction]]:
+    """Every (n, theta) of a suite that enumerates the structured law, each
+    point count checked against the budget before the first enumeration."""
+    grid = [(n, t) for n in ns for t in _grid_for(n, theta)]
+    for n, t in grid:
+        check_structured_budget(n, t)
+    return grid
+
+
 def suite_distribution_identity(ns: Sequence[int] = (2, 4, 6, 8), theta: Fraction | None = None) -> list[VerificationReport]:
-    return [
-        verify_distribution_identity(n, t)
-        for n in ns
-        for t in _grid_for(n, theta)
-    ]
+    return [verify_distribution_identity(n, t) for n, t in _structured_grid(ns, theta)]
 
 
 def suite_pmf(ns: Sequence[int] = (2, 4, 6, 8), theta: Fraction | None = None) -> list[VerificationReport]:
@@ -397,11 +409,7 @@ def suite_binomial_bounds(max_p: int = 1024, points: int = 100) -> list[Verifica
 
 
 def suite_conditional_independence(ns: Sequence[int] = (4,), theta: Fraction | None = None) -> list[VerificationReport]:
-    return [
-        verify_conditional_independence(n, t)
-        for n in ns
-        for t in _grid_for(n, theta)
-    ]
+    return [verify_conditional_independence(n, t) for n, t in _structured_grid(ns, theta)]
 
 
 SuiteFn = Callable[..., list[VerificationReport]]

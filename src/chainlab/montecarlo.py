@@ -12,12 +12,15 @@ indices, strings as bits) in chunks of about CHUNK_CELLS string bits, in
 order, which bounds memory whatever the batch size, and decodes each chunk
 with the kernel of the protocol's simulator tag (`ProtocolSpec.simulator`):
 
-- "truncation" and "sampled-bits": numpy kernels that decode in the order
-  the scalar protocol does, reading from the strings only the indexed cell
-  of the player the decoder reads.
-- none: `engine_kernel` runs the engine on each row, in the calling process
-  (protocol functions are closures and cannot be pickled). It is the
-  reference the numpy kernels are tested against.
+- "truncation" and "sampled-bits": numpy kernels that read answers, indices
+  and their own keys, never strings. Their decoders read a string only at
+  its index, and that bit is the answer, so a chunk draws its answers and
+  indices as `sample_chain_batch` does and then skips its string keys in
+  the stream (`_skip_outputs`, PCG64's jump-ahead): every draw, count and
+  final generator state is the string path's.
+- none: `engine_kernel` runs the engine on each row of sampled strings, in
+  the calling process (protocol functions are closures and cannot be
+  pickled). It is the reference the numpy kernels are tested against.
 - "majority" (chained-majority with B <= 64): `_majority_batch` draws the
   protocol's reduced form, without strings: one raw 64-bit output per block
   word, read at bit 0, drawn and decoded a pass of MAJORITY_CELLS (trial,
@@ -101,6 +104,24 @@ def _lowest(keys: np.ndarray, size: int) -> np.ndarray:
     return mask
 
 
+def _answers_and_indices(rng: np.random.Generator, count: int, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first two draws of `sample_chain_batch`: answer bits `(count,)`
+    and 1-based indices `(count, k)`."""
+    return rng.integers(0, 2, size=count), rng.integers(1, n + 1, size=(count, k))
+
+
+def _skip_outputs(rng: np.random.Generator, count: int) -> None:
+    """Move `rng` past `count` 64-bit outputs, as `rng.random(count)` does.
+    `advance` also clears the buffered 32-bit half-word, which the next
+    32-bit draw would serve when one is pending and which `random` leaves in
+    place, so the buffer is put back."""
+    bit_generator = rng.bit_generator
+    state = bit_generator.state
+    bit_generator.advance(count)
+    state["state"] = bit_generator.state["state"]
+    bit_generator.state = state
+
+
 def sample_chain_batch(
     rng: np.random.Generator, count: int, n: int, k: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -117,66 +138,44 @@ def sample_chain_batch(
     """
     import numpy as np
 
-    answer = rng.integers(0, 2, size=count)
-    sigma = rng.integers(1, n + 1, size=(count, k))
+    answer, sigma = _answers_and_indices(rng, count, n, k)
     keys = rng.random((count, k, n))
     keys[np.arange(count)[:, None], np.arange(k), sigma - 1] = np.where(answer, -1.0, 2.0)[:, None]
     return answer, sigma, _lowest(keys, n // 2)
 
 
-def _first_readable(readable: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per trial, whether any instance is readable and the 0-based player the
-    decoder reads: instance k first, then 1..k-1 (player k-1 when none is)."""
-    import numpy as np
-
-    k = readable.shape[1]
-    order = np.concatenate((readable[:, -1:], readable[:, :-1]), axis=1)
-    return order.any(axis=1), (order.argmax(axis=1) - 1) % k
-
-
-def truncation_kernel(rng: np.random.Generator, strings: np.ndarray, sigma: np.ndarray, t: int) -> np.ndarray:
+def truncation_kernel(rng: np.random.Generator, answer: np.ndarray, sigma: np.ndarray, n: int, t: int) -> np.ndarray:
     """Decoder outputs of `truncation_protocol` on a batch: every player sends
-    its first t bits; the decoder reads the first index inside a sent prefix,
-    else outputs 0. Draws nothing from `rng`."""
+    its first t bits, and the decoder reads the indexed bit of a player whose
+    index is inside its sent prefix, which is the answer, else outputs 0.
+    Draws nothing from `rng`; like every kernel it takes n, unused here."""
     import numpy as np
 
-    count = len(sigma)
-    if t == 0:
-        return np.zeros(count, dtype=np.int64)
-    hit, player = _first_readable(sigma <= t)
-    rows = np.arange(count)
-    messages = strings[..., :t]
-    bit = messages[rows, player, np.minimum(sigma[rows, player], t) - 1]
-    return np.where(hit, bit, 0)
+    return np.where((sigma <= t).any(axis=1), answer, 0)
 
 
-def sampled_bits_kernel(rng: np.random.Generator, strings: np.ndarray, sigma: np.ndarray, m: int) -> np.ndarray:
+def sampled_bits_kernel(rng: np.random.Generator, answer: np.ndarray, sigma: np.ndarray, n: int, m: int) -> np.ndarray:
     """Decoder outputs of `sampled_bits_protocol` on a batch: every (trial,
     player) publishes its bits at the m positions of its lowest keys (`_lowest`
-    of one uniform key per position, drawn from `rng`), in position order; the
-    decoder reads the first index among its player's positions, else one coin
-    per trial, also drawn from `rng`.
+    of one uniform key per position, drawn from `rng`); the decoder reads the
+    indexed bit of a player whose index is published, which is the answer,
+    else one coin per trial, also drawn from `rng`.
 
     The index is published iff fewer than m keys of its row rank below the
     index's key: keys strictly below it, plus keys equal to it at a lower
     position (`_lowest`'s tie rule), counted only when some row holds such a
-    tie. A published index's message bit sits at its rank among the published
-    positions, which is the string's bit at the index, so no message is built."""
+    tie."""
     import numpy as np
 
-    count, k, n = strings.shape
+    count, k = sigma.shape
     keys = rng.random((count, k, n))
     coin = rng.integers(0, 2, size=count)
-    if m == 0:
-        return coin
-    rows = np.arange(count)
-    key = keys[rows[:, None], np.arange(k), sigma - 1][..., None]
+    key = keys[np.arange(count)[:, None], np.arange(k), sigma - 1][..., None]
     rank = (keys < key).sum(axis=-1)
     tied = keys == key
     if np.count_nonzero(tied) != count * k:
         rank += (tied & (np.arange(n) < sigma[..., None] - 1)).sum(axis=-1)
-    hit, player = _first_readable(rank < m)
-    return np.where(hit, strings[rows, player, sigma[rows, player] - 1], coin)
+    return np.where((rank < m).any(axis=1), answer, coin)
 
 
 def _majority_batch(rng: np.random.Generator, count: int, k: int, block_size: int) -> int:
@@ -245,8 +244,9 @@ def engine_kernel(rng: np.random.Generator, strings: np.ndarray, sigma: np.ndarr
                      for inst, shared in zip(chain_instances(strings, sigma), seeds)])
 
 
-# keyed by `ProtocolSpec.simulator`; "majority" draws no instances (`_majority_batch`)
-KERNELS = {None: engine_kernel, "truncation": truncation_kernel, "sampled-bits": sampled_bits_kernel}
+# keyed by `ProtocolSpec.simulator`; None runs `engine_kernel` on sampled strings,
+# and "majority" draws no instances (`_majority_batch`)
+KERNELS = {"truncation": truncation_kernel, "sampled-bits": sampled_bits_kernel}
 
 
 def _batch_successes(tag: str | None, n: int, k: int, params: dict, seed: int, batch_index: int, count: int) -> int:
@@ -254,12 +254,18 @@ def _batch_successes(tag: str | None, n: int, k: int, params: dict, seed: int, b
     rng = _batch_rng(seed, batch_index)
     if tag == "majority":
         return _majority_batch(rng, count, k, int(params["B"]))
-    kernel = KERNELS[tag]
     chunk = max(1, CHUNK_CELLS // (k * n))
     successes = 0
     for start in range(0, count, chunk):
-        answer, sigma, strings = sample_chain_batch(rng, min(chunk, count - start), n, k)
-        successes += int((kernel(rng, strings, sigma, **params) == answer).sum())
+        size = min(chunk, count - start)
+        if tag is None:
+            answer, sigma, strings = sample_chain_batch(rng, size, n, k)
+            outputs = engine_kernel(rng, strings, sigma, **params)
+        else:
+            answer, sigma = _answers_and_indices(rng, size, n, k)
+            _skip_outputs(rng, size * k * n)
+            outputs = KERNELS[tag](rng, answer, sigma, n, **params)
+        successes += int((outputs == answer).sum())
     return successes
 
 

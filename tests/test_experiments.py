@@ -426,6 +426,14 @@ class TestCli:
         assert cli_main(["verify", "--suite", suite, "--n", "22", "--out", str(tmp_path / "report")]) == 3
         assert time.perf_counter() - start < 5
 
+    @pytest.mark.parametrize("suite", ["conditional-independence", "distribution-identity"])
+    def test_structured_grid_over_budget_exit_three_at_once(self, suite, tmp_path):
+        # at n=16, theta = -1/6 needs C(16, 12) * C(12, 8) * 12 = 10,810,800
+        # points: every theta is checked before the feasible ones enumerate
+        start = time.perf_counter()
+        assert cli_main(["verify", "--suite", suite, "--n", "16", "--out", str(tmp_path / "report")]) == 3
+        assert time.perf_counter() - start < 1
+
     @pytest.mark.parametrize("suite,sweep", [("anticoncentration", "t=16384..16384:*2"),
                                              ("majority", "B=16384..16384:*2")])
     def test_table_past_the_integer_print_limit_exit_three_at_once(self, suite, sweep, tmp_path):

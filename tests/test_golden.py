@@ -65,6 +65,21 @@ GOLDEN = {
          "--param", "m=4", "--trials", "20000"],
         "f2963d74757124419947dadac598d517cec2f74ed372c06ae3ed6b4cf506e51c",
     ),
+    # n=64 chunks hold 5 rows. A chunk draws c answers and c * k indices as
+    # 32-bit halves of 64-bit outputs, then skips or draws its string keys; an
+    # odd count leaves a half-word pending across the keys: at k=24 in every
+    # other chunk, and at k=25 for sampled-bits, whose 5 coins per chunk
+    # shift the parity. Digests recorded before the string keys were skipped.
+    "simulate-truncation-odd-chunk": (
+        ["simulate", "--protocol", "truncation", "--n", "64", "--k", "24",
+         "--param", "t=8", "--trials", "500"],
+        "d6ce0e619146e8a81c0305dbd19202e7fa5644dc9d8354f75315ac92fb8ade1d",
+    ),
+    "simulate-sampled-bits-odd-chunk": (
+        ["simulate", "--protocol", "sampled-bits", "--n", "64", "--k", "25",
+         "--param", "m=8", "--trials", "500"],
+        "494fdb347078bb90789e4bf68a85ac027ba7b23990c2303bb097db253d066e4d",
+    ),
     # the engine on sampled batches (B > 64 has no kernel)
     "simulate-generic-chained-majority": (
         ["simulate", "--protocol", "chained-majority", "--n", "128", "--k", "3",

@@ -17,8 +17,14 @@ decoding must miss one or the other somewhere on the grid.
 The string-path reference selects a row's lowest keys by `argpartition` and a
 scatter, and the sampled-bits reference builds every published message and
 finds the decoder's bit by a running count. The threshold sampler and the
-index-only kernel must give the same arrays and outputs and leave the
+answer-reading kernel must give the same arrays and outputs and leave the
 generator in the same state, and a mutant of either comparison must miss.
+
+The truncation and sampled-bits batches never build strings: they skip the
+string keys in the stream. Skipping N outputs must leave the generator as
+`random(N)` does, with or without a pending 32-bit half-word, and a batch
+must give the string path's success count (the sampler plus string-reading
+kernels) and final generator state.
 """
 import math
 from collections import Counter
@@ -33,7 +39,7 @@ from hypothesis import strategies as st
 from chainlab import InvalidParameterError, JointTable, binary_entropy
 from chainlab.info_theory import binary_entropy_ratio
 from chainlab import info_theory, montecarlo
-from chainlab.montecarlo import MAJORITY_CELLS, _batch_rng, _first_readable
+from chainlab.montecarlo import CHUNK_CELLS, MAJORITY_CELLS, _batch_rng
 
 from util import mutate, ref_cells, ref_conditional_entropy, ref_entropy, ref_marginal, ref_term_bits
 
@@ -220,6 +226,25 @@ def ref_sample_chain_batch(rng, count, n, k):
     return answer, sigma, ref_lowest(keys, n // 2)
 
 
+def ref_first_readable(readable):
+    """Per trial, whether any instance is readable and the 0-based player the
+    decoder reads: instance k first, then 1..k-1 (player k-1 when none is)."""
+    k = readable.shape[1]
+    order = np.concatenate((readable[:, -1:], readable[:, :-1]), axis=1)
+    return order.any(axis=1), (order.argmax(axis=1) - 1) % k
+
+
+def ref_truncation_kernel(rng, strings, sigma, t):
+    count = len(sigma)
+    if t == 0:
+        return np.zeros(count, dtype=np.int64)
+    hit, player = ref_first_readable(sigma <= t)
+    rows = np.arange(count)
+    messages = strings[..., :t]
+    bit = messages[rows, player, np.minimum(sigma[rows, player], t) - 1]
+    return np.where(hit, bit, 0)
+
+
 def ref_sampled_bits_kernel(rng, strings, sigma, m):
     count, k, n = strings.shape
     published = ref_lowest(rng.random((count, k, n)), m)
@@ -228,7 +253,7 @@ def ref_sampled_bits_kernel(rng, strings, sigma, m):
         return coin
     rows = np.arange(count)
     messages = strings[published].reshape(count, k, m)
-    hit, player = _first_readable(published[rows[:, None], np.arange(k), sigma - 1])
+    hit, player = ref_first_readable(published[rows[:, None], np.arange(k), sigma - 1])
     slot = published[rows, player].cumsum(axis=-1)[rows, sigma[rows, player] - 1] - 1
     bit = messages[rows, player, np.maximum(slot, 0)]
     return np.where(hit, bit, coin)
@@ -251,9 +276,9 @@ def string_path_miss():
         drawn = montecarlo.sample_chain_batch(rng, count, n, k)
         if not all(map(same, drawn, expected)) or rng.bit_generator.state != ref_rng.bit_generator.state:
             return count, n, k, None
-        _, sigma, strings = expected
+        answer, sigma, strings = expected
         for m in sorted({0, 1, n // 2, n}):
-            outputs = montecarlo.sampled_bits_kernel(rng, strings, sigma, m)
+            outputs = montecarlo.sampled_bits_kernel(rng, answer, sigma, n, m)
             if (not same(outputs, ref_sampled_bits_kernel(ref_rng, strings, sigma, m))
                     or rng.bit_generator.state != ref_rng.bit_generator.state):
                 return count, n, k, m
@@ -272,3 +297,91 @@ def test_string_path_identity_sees_a_strict_threshold(monkeypatch):
 def test_string_path_identity_sees_a_rank_that_counts_equal_keys(monkeypatch):
     mutate(monkeypatch, montecarlo, "sampled_bits_kernel", "(keys < key)", "(keys <= key)")
     assert string_path_miss() is not None
+
+
+def skip_miss():
+    """The first (n, count, pending) where skipping `count` outputs leaves the
+    generator other than `random(count)` does: its state, then its next
+    double, bit and index draws; None when there is none."""
+    for n, count in product((2, 6, 64), (0, 1, 7, 8000)):
+        for pending in (False, True):
+            ref_rng, rng = _batch_rng(n, count), _batch_rng(n, count)
+            for generator in (ref_rng, rng):
+                # an odd number of 32-bit draws leaves a half-word pending
+                generator.integers(0, 2, size=3 if pending else 2)
+            assert ref_rng.bit_generator.state["has_uint32"] == pending
+            ref_rng.random(count)
+            montecarlo._skip_outputs(rng, count)
+            after = [(generator.bit_generator.state, generator.random(), generator.integers(0, 2),
+                      generator.integers(1, n + 1), generator.bit_generator.state) for generator in (ref_rng, rng)]
+            if after[0] != after[1]:
+                return n, count, pending
+    return None
+
+
+def test_skip_leaves_the_generator_as_random_does():
+    assert skip_miss() is None
+
+
+def test_skip_identity_sees_a_plain_advance(monkeypatch):
+    mutate(monkeypatch, montecarlo, "_skip_outputs", "bit_generator.state = state", "pass")
+    assert skip_miss() is not None
+
+
+REF_KERNELS = {"truncation": (ref_truncation_kernel, "t"), "sampled-bits": (ref_sampled_bits_kernel, "m")}
+
+
+def ref_batch_successes(tag, n, k, param, seed, batch_index, count):
+    """The string path: every chunk's strings sampled, then decoded by a
+    string-reading kernel. Returns the count and the final generator state."""
+    rng = _batch_rng(seed, batch_index)
+    kernel = REF_KERNELS[tag][0]
+    chunk = max(1, CHUNK_CELLS // (k * n))
+    successes = 0
+    for start in range(0, count, chunk):
+        answer, sigma, strings = montecarlo.sample_chain_batch(rng, min(chunk, count - start), n, k)
+        successes += int((kernel(rng, strings, sigma, param) == answer).sum())
+    return successes, rng.bit_generator.state
+
+
+# chunk rows c (CHUNK_CELLS // (k * n)) with c odd, c * k odd (n=64, k=25: 5
+# rows, 125 indices), c * (k + 1) odd (n=64, k=24: a half-word pending after
+# the indices of every other chunk), one-row chunks, index draws with
+# rejection (n=6, 10), one ragged last chunk and a single trial
+BATCH_GRID = [(n, k, count) for n, k in ((64, 25), (64, 24), (6, 3), (10, 7), (128, 64), (2, 1))
+              for count in (1, 37, 1001)]
+
+
+def batch_miss(monkeypatch, tags=tuple(REF_KERNELS)):
+    """The first (tag, n, k, count, param) where `_batch_successes` misses the
+    string path's count or final generator state, or None."""
+    made = []
+    monkeypatch.setattr(montecarlo, "_batch_rng", lambda *key: made.append(_batch_rng(*key)) or made[-1])
+    for tag in tags:
+        for n, k, count in BATCH_GRID:
+            for param in sorted({0, 1, n // 2, n}):
+                seed = n + k + param
+                got = montecarlo._batch_successes(tag, n, k, {REF_KERNELS[tag][1]: param}, seed, 2, count)
+                if (got, made[-1].bit_generator.state) != ref_batch_successes(tag, n, k, param, seed, 2, count):
+                    return tag, n, k, count, param
+    return None
+
+
+def test_batches_match_the_string_path(monkeypatch):
+    assert batch_miss(monkeypatch) is None
+
+
+@pytest.mark.parametrize("tag", sorted(REF_KERNELS))
+def test_batch_identity_sees_a_plain_advance(monkeypatch, tag):
+    mutate(monkeypatch, montecarlo, "_skip_outputs", "bit_generator.state = state", "pass")
+    assert batch_miss(monkeypatch, (tag,)) is not None
+
+
+@pytest.mark.parametrize("tag,name,old,new", [
+    ("truncation", "truncation_kernel", "sigma <= t", "sigma < t"),
+    ("sampled-bits", "sampled_bits_kernel", "(rank < m)", "(rank <= m)"),
+], ids=["strict-prefix", "one-extra-published"])
+def test_batch_identity_sees_a_kernel_mutant(monkeypatch, tag, name, old, new):
+    mutate(monkeypatch, montecarlo, name, old, new)
+    monkeypatch.setitem(montecarlo.KERNELS, tag, getattr(montecarlo, name))
+    assert batch_miss(monkeypatch, (tag,)) is not None

@@ -266,15 +266,15 @@ class TestBatchKernels:
             protocol = truncation_protocol(n, k, t)
             expected = [run_chain_protocol(protocol, inst, SharedRandomness(0)).output
                         for inst in chain_instances(strings, sigma)]
-            assert truncation_kernel(rng, strings, sigma, t).tolist() == expected
+            assert truncation_kernel(rng, answer, sigma, n, t).tolist() == expected
 
     @pytest.mark.parametrize("n,k", [(2, 1), (4, 3), (8, 2)])
     def test_sampled_bits_kernel_matches_the_engine_row_by_row(self, n, k):
         rng = np.random.default_rng(10 * n + k)
-        _, sigma, strings = sample_chain_batch(rng, 200, n, k)
+        answer, sigma, strings = sample_chain_batch(rng, 200, n, k)
         for m in sorted({0, 1, n // 2, n}):
             expected = sampled_bits_on_the_engine(rng, strings, sigma, m)
-            assert sampled_bits_kernel(rng, strings, sigma, m).tolist() == expected
+            assert sampled_bits_kernel(rng, answer, sigma, n, m).tolist() == expected
 
     def test_tied_keys_go_to_the_lower_positions(self):
         keys = np.random.default_rng(3).integers(0, 3, size=(40, 3, 8)).astype(float)
@@ -292,15 +292,15 @@ class TestBatchKernels:
             assert (np.take_along_axis(strings, sigma[..., None] - 1, axis=-1)[..., 0] == answer[:, None]).all()
             for m in range(n + 1):
                 expected = sampled_bits_on_the_engine(rng, strings, sigma, m)
-                assert sampled_bits_kernel(rng, strings, sigma, m).tolist() == expected
+                assert sampled_bits_kernel(rng, answer, sigma, n, m).tolist() == expected
 
     def test_sampled_bits_kernel_extremes_match_the_closed_form(self):
         # success = 1/2 + (1/2)(1 - (1 - m/n)^k): 1 at m=n, 1/2 at m=0
         count = 40000
         rng = np.random.default_rng(6)
-        answer, sigma, strings = sample_chain_batch(rng, count, 8, 2)
-        assert (sampled_bits_kernel(rng, strings, sigma, 8) == answer).all()
-        right = int((sampled_bits_kernel(rng, strings, sigma, 0) == answer).sum())
+        answer, sigma, _ = sample_chain_batch(rng, count, 8, 2)
+        assert (sampled_bits_kernel(rng, answer, sigma, 8, 8) == answer).all()
+        right = int((sampled_bits_kernel(rng, answer, sigma, 8, 0) == answer).sum())
         assert within_5se(right / count, 0.5, count)
 
     def test_majority_batch_peak_memory(self):
