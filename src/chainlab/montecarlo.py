@@ -12,12 +12,17 @@ indices, strings as bits) in chunks of about CHUNK_CELLS string bits, in
 order, which bounds memory whatever the batch size, and decodes each chunk
 with the kernel of the protocol's simulator tag (`ProtocolSpec.simulator`):
 
-- "truncation" and "sampled-bits": numpy kernels that read answers, indices
-  and their own keys, never strings. Their decoders read a string only at
-  its index, and that bit is the answer, so a chunk draws its answers and
-  indices as `sample_chain_batch` does and then skips its string keys in
-  the stream (`_skip_outputs`, PCG64's jump-ahead): every draw, count and
-  final generator state is the string path's.
+- "truncation" and "sampled-bits": numpy kernels that read answers and
+  indices, never strings. Their decoders read a string only at its index,
+  and that bit is the answer, so a chunk draws its answers and indices as
+  `sample_chain_batch` does and then skips its string keys in the stream
+  (`_skip_outputs`, PCG64's jump-ahead). Truncation draws nothing more, so
+  its draws, counts and final generator states are the string path's.
+  Sampled-bits runs in its reduced form: relabel each player's positions so
+  that its uniform m-subset becomes {1..m}, and its index stays uniform and
+  independent of the other players', so the index is published iff it is
+  at most m. A chunk then makes truncation's decision at t = m and draws
+  one fallback coin per trial, and no per-position key.
 - none: `engine_kernel` runs the engine on each row of sampled strings, in
   the calling process (protocol functions are closures and cannot be
   pickled). It is the reference the numpy kernels are tested against.
@@ -26,14 +31,12 @@ with the kernel of the protocol's simulator tag (`ProtocolSpec.simulator`):
   word, read at bit 0, drawn and decoded a pass of MAJORITY_CELLS (trial,
   player) cells at a time, so its memory does not grow with k.
 
-Both string-path stages select by comparing keys, not by sorting them. A
-string's ones are the keys at or below its row's (n/2)-th smallest
-(`_lowest`), and a sampled-bits index is published iff fewer than m keys of
-its row rank below its own. Both break ties alike: of two equal keys, the one
-at the lower position ranks lower. Uniform double keys tie with probability
-about n^2 / 2^54 per row; barring such a tie, the draws, counts and report
-digests are those of the `argpartition` selection and message gather these
-stages replaced.
+The sampler selects by comparing keys, not by sorting them: a string's ones
+are the keys at or below its row's (n/2)-th smallest (`_lowest`), and of two
+equal keys the one at the lower position ranks lower. That tie rule is the
+sampler's alone; no kernel draws keys. Uniform double keys tie with
+probability about n^2 / 2^54 per row; barring such a tie, the draws, counts
+and report digests are those of the `argpartition` selection it replaced.
 
 numpy is imported by the first batch, not by the package: every function
 that uses arrays imports it in its own body, and the process pool's module
@@ -155,27 +158,21 @@ def truncation_kernel(rng: np.random.Generator, answer: np.ndarray, sigma: np.nd
 
 
 def sampled_bits_kernel(rng: np.random.Generator, answer: np.ndarray, sigma: np.ndarray, n: int, m: int) -> np.ndarray:
-    """Decoder outputs of `sampled_bits_protocol` on a batch: every (trial,
-    player) publishes its bits at the m positions of its lowest keys (`_lowest`
-    of one uniform key per position, drawn from `rng`); the decoder reads the
-    indexed bit of a player whose index is published, which is the answer,
-    else one coin per trial, also drawn from `rng`.
+    """Decoder outputs of `sampled_bits_protocol` on a batch, in its reduced
+    form: the decoder reads the indexed bit of a player whose index is
+    published, which is the answer, else one coin per trial, drawn from
+    `rng`; nothing else is drawn.
 
-    The index is published iff fewer than m keys of its row rank below the
-    index's key: keys strictly below it, plus keys equal to it at a lower
-    position (`_lowest`'s tie rule), counted only when some row holds such a
-    tie."""
+    Each player's published set is a uniform m-subset of the positions, drawn
+    independently of the instance. Relabelling a player's positions so that
+    its set becomes {1..m} leaves its index uniform on 1..n, independent of
+    the other players', so the index is published iff it is at most m: the
+    outputs are truncation's at t = m, with the coin in place of 0. Takes n
+    as every kernel does, unused here."""
     import numpy as np
 
-    count, k = sigma.shape
-    keys = rng.random((count, k, n))
-    coin = rng.integers(0, 2, size=count)
-    key = keys[np.arange(count)[:, None], np.arange(k), sigma - 1][..., None]
-    rank = (keys < key).sum(axis=-1)
-    tied = keys == key
-    if np.count_nonzero(tied) != count * k:
-        rank += (tied & (np.arange(n) < sigma[..., None] - 1)).sum(axis=-1)
-    return np.where((rank < m).any(axis=1), answer, coin)
+    coin = rng.integers(0, 2, size=len(sigma))
+    return np.where((sigma <= m).any(axis=1), answer, coin)
 
 
 def _majority_batch(rng: np.random.Generator, count: int, k: int, block_size: int) -> int:

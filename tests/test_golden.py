@@ -63,13 +63,15 @@ GOLDEN = {
     "simulate-sampled-bits": (
         ["simulate", "--protocol", "sampled-bits", "--n", "16", "--k", "4",
          "--param", "m=4", "--trials", "20000"],
-        "f2963d74757124419947dadac598d517cec2f74ed372c06ae3ed6b4cf506e51c",
+        "2101c8b8ebbacc580fed91cf8d6127fad46346a9f1d6d4b96d0cc2e80f4658cb",
     ),
     # n=64 chunks hold 5 rows. A chunk draws c answers and c * k indices as
     # 32-bit halves of 64-bit outputs, then skips or draws its string keys; an
     # odd count leaves a half-word pending across the keys: at k=24 in every
     # other chunk, and at k=25 for sampled-bits, whose 5 coins per chunk
-    # shift the parity. Digests recorded before the string keys were skipped.
+    # shift the parity. The truncation digest was recorded before the string
+    # keys were skipped; sampled-bits was re-recorded when its kernel stopped
+    # drawing per-position keys.
     "simulate-truncation-odd-chunk": (
         ["simulate", "--protocol", "truncation", "--n", "64", "--k", "24",
          "--param", "t=8", "--trials", "500"],
@@ -78,7 +80,7 @@ GOLDEN = {
     "simulate-sampled-bits-odd-chunk": (
         ["simulate", "--protocol", "sampled-bits", "--n", "64", "--k", "25",
          "--param", "m=8", "--trials", "500"],
-        "494fdb347078bb90789e4bf68a85ac027ba7b23990c2303bb097db253d066e4d",
+        "11743cc0c4e4d41cd15ac55269303f20446e5fb25ddf1c417d2246a5ab069f91",
     ),
     # the engine on sampled batches (B > 64 has no kernel)
     "simulate-generic-chained-majority": (

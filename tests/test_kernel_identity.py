@@ -15,16 +15,16 @@ the generator in the same state at any pass size, and each mutant of its
 decoding must miss one or the other somewhere on the grid.
 
 The string-path reference selects a row's lowest keys by `argpartition` and a
-scatter, and the sampled-bits reference builds every published message and
-finds the decoder's bit by a running count. The threshold sampler and the
-answer-reading kernel must give the same arrays and outputs and leave the
-generator in the same state, and a mutant of either comparison must miss.
+scatter. The threshold sampler must give the same arrays and leave the
+generator in the same state, and a mutant of its comparison must miss.
 
 The truncation and sampled-bits batches never build strings: they skip the
 string keys in the stream. Skipping N outputs must leave the generator as
 `random(N)` does, with or without a pending 32-bit half-word, and a batch
 must give the string path's success count (the sampler plus string-reading
-kernels) and final generator state.
+kernels) and final generator state. The sampled-bits reference reads the
+strings as truncation's does at t = m, the published sets all relabelled to
+{1..m}, and falls back on one coin per trial.
 """
 import math
 from collections import Counter
@@ -246,17 +246,11 @@ def ref_truncation_kernel(rng, strings, sigma, t):
 
 
 def ref_sampled_bits_kernel(rng, strings, sigma, m):
-    count, k, n = strings.shape
-    published = ref_lowest(rng.random((count, k, n)), m)
-    coin = rng.integers(0, 2, size=count)
-    if m == 0:
-        return coin
-    rows = np.arange(count)
-    messages = strings[published].reshape(count, k, m)
-    hit, player = ref_first_readable(published[rows[:, None], np.arange(k), sigma - 1])
-    slot = published[rows, player].cumsum(axis=-1)[rows, sigma[rows, player] - 1] - 1
-    bit = messages[rows, player, np.maximum(slot, 0)]
-    return np.where(hit, bit, coin)
+    """Every published set {1..m}: the truncation reference at t = m where it
+    reads a string, else one coin per trial."""
+    coin = rng.integers(0, 2, size=len(sigma))
+    hit, _ = ref_first_readable(sigma <= m)
+    return np.where(hit, ref_truncation_kernel(rng, strings, sigma, m), coin)
 
 
 STRING_GRID = [(count, n, k) for n in range(2, 129, 2) for k in (1, 2, 3, 25) for count in (1, 5, 37, 300)]
@@ -267,21 +261,14 @@ def same(got, expected):
 
 
 def string_path_miss():
-    """The first grid cell, (count, n, k, m) with m None for the sampler,
-    where the sampler or the sampled-bits kernel misses the reference's
-    arrays, outputs or final generator state; None when there is none."""
+    """The first grid cell (count, n, k) where the sampler misses the
+    reference's arrays or final generator state; None when there is none."""
     for count, n, k in STRING_GRID:
         ref_rng, rng = _batch_rng(n, k), _batch_rng(n, k)
         expected = ref_sample_chain_batch(ref_rng, count, n, k)
         drawn = montecarlo.sample_chain_batch(rng, count, n, k)
         if not all(map(same, drawn, expected)) or rng.bit_generator.state != ref_rng.bit_generator.state:
-            return count, n, k, None
-        answer, sigma, strings = expected
-        for m in sorted({0, 1, n // 2, n}):
-            outputs = montecarlo.sampled_bits_kernel(rng, answer, sigma, n, m)
-            if (not same(outputs, ref_sampled_bits_kernel(ref_rng, strings, sigma, m))
-                    or rng.bit_generator.state != ref_rng.bit_generator.state):
-                return count, n, k, m
+            return count, n, k
     return None
 
 
@@ -291,11 +278,6 @@ def test_string_path_matches_argpartition_and_scatter():
 
 def test_string_path_identity_sees_a_strict_threshold(monkeypatch):
     mutate(monkeypatch, montecarlo, "_lowest", "keys <= np.partition", "keys < np.partition")
-    assert string_path_miss() is not None
-
-
-def test_string_path_identity_sees_a_rank_that_counts_equal_keys(monkeypatch):
-    mutate(monkeypatch, montecarlo, "sampled_bits_kernel", "(keys < key)", "(keys <= key)")
     assert string_path_miss() is not None
 
 
@@ -379,7 +361,7 @@ def test_batch_identity_sees_a_plain_advance(monkeypatch, tag):
 
 @pytest.mark.parametrize("tag,name,old,new", [
     ("truncation", "truncation_kernel", "sigma <= t", "sigma < t"),
-    ("sampled-bits", "sampled_bits_kernel", "(rank < m)", "(rank <= m)"),
+    ("sampled-bits", "sampled_bits_kernel", "(sigma <= m)", "(sigma <= m + 1)"),
 ], ids=["strict-prefix", "one-extra-published"])
 def test_batch_identity_sees_a_kernel_mutant(monkeypatch, tag, name, old, new):
     mutate(monkeypatch, montecarlo, name, old, new)

@@ -7,6 +7,7 @@ import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
@@ -38,9 +39,10 @@ from chainlab.montecarlo import (
     sampled_bits_kernel,
     truncation_kernel,
 )
+from chainlab.model import ChainInstance, balanced_strings
 from chainlab.protocols import SharedRandomness, run_chain_protocol
 
-from util import constant_protocol
+from util import constant_protocol, mutate
 
 
 def within_5se(estimate: float, exact: float, trials: int) -> bool:
@@ -196,8 +198,9 @@ class TestAgainstExactOracles:
 
 
 class PublishedPositions(SharedRandomness):
-    """Shared randomness that hands sampled-bits the positions and the coin a
-    batch kernel drew, so the engine runs on the kernel's randomness."""
+    """Shared randomness that hands sampled-bits the given published sets
+    (one bool row of positions per player) and fallback coin, so the engine
+    runs on chosen randomness."""
 
     def __init__(self, published, coin):
         object.__setattr__(self, "published", published)
@@ -205,6 +208,7 @@ class PublishedPositions(SharedRandomness):
 
     def positions(self, label, count, n):
         row = self.published[int(label.rsplit("/", 1)[1]) - 1]
+        assert len(row) == n and np.count_nonzero(row) == count
         return tuple(int(p) + 1 for p in np.flatnonzero(row))
 
     def coin(self, label):
@@ -226,16 +230,58 @@ class TiedKeys:
         return self.rng.integers(*args, **kwargs)
 
 
+class Coins:
+    """A generator whose only draw is the given array of coins."""
+
+    def __init__(self, coins):
+        self.coins = coins
+
+    def integers(self, low, high, size):
+        assert (low, high, size) == (0, 2, len(self.coins))
+        return self.coins
+
+
+def first_positions(k, n, m):
+    """Every player's published set fixed to {1..m}, as the shim's rows."""
+    return np.broadcast_to(np.arange(n) < m, (k, n))
+
+
 def sampled_bits_on_the_engine(rng, strings, sigma, m):
-    """`sampled_bits_protocol` on the engine, row by row, on the published
-    positions and coins that `sampled_bits_kernel` draws next from `rng`."""
+    """`sampled_bits_protocol` on the engine, row by row, with every
+    published set {1..m} and the coins that `sampled_bits_kernel` draws next
+    from `rng`."""
     _, k, n = strings.shape
-    replay = copy.deepcopy(rng)
-    published = _lowest(replay.random(strings.shape), m)
-    coins = replay.integers(0, 2, size=len(sigma))
+    coins = copy.deepcopy(rng).integers(0, 2, size=len(sigma))
+    protocol, published = sampled_bits_protocol(n, k, m), first_positions(k, n, m)
+    return [run_chain_protocol(protocol, inst, PublishedPositions(published, coin)).output
+            for inst, coin in zip(chain_instances(strings, sigma), coins)]
+
+
+def sampled_bits_success(n, k, m, choices):
+    """Exact success of `sampled_bits_protocol` on the engine: uniform over
+    every chain instance, every tuple of published sets in `choices` and the
+    fallback coin."""
     protocol = sampled_bits_protocol(n, k, m)
-    return [run_chain_protocol(protocol, inst, PublishedPositions(pub, coin)).output
-            for inst, pub, coin in zip(chain_instances(strings, sigma), published, coins)]
+    instances = [ChainInstance(n, k, strings, sigma, z)
+                 for z in (0, 1) for sigma in product(range(1, n + 1), repeat=k)
+                 for strings in product(*([y for y in balanced_strings(n) if y.bit(s) == z] for s in sigma))]
+    right = total = 0
+    for published in choices:
+        for coin in (0, 1):
+            shared = PublishedPositions(published, coin)
+            right += sum(run_chain_protocol(protocol, inst, shared).output == inst.answer for inst in instances)
+            total += len(instances)
+    return Fraction(right, total)
+
+
+def sampled_bits_kernel_success(n, k, m):
+    """Exact success of `sampled_bits_kernel`: uniform over the answer, the
+    indices and the coin. The kernel reads no string, and every (answer,
+    indices) cell holds the same number of instances."""
+    cells = [(z, sigma, coin) for z in (0, 1) for sigma in product(range(1, n + 1), repeat=k) for coin in (0, 1)]
+    answer, sigma, coins = (np.array(column) for column in zip(*cells))
+    outputs = montecarlo_module.sampled_bits_kernel(Coins(coins), answer, sigma, n, m)
+    return Fraction(int((outputs == answer).sum()), len(cells))
 
 
 class TestBatchKernels:
@@ -284,15 +330,29 @@ class TestBatchKernels:
             for row, chosen in zip(keys.reshape(-1, 8), mask.reshape(-1, 8)):
                 stable = sorted(range(8), key=lambda j: (row[j], j))
                 assert np.flatnonzero(chosen).tolist() == sorted(stable[:size])
-        # the sampler and the sampled-bits kernel share that rule
+        # with that rule the sampler's rows stay balanced under ties
         for n, k in ((4, 3), (8, 2)):
-            rng = TiedKeys(np.random.default_rng(n + k))
-            answer, sigma, strings = sample_chain_batch(rng, 200, n, k)
+            answer, sigma, strings = sample_chain_batch(TiedKeys(np.random.default_rng(n + k)), 200, n, k)
             assert (strings.sum(axis=-1) == n // 2).all()
             assert (np.take_along_axis(strings, sigma[..., None] - 1, axis=-1)[..., 0] == answer[:, None]).all()
-            for m in range(n + 1):
-                expected = sampled_bits_on_the_engine(rng, strings, sigma, m)
-                assert sampled_bits_kernel(rng, answer, sigma, n, m).tolist() == expected
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_sampled_bits_exact_law_is_the_first_positions_law(self, k):
+        # relabelling a player's positions turns its published set into
+        # {1..m}: every choice of sets, the sets {1..m}, the kernel and the
+        # closed form all give the same exact success
+        n = 4
+        for m in range(n + 1):
+            every_set = sampled_bits_success(n, k, m, product(
+                *[[np.isin(np.arange(n), chosen) for chosen in combinations(range(n), m)]] * k))
+            closed_form = 1 - (1 - Fraction(m, n)) ** k / 2
+            assert every_set == sampled_bits_success(n, k, m, [first_positions(k, n, m)]) == closed_form, m
+            assert sampled_bits_kernel_success(n, k, m) == closed_form, m
+
+    def test_sampled_bits_exact_law_sees_a_strict_publish(self, monkeypatch):
+        mutate(monkeypatch, montecarlo_module, "sampled_bits_kernel", "sigma <= m", "sigma < m")
+        assert any(sampled_bits_kernel_success(4, k, m) != 1 - (1 - Fraction(m, 4)) ** k / 2
+                   for k in (1, 2) for m in range(5))
 
     def test_sampled_bits_kernel_extremes_match_the_closed_form(self):
         # success = 1/2 + (1/2)(1 - (1 - m/n)^k): 1 at m=n, 1/2 at m=0
