@@ -47,6 +47,16 @@ class BitString:
     def ones(self) -> int:
         return sum(self.bits)
 
+    def prefix(self, length: int) -> BitString:
+        """The first `length` bits, 0 <= length <= len(self), as a plain
+        BitString (also when called on a subclass). The bits were checked
+        when this string was built, so `__post_init__` does not run again."""
+        if not 0 <= length <= len(self.bits):
+            raise InvalidParameterError(f"prefix length must lie in 0..{len(self.bits)}, got {length}")
+        prefix = object.__new__(BitString)
+        object.__setattr__(prefix, "bits", self.bits[:length])
+        return prefix
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}('{self.text}')"
 

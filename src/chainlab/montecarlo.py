@@ -49,7 +49,7 @@ import os
 from dataclasses import dataclass
 
 from .distributions import check_budget
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, ResourceLimitError
 from .model import BitString, ChainInstance
 from .protocols import ProtocolSpec, SharedRandomness, build_protocol, check_size, run_chain_protocol
 
@@ -59,6 +59,9 @@ CHUNK_CELLS = 1 << 13
 
 # (trial, player) cells per pass of `_majority_batch`: its arrays stay in cache
 MAJORITY_CELLS = 1 << 15
+
+# exclusive upper end of numpy's int64 draw: indices 1..n need n + 1 <= INDEX_LIMIT
+INDEX_LIMIT = 1 << 63
 
 @dataclass(frozen=True)
 class MonteCarloEstimate:
@@ -275,10 +278,14 @@ def montecarlo_success(
     workers: int | None = None,
 ) -> MonteCarloEstimate:
     """Estimate a protocol's success probability over the hard distribution.
-    A trial's k * n string cells count against the enumeration budget before
-    any draw; the majority kernel draws no strings and is exempt. `workers`
-    defaults to every core this process may run on; a count below 1 is
-    refused, not clamped."""
+
+    Before any draw, a trial is charged against the enumeration budget by
+    what it draws: the engine path's k * n string cells, or the 1 + k cells
+    (answer and indices) of the truncation and sampled-bits kernels, which
+    skip the strings in the stream. Those kernels also refuse an n whose
+    index range 1..n does not fit numpy's int64 draw. The majority kernel
+    draws no instance and is exempt from both. `workers` defaults to every
+    core this process may run on; a count below 1 is refused, not clamped."""
     if trials < 1:
         raise InvalidParameterError(f"trials must be >= 1, got {trials}")
     if seed < 0:
@@ -287,8 +294,13 @@ def montecarlo_success(
     if n < 2 or n % 2 != 0:
         raise InvalidParameterError(f"n must be even and >= 2, got {n}")
     tag = protocol.simulator
-    if tag != "majority":
+    if tag is None:
         check_budget("one Monte Carlo trial", k * n, "string cells")
+    elif tag != "majority":
+        check_budget("one Monte Carlo trial", 1 + k, "drawn cells")
+        if n + 1 > INDEX_LIMIT:
+            raise ResourceLimitError(f"indices in 1..{n} do not fit the int64 index draw, "
+                                     f"which holds 1..{INDEX_LIMIT - 1}", required=n + 1, budget=INDEX_LIMIT)
     if workers is None:
         workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     elif workers < 1:

@@ -303,18 +303,28 @@ def chained_majority_protocol(n: int, k: int, block_size: int) -> ProtocolSpec:
 def truncation_protocol(n: int, k: int, t: int) -> ProtocolSpec:
     """Deterministic family for entropy accounting: each player sends its
     first t bits; the decoder reads any index that landed inside a sent
-    prefix (last instance first), else outputs 0."""
+    prefix (last instance first), else outputs 0.
+
+    Both closures sit on the exact enumeration's hot path, so they read the
+    engine's types directly. A message is `string.prefix(t)`, which copies
+    already-checked bits without checking them again. The decoder visits the
+    board entries in the order (k, 1..k-1), built once here, and indexes the
+    board's tuples itself: a final board holds k entries with indices in
+    1..n, so the range checks of `Board.index` and `BitString.bit` cannot
+    fire there."""
     if not 0 <= t <= n:
         raise InvalidParameterError(f"t must lie in 0..n, got {t}")
+    order = (k - 1, *range(k - 1))  # 0-based board entries of players k, 1..k-1
 
     def message(i: int, string: BitString, board: Board, shared: SharedRandomness) -> BitString:
-        return BitString(string.bits[:t])
+        return string.prefix(t)
 
     def decode(board: Board, shared: SharedRandomness) -> int:
-        for i in (k, *range(1, k)):
-            sigma = board.index(i)
+        indices, messages = board.indices, board.messages
+        for entry in order:
+            sigma = indices[entry]
             if sigma <= t:
-                return board.message(i).bit(sigma)
+                return messages[entry].bits[sigma - 1]
         return 0
 
     return ProtocolSpec(

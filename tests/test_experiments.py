@@ -606,17 +606,39 @@ class TestCli:
         monkeypatch.setattr(experiments, "run_suite", never)
         assert cli_main(["verify", "--suite", suite, "--seed", "-1"]) == 2
 
+    # the engine path is charged k * n string cells; the reduced kernels draw
+    # no string, but their int64 index draw cannot reach past 2^63 - 1
     @pytest.mark.parametrize("protocol,n,k,params", [
-        ("truncation", 10**12, 1, ["--param", "t=1"]),
+        ("trivial-forward", 10**12, 1, []),
         ("truncation", 2**80, 1, ["--param", "t=1"]),
         ("trivial-forward", 64, 10**6, []),
+        ("trivial-forward", 2**20, 25, []),
+        ("sampled-bits", 2**63, 1, ["--param", "m=1"]),
     ])
     def test_trial_over_cell_budget_exit_three_at_once(self, capsys, protocol, n, k, params):
         start = time.perf_counter()
         assert cli_main(["simulate", "--protocol", protocol, "--n", str(n), "--k", str(k), *params,
                          "--trials", "1"]) == 3
         assert time.perf_counter() - start < 5
-        assert "string cells" in capsys.readouterr().err
+        assert ("string cells" if protocol == "trivial-forward" else "int64 index draw") in capsys.readouterr().err
+
+    def test_reduced_kernel_is_charged_by_its_drawn_cells(self, tmp_path):
+        # k * n = 26214400 string cells would exceed the budget; truncation
+        # draws 1 + k cells per trial and reads no string
+        out = tmp_path / "report.json"
+        n, k, t, trials = 2**20, 25, 8, 1000
+        assert cli_main(["simulate", "--protocol", "truncation", "--n", str(n), "--k", str(k),
+                         "--param", f"t={t}", "--trials", str(trials), "--out", str(out)]) == 0
+        result = json.loads(out.read_bytes())["result"]
+        p = 1 - (1 - t / n) ** k / 2
+        assert result["trials"] == trials
+        assert abs(result["estimate"] - p) <= 5 * math.sqrt(p * (1 - p) / trials)
+
+    def test_largest_int64_index_range_runs(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert cli_main(["simulate", "--protocol", "truncation", "--n", str(2**63 - 2), "--k", "2",
+                         "--param", "t=1", "--trials", "10", "--out", str(out)]) == 0
+        assert json.loads(out.read_bytes())["result"]["trials"] == 10
 
     def test_trial_over_player_budget_exit_three_before_protocol_is_built(self, monkeypatch, capsys):
         # 2 * 10^7 players: trivial-forward's declared lengths alone would be a 160 MB tuple

@@ -50,6 +50,26 @@ class TestBitString:
                 assert rebuilt == x.bits
 
 
+class TestPrefix:
+    @pytest.mark.parametrize("x", [BitString(()), BitString("10011"), *balanced_strings(4)], ids=repr)
+    def test_every_length_is_the_validated_slice(self, x):
+        for length in range(len(x) + 1):
+            prefix, expected = x.prefix(length), BitString(x.bits[:length])
+            assert prefix == expected and hash(prefix) == hash(expected)
+            assert type(prefix) is BitString and repr(prefix) == repr(expected)
+
+    def test_balanced_string_gives_a_plain_bit_string(self):
+        y = BalancedString("0110")
+        for length in range(5):
+            assert type(y.prefix(length)) is BitString
+        assert y.prefix(4) != y and y.prefix(4) == BitString("0110")
+
+    @pytest.mark.parametrize("length", [-1, 6])
+    def test_length_outside_the_string_is_refused(self, length):
+        with pytest.raises(InvalidParameterError, match="prefix length must lie in 0..5"):
+            BitString("10011").prefix(length)
+
+
 class TestBalancedString:
     def test_accepts_exactly_half_ones(self):
         assert BalancedString("0110").ones() == 2

@@ -23,10 +23,12 @@ from chainlab import (
     trivial_forward_protocol,
     truncation_protocol,
 )
+from chainlab import protocols
 from chainlab.montecarlo import chain_instances, sample_chain_batch
+from chainlab.oracle import _final_boards
 from chainlab.protocols import Board
 
-from util import chi2_quantile, chi2_stat, constant_protocol
+from util import chi2_quantile, chi2_stat, constant_protocol, mutate
 
 
 def sampled_instances(n, k, count, seed):
@@ -324,6 +326,65 @@ class TestTruncation:
     def test_parameter_range(self):
         with pytest.raises(InvalidParameterError):
             truncation_protocol(4, 1, 5)
+
+
+def reference_truncation_decode(board, k, t):
+    """Truncation's decoder through the checked accessors: the first of
+    players k, 1..k-1 whose index lies in its sent prefix, else 0."""
+    for i in (k, *range(1, k)):
+        sigma = board.index(i)
+        if sigma <= t:
+            return board.message(i).bit(sigma)
+    return 0
+
+
+def every_truncation_board(n, k, t):
+    """Every final board whose messages are t-bit prefixes of balanced
+    strings, with any indices, including boards of probability 0: on those
+    two sent prefixes may disagree at their indices, so the order the
+    decoder reads them in shows."""
+    entries = [(BitString(bits), sigma) for bits in sorted({y.bits[:t] for y in balanced_strings(n)})
+               for sigma in range(1, n + 1)]
+    for combo in product(entries, repeat=k):
+        yield Board(tuple(m for m, _ in combo), tuple(s for _, s in combo))
+
+
+TRUNCATION_CLOSURE_CASES = [(6, k, t) for k in (1, 2) for t in range(7)] + [(4, 3, t) for t in range(5)]
+
+
+class TestTruncationClosures:
+    """The closures index the board's tuples directly and copy checked bits;
+    they must agree with readers through the checked accessors."""
+
+    @staticmethod
+    def decoder_mismatches(n, k, t, boards):
+        p = protocols.truncation_protocol(n, k, t)
+        shared = SharedRandomness(0)
+        return sum(p.decode_fn(board, shared) != reference_truncation_decode(board, k, t) for board in boards)
+
+    @pytest.mark.parametrize("n,k,t", TRUNCATION_CLOSURE_CASES)
+    def test_decoder_matches_the_accessor_reference(self, n, k, t):
+        p = truncation_protocol(n, k, t)
+        finals = [board for board, *_ in _final_boards(p, n, k, SharedRandomness(0))]
+        assert finals and self.decoder_mismatches(n, k, t, finals) == 0
+        assert self.decoder_mismatches(n, k, t, every_truncation_board(n, k, t)) == 0
+
+    @pytest.mark.parametrize("n,k,t", TRUNCATION_CLOSURE_CASES)
+    def test_message_is_the_validated_prefix(self, n, k, t):
+        p = truncation_protocol(n, k, t)
+        for y in balanced_strings(n):
+            for i in range(1, k + 1):
+                message = p.message_fn(i, y, Board(), SharedRandomness(0))
+                assert type(message) is BitString and message == BitString(y.bits[:t])
+
+    @pytest.mark.parametrize("n,k,t", [(n, k, t) for n, k, t in TRUNCATION_CLOSURE_CASES if k >= 2 and t > 0])
+    def test_decoder_equivalence_sees_instance_one_read_first(self, monkeypatch, n, k, t):
+        # not on the final boards alone: on a board of positive weight every
+        # prefix that holds its index holds the answer there, so any order
+        # reads the same bit
+        mutate(monkeypatch, protocols, "truncation_protocol",
+               "order = (k - 1, *range(k - 1))", "order = tuple(range(k))")
+        assert self.decoder_mismatches(n, k, t, every_truncation_board(n, k, t)) > 0
 
 
 class TestSampledBits:
