@@ -142,6 +142,19 @@ class ExperimentConfig:
 # verification suites
 
 
+def _check_printable(var: str, values: Sequence[int], denominator: Callable[[int], int]) -> None:
+    """Refuse, before any sum, a value whose exact rational, with a
+    denominator of at most `denominator(value)`, may have more digits than
+    str() prints (sys.get_int_max_str_digits(); 0 means no limit). The values
+    must increase, so no denominator past the first one too long is built."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    bound = 10**limit
+    for v in values if limit else ():
+        if denominator(v) >= bound:
+            raise ResourceLimitError(f"{var}={v} gives an exact rational that may exceed the "
+                                     f"{limit}-digit limit for printing an integer")
+
+
 def _grid_for(n: int, theta: Fraction | None) -> list[Fraction]:
     """The bias grid of n, or only `theta`, which must lie on it."""
     if theta is None:
@@ -352,6 +365,7 @@ def suite_anticoncentration(
     ts: Sequence[int] = (16, 64, 256, 1024),
     cs: Sequence[Fraction] = (Fraction(1, 16), Fraction(1, 8), Fraction(1, 4), Fraction(1, 2)),
 ) -> list[VerificationReport]:
+    _check_printable("t", sorted(ts), lambda t: 1 << max(t, 0))
     reports = []
     for t in ts:
         for c in cs:
@@ -425,8 +439,8 @@ class Suite:
 
     @property
     def takes(self) -> tuple[str, ...]:
-        """The run options (`ns`, `theta`, `seed`) among the function's parameters."""
-        return tuple(p for p in ("ns", "theta", "seed") if p in inspect.signature(self.fn).parameters)
+        """The run options (`ns`, `ts`, `theta`, `seed`) among the function's parameters."""
+        return tuple(p for p in ("ns", "ts", "theta", "seed") if p in inspect.signature(self.fn).parameters)
 
     def run(self, preset: Mapping[str, Any], **options) -> list[VerificationReport]:
         """Call the suite with `preset` plus those of `options` it takes and that are set."""
@@ -480,6 +494,9 @@ def run_suite(name: str, n: int | None = None, theta: Fraction | None = None, se
 # ---------------------------------------------------------------------------
 # table mode
 
+# a table's sweep variable and the suite argument its values fill
+SWEEP_ARGS = {"n": "ns", "t": "ts"}
+
 
 def parse_sweep(spec: str) -> tuple[str, list[int]]:
     """Parse "name=a..b", "name=a..b:step", or "name=a..b:*factor" into
@@ -514,57 +531,39 @@ def parse_sweep(spec: str) -> tuple[str, list[int]]:
     return name, values
 
 
-def _check_printable(var: str, values: Sequence[int], denominator: Callable[[int], int]) -> None:
-    """Refuse a sweep, before any sum, if a value's exact rational, whose
-    denominator is at most `denominator(value)`, may have more digits than
-    str() prints (sys.get_int_max_str_digits(); 0 means no limit). The values
-    increase, so no denominator past the first one too long is built."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    bound = 10**limit
-    for v in values if limit else ():
-        if denominator(v) >= bound:
-            raise ResourceLimitError(f"{var}={v} gives an exact rational that may exceed the "
-                                     f"{limit}-digit limit for printing an integer")
+def _cell(value: Any) -> Any:
+    return str(value) if isinstance(value, Fraction) else value
 
 
 def table_rows(suite: str, sweep: str, theta: Fraction | None = None) -> tuple[list[str], list[list]]:
-    """Long-format rows for plot-ready CSV output."""
+    """Long-format rows for plot-ready CSV output: the suite's reports over
+    the swept values, one row each (check, its params in order, lhs, rhs,
+    pass), with rationals printed by str(). The sweep variable fills the
+    suite argument of SWEEP_ARGS; n must be even and at least 2.
+
+    The one exception is majority over B, a listing of the closed-form
+    success per B: no suite can enumerate majority at B = 64."""
     var, values = parse_sweep(sweep)
-    if suite == "entropy-given-pool":
-        if var != "n":
-            raise UsageError("entropy-given-pool sweeps over n")
-        odd = [n for n in values if n % 2]
-        if odd:
-            raise UsageError(f"entropy-given-pool needs even n; the sweep gives odd n = {odd}")
-        columns = ["check", "n", "theta", "pool_size", "lhs", "rhs", "pass"]
-        reports = suite_entropy_pool(ns=values, theta=theta)
-        return columns, [
-            [r.check, r.params["n"], str(r.params["theta"]), r.params["pool_size"], r.lhs, r.rhs, r.passed]
-            for r in reports
-        ]
-    if theta is not None and suite in SUITES and "theta" not in SUITES[suite].takes:
+    if suite not in SUITES:
+        raise UsageError(f"unknown suite {suite!r}; available: {sorted(SUITES)}")
+    entry = SUITES[suite]
+    if theta is not None and "theta" not in entry.takes:
         raise UsageError(f"suite {suite!r} takes no theta")
-    if suite == "majority":
-        if var != "B":
-            raise UsageError("majority sweeps over B")
+    if suite == "majority" and var == "B":
         _check_printable("B", values, lambda b: b << (b + 1))
-        columns = ["check", "B", "success_num", "success_den", "success"]
-        rows = []
-        for b in values:
-            value = exact_majority_success(b)
-            rows.append(["majority-protocol-success", b, value.numerator, value.denominator, float(value)])
-        return columns, rows
-    if suite == "anticoncentration":
-        if var != "t":
-            raise UsageError("anticoncentration sweeps over t")
-        _check_printable("t", values, lambda t: 1 << t)
-        columns = ["check", "t", "c", "probability", "bound", "pass"]
-        return columns, [
-            [r.check, r.params["t"], str(r.params["c"]), f"{r.lhs.numerator}/{r.lhs.denominator}",
-             str(r.rhs), r.passed]
-            for r in suite_anticoncentration(ts=values)
-        ]
-    raise UsageError(f"suite {suite!r} does not support table mode")
+        successes = [(b, exact_majority_success(b)) for b in values]
+        return ["check", "B", "success_num", "success_den", "success"], [
+            ["majority-protocol-success", b, p.numerator, p.denominator, float(p)] for b, p in successes]
+    arg = SWEEP_ARGS.get(var)
+    if arg not in entry.takes:
+        raise UsageError(f"suite {suite!r} cannot be swept over {var}")
+    bad = [v for v in values if var == "n" and (v < 2 or v % 2)]
+    if bad:
+        raise UsageError(f"n must be even and >= 2; the sweep gives n = {bad}")
+    reports = entry.run({arg: tuple(values)}, theta=theta)
+    columns = ["check", *reports[0].params, "lhs", "rhs", "pass"]
+    return columns, [[r.check, *map(_cell, r.params.values()), _cell(r.lhs), _cell(r.rhs), r.passed]
+                     for r in reports]
 
 
 # ---------------------------------------------------------------------------

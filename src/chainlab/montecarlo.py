@@ -31,12 +31,11 @@ with the kernel of the protocol's simulator tag (`ProtocolSpec.simulator`):
   word, read at bit 0, drawn and decoded a pass of MAJORITY_CELLS (trial,
   player) cells at a time, so its memory does not grow with k.
 
-The sampler selects by comparing keys, not by sorting them: a string's ones
-are the keys at or below its row's (n/2)-th smallest (`_lowest`), and of two
-equal keys the one at the lower position ranks lower. That tie rule is the
-sampler's alone; no kernel draws keys. Uniform double keys tie with
-probability about n^2 / 2^54 per row; barring such a tie, the draws, counts
-and report digests are those of the `argpartition` selection it replaced.
+A sampled string's ones are its row's n/2 smallest keys, selected by a
+stable argsort, so of two equal keys the one at the lower position ranks
+lower. That tie rule is the sampler's alone; no kernel draws keys. Uniform
+double keys tie with probability about n^2 / 2^54 per row; barring such a
+tie, the strings are those of an `argpartition` selection.
 
 numpy is imported by the first batch, not by the package: every function
 that uses arrays imports it in its own body, and the process pool's module
@@ -89,27 +88,6 @@ def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(batch_index,))))
 
 
-def _lowest(keys: np.ndarray, size: int) -> np.ndarray:
-    """Mask of the `size` smallest keys of each row (last axis) of a 3-d
-    array: exactly `size` per row, keys tied with the row's `size`-th
-    smallest going to the lower positions. The mask holds the keys at or
-    below that threshold; only a tie at the threshold gives a row more than
-    `size`, and only such rows are selected again, in a stable order."""
-    import numpy as np
-
-    if not size:
-        return np.zeros(keys.shape, dtype=bool)
-    count, k, n = keys.shape
-    mask = keys <= np.partition(keys, size - 1, axis=-1)[..., size - 1:size]
-    if np.count_nonzero(mask) != count * k * size:
-        tied = np.count_nonzero(mask, axis=-1) > size
-        chosen = np.argsort(keys[tied], axis=-1, kind="stable")[:, :size]
-        rows = np.zeros((len(chosen), n), dtype=bool)
-        np.put_along_axis(rows, chosen, True, axis=-1)
-        mask[tied] = rows
-    return mask
-
-
 def _answers_and_indices(rng: np.random.Generator, count: int, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The first two draws of `sample_chain_batch`: answer bits `(count,)`
     and 1-based indices `(count, k)`."""
@@ -147,7 +125,9 @@ def sample_chain_batch(
     answer, sigma = _answers_and_indices(rng, count, n, k)
     keys = rng.random((count, k, n))
     keys[np.arange(count)[:, None], np.arange(k), sigma - 1] = np.where(answer, -1.0, 2.0)[:, None]
-    return answer, sigma, _lowest(keys, n // 2)
+    strings = np.zeros(keys.shape, dtype=bool)
+    np.put_along_axis(strings, np.argsort(keys, axis=-1, kind="stable")[..., :n // 2], True, axis=-1)
+    return answer, sigma, strings
 
 
 def truncation_kernel(rng: np.random.Generator, answer: np.ndarray, sigma: np.ndarray, n: int, t: int) -> np.ndarray:

@@ -177,6 +177,8 @@ def _final_boards(protocol: ProtocolSpec, n: int, k: int, shared: SharedRandomne
     strings hold `ones` 1s at sigma into weights w0 * (group size - ones) and
     w1 * ones. The last player's boards are yielded as they are made."""
     check_size(protocol, n, k)
+    if n < 2 or n % 2:
+        raise InvalidParameterError(f"n must be even and >= 2, got {n}")
     check_budget("joint enumeration", _message_calls(n, protocol.message_lengths), "message calls")
     strings = balanced_strings(n)
 

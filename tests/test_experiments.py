@@ -23,7 +23,9 @@ from chainlab.errors import InvalidParameterError, ResourceLimitError
 from chainlab.experiments import (
     MODE_FIELDS,
     SUITES,
+    SWEEP_ARGS,
     parse_sweep,
+    suite_anticoncentration,
     suite_binomial_bounds,
     sweep_binomial_bounds,
     table_rows,
@@ -161,8 +163,38 @@ class TestTables:
         assert rows[2][2:4] == [11, 16]
 
     def test_unsupported_suite(self):
-        with pytest.raises(UsageError):
-            table_rows("pmf", "n=2..4")
+        # suites whose function takes no argument of the swept variable
+        for suite, sweep in [("binomial-bounds", "n=4..6"), ("majority", "n=4..6"), ("entropy-given-pool", "t=1..3")]:
+            with pytest.raises(UsageError, match="cannot be swept"):
+                table_rows(suite, sweep)
+
+    @pytest.mark.parametrize("suite", ["chain-entropy", "biased-index-bound"])
+    def test_rows_project_the_verify_reports_of_each_n(self, suite):
+        reports = run_suite(suite, n=4) + run_suite(suite, n=6)
+        columns, rows = table_rows(suite, "n=4..6")
+        assert columns == ["check", *reports[0].params, "lhs", "rhs", "pass"]
+
+        def cell(value):
+            return str(value) if isinstance(value, Fraction) else value
+
+        assert rows == [[r.check, *map(cell, r.params.values()), cell(r.lhs), cell(r.rhs), r.passed]
+                        for r in reports]
+
+    def test_every_sweepable_suite_reports_one_param_list(self):
+        # the header is read from the first report, so every row must share its params
+        swept = {"ns": (4, 6), "ts": (15, 16)}
+        pairs = [(name, arg) for name, suite in SUITES.items() for arg in SWEEP_ARGS.values() if arg in suite.takes]
+        assert len(pairs) == 8
+        for name, arg in pairs:
+            keys = {tuple(r.params) for r in SUITES[name].run({arg: swept[arg]})}
+            assert len(keys) == 1, name
+
+    def test_anticoncentration_suite_refuses_an_unprintable_t_at_once(self):
+        # the guard is the suite's, so it holds for every caller and any order of ts
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="t=16384"):
+            suite_anticoncentration(ts=(16384, 16))
+        assert time.perf_counter() - start < 1
 
     def test_odd_n_is_a_usage_error(self):
         with pytest.raises(UsageError, match=r"\[3, 5\]"):
@@ -400,6 +432,14 @@ class TestCli:
 
     def test_odd_n_pool_table_exit_two(self):
         assert cli_main(["table", "--suite", "entropy-given-pool", "--sweep", "n=3..5"]) == 2
+
+    @pytest.mark.parametrize("args", [
+        ["verify", "--suite", "chain-entropy", "--n", "-2"],
+        ["table", "--suite", "chain-entropy", "--sweep", "n=-2..4"],
+        ["table", "--suite", "anticoncentration", "--sweep", "t=-2..4"],
+    ])
+    def test_negative_size_exit_two(self, args, tmp_path):
+        assert cli_main(args + ["--out", str(tmp_path / "report")]) == 2
 
     def test_theta_on_majority_table_exit_two(self):
         assert cli_main(["table", "--suite", "majority", "--sweep", "B=1..4:*2", "--theta", "1/4"]) == 2
@@ -678,7 +718,7 @@ class TestCli:
         ])
         assert code == 0
         lines = out.read_text().splitlines()
-        assert lines[0] == "check,t,c,probability,bound,pass"
+        assert lines[0] == "check,t,c,lhs,rhs,pass"
         assert len(lines) == 9
 
 

@@ -92,6 +92,11 @@ GOLDEN = {
         ["table", "--suite", "entropy-given-pool", "--sweep", "n=4..16", "--format", "csv"],
         "3acea42171438530e4b0823d30259379c1591c60d190ccdd41bb6b2211b06896",
     ),
+    # the one table that lists a closed form instead of projecting a suite's reports
+    "table-majority": (
+        ["table", "--suite", "majority", "--sweep", "B=1..64:*2", "--format", "csv"],
+        "ab1cc65b1764a7973a74ed479621ebb1fa928433d4c27882daf17807b6b78f5a",
+    ),
 }
 
 

@@ -33,8 +33,9 @@ def imported_modules(*args):
     ["-m", "chainlab", "verify", "--suite", "chain-entropy"],
     ["-m", "chainlab", "verify", "--suite", "conditional-independence"],
     ["-m", "chainlab", "verify", "--suite", "distribution-identity"],
+    ["-m", "chainlab", "table", "--suite", "chain-entropy", "--sweep", "n=4..6"],
 ], ids=["import-chainlab", "import-cli", "verify-chain-entropy", "verify-conditional-independence",
-        "verify-distribution-identity"])
+        "verify-distribution-identity", "table-chain-entropy"])
 def test_command_loads_neither_numpy_nor_the_process_pool(args):
     modules = imported_modules(*args)
     assert "chainlab" in modules

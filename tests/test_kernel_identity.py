@@ -277,7 +277,8 @@ def test_string_path_matches_argpartition_and_scatter():
 
 
 def test_string_path_identity_sees_a_strict_threshold(monkeypatch):
-    mutate(monkeypatch, montecarlo, "_lowest", "keys <= np.partition", "keys < np.partition")
+    # one fewer one per string: the keys strictly below the row's (n/2)-th smallest
+    mutate(monkeypatch, montecarlo, "sample_chain_batch", "[..., :n // 2]", "[..., :n // 2 - 1]")
     assert string_path_miss() is not None
 
 
